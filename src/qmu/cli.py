@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import examples
-from .core import Model, validate
+from .core import Model
 from .evaluator import (
     EvalConfig, EvaluationError, evaluate, evaluate_fix,
 )
@@ -39,14 +39,6 @@ _INPUT_ERRORS = (ParseError, ReduceError, ModelFileError, StrategyError,
 class _InputError(Exception):
     def __init__(self, message: str):
         super().__init__(message)
-
-
-def _load_model_arg(path: str) -> Model:
-    model = load_model(path)
-    problems = validate(model)
-    if problems:
-        raise _InputError("; ".join(str(d) for d in problems))
-    return model
 
 
 def _load_formula_arg(source: str, model: Model):
@@ -74,7 +66,7 @@ def _config(args) -> EvalConfig:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model_arg(args.model)
+    model = load_model(args.model)
     phi = _load_formula_arg(args.formula, model)
     cfg = _config(args)
     runner = evaluate_fix if contains_fix(phi) else evaluate
@@ -106,7 +98,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    model = _load_model_arg(args.model)
+    model = load_model(args.model)
     phi = _load_formula_arg(args.formula, model)
     cfg = _config(args)
     strategy, value = synthesize(phi, model, cfg)
@@ -133,7 +125,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = _load_model_arg(args.model)
+    model = load_model(args.model)
     phi = _load_formula_arg(args.formula, model)
     cfg = _config(args)
     if args.strategy:
@@ -176,11 +168,20 @@ def cmd_crosscheck(args) -> int:
     report = crosscheck(args.count, args.seed, bounds,
                         EvalConfig(tolerance=args.tol),
                         dump_dir=args.dump)
-    print(f"checked {report.checked} instances, {len(report.failures)} failures")
-    for failure in report.failures:
-        print(f"FAIL {failure.message}")
-        for path in failure.dump_paths:
-            print(f"  dumped {path}")
+    if args.json:
+        payload = {
+            "checked": report.checked,
+            "failures": [{"index": f.index, "message": f.message,
+                          "dump_paths": list(f.dump_paths)}
+                         for f in report.failures],
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(f"checked {report.checked} instances, {len(report.failures)} failures")
+        for failure in report.failures:
+            print(f"FAIL {failure.message}")
+            for path in failure.dump_paths:
+                print(f"  dumped {path}")
     return EXIT_OK if report.ok else EXIT_PROPERTY_FAILURE
 
 
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: formula is nested too deeply", file=sys.stderr)
         return EXIT_INPUT
 
 

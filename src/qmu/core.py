@@ -257,12 +257,6 @@ def validate(model: Model) -> list[Diagnostic]:
     """Check every structural invariant; empty result means well-formed."""
     out: list[Diagnostic] = []
     n = model.space.size
-    seen: set[str] = set()
-    for label in model.space.labels:
-        if label in seen:
-            out.append(Diagnostic("labels-unique", message=f"duplicate label {label!r}"))
-        seen.add(label)
-
     v = model.valuation
     for name, arr in v.expectations.items():
         if len(arr) != n:

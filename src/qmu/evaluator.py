@@ -135,7 +135,7 @@ class _Engine:
     """Shared tree-walking evaluator with pluggable junction handling."""
 
     def __init__(self, model: Model, cfg: EvalConfig, fix_policy: str = "reject",
-                 min_masks=None, max_masks=None):
+                 min_masks=None, max_masks=None, on_junction=None):
         self.model = model
         self.v = model.valuation
         self.n = model.space.size
@@ -143,6 +143,7 @@ class _Engine:
         self.fix_policy = fix_policy
         self.min_masks = min_masks
         self.max_masks = max_masks
+        self.on_junction = on_junction
         self.stats: dict[str, FixpointStats] = {}
         self._fix_body_ok: dict[int, bool] = {}
 
@@ -175,12 +176,16 @@ class _Engine:
         if isinstance(node, MaxJ):
             left = self.eval(node.left, env)
             right = self.eval(node.right, env)
+            if self.on_junction is not None:
+                self.on_junction(node, left, right)
             if self.max_masks is not None:
                 return np.where(self.max_masks[node.site], left, right)
             return np.maximum(left, right)
         if isinstance(node, MinJ):
             left = self.eval(node.left, env)
             right = self.eval(node.right, env)
+            if self.on_junction is not None:
+                self.on_junction(node, left, right)
             if self.min_masks is not None:
                 return np.where(self.min_masks[node.site], left, right)
             return np.minimum(left, right)
@@ -273,8 +278,11 @@ def _check_entry(phi: Node) -> None:
         raise EvaluationError("formula contains set modalities; reduce it first")
 
 
-def _report(engine: _Engine, result: np.ndarray) -> EvalReport:
-    result = np.clip(result, 0.0, 1.0)
+def _run(phi: Node, model: Model, cfg: EvalConfig | None, fix_policy: str,
+         on_junction=None) -> EvalReport:
+    _check_entry(phi)
+    engine = _Engine(model, cfg or EvalConfig(), fix_policy, on_junction=on_junction)
+    result = np.clip(engine.eval(phi, {}), 0.0, 1.0)
     result.setflags(write=False)
     converged = all(st.converged for st in engine.stats.values())
     return EvalReport(result=result, fixpoints=dict(engine.stats), converged=converged)
@@ -282,10 +290,7 @@ def _report(engine: _Engine, result: np.ndarray) -> EvalReport:
 
 def evaluate(phi: Node, model: Model, cfg: EvalConfig | None = None) -> EvalReport:
     """Evaluate a closed, reduced formula without fix(x) binders."""
-    cfg = cfg or EvalConfig()
-    _check_entry(phi)
-    engine = _Engine(model, cfg, fix_policy="reject")
-    return _report(engine, engine.eval(phi, {}))
+    return _run(phi, model, cfg, "reject")
 
 
 def evaluate_fix(phi: Node, model: Model, cfg: EvalConfig | None = None,
@@ -297,59 +302,20 @@ def evaluate_fix(phi: Node, model: Model, cfg: EvalConfig | None = None,
     rejected unless ``force`` is set, in which case iteration proceeds under
     an oscillation detector that raises :class:`DivergenceError`.
     """
-    cfg = cfg or EvalConfig()
-    _check_entry(phi)
-    engine = _Engine(model, cfg, fix_policy="force" if force else "pure")
-    return _report(engine, engine.eval(phi, {}))
+    return _run(phi, model, cfg, "force" if force else "pure")
 
 
 def converged_walk(phi: Node, model: Model, cfg: EvalConfig | None,
-                   on_junction) -> np.ndarray:
-    """Walk a formula in its final converged environment.
+                   on_junction) -> EvalReport:
+    """Evaluate like :func:`evaluate`, reporting every junction visit.
 
-    Every binder is solved to its fixpoint under the already-converged
-    enclosing environment and its body then walked once with the solved
-    value bound.  ``on_junction(node, left, right)`` is called at each
-    min/max node with the operand expectations seen there; the return value
-    is the formula's expectation, which agrees with :func:`evaluate` up to
+    ``on_junction(node, left, right)`` is called at each min/max node every
+    time it is evaluated, with the operand expectations seen there.  The
+    last call at a site carries the operands of the final iteration of
+    every enclosing binder, i.e. those in the converged environment up to
     iteration tolerance.
     """
-    cfg = cfg or EvalConfig()
-    _check_entry(phi)
-    engine = _Engine(model, cfg, fix_policy="pure")
-
-    def walk(node: Node, env: dict[str, np.ndarray]) -> np.ndarray:
-        if isinstance(node, (Mu, Nu, Fix)):
-            value = engine.solve_fixpoint(node, env)
-            outer = env.get(node.var)
-            env[node.var] = value
-            try:
-                return walk(node.body, env)
-            finally:
-                if outer is None:
-                    env.pop(node.var, None)
-                else:
-                    env[node.var] = outer
-        if isinstance(node, MaxJ):
-            left = walk(node.left, env)
-            right = walk(node.right, env)
-            on_junction(node, left, right)
-            return np.maximum(left, right)
-        if isinstance(node, MinJ):
-            left = walk(node.left, env)
-            right = walk(node.right, env)
-            on_junction(node, left, right)
-            return np.minimum(left, right)
-        if isinstance(node, Modal):
-            return pre_expectation_all(engine._transition(node.transition),
-                                       walk(node.body, env))
-        if isinstance(node, Cond):
-            return np.where(engine._predicate(node.predicate),
-                            walk(node.then_branch, env),
-                            walk(node.else_branch, env))
-        return engine.eval(node, env)
-
-    return np.clip(walk(phi, {}), 0.0, 1.0)
+    return _run(phi, model, cfg, "reject", on_junction)
 
 
 def _strategy_masks(phi: Node, model: Model, sigma: PathStrategy | None,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Valuation
 
@@ -116,18 +116,40 @@ Node = Var | Const | Modal | MinJ | MaxJ | Cond | Mu | Nu | Fix | Angelic | Demo
 _BINDERS = (Mu, Nu, Fix)
 
 
+#: Child fields of each node type, in source order; :func:`children` and
+#: :func:`map_children` read a node's shape from here.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Var: (), Const: (),
+    Modal: ("body",), Angelic: ("body",), Demonic: ("body",),
+    MinJ: ("left", "right"), MaxJ: ("left", "right"),
+    Cond: ("then_branch", "else_branch"),
+    Mu: ("body",), Nu: ("body",), Fix: ("body",),
+}
+
+
+def _child_fields(node: Node) -> tuple[str, ...]:
+    try:
+        return _CHILD_FIELDS[type(node)]
+    except KeyError:
+        raise TypeError(f"not a formula node: {node!r}") from None
+
+
 def children(node: Node) -> tuple[Node, ...]:
-    if isinstance(node, (Var, Const)):
-        return ()
-    if isinstance(node, (Modal, Angelic, Demonic)):
-        return (node.body,)
-    if isinstance(node, (MinJ, MaxJ)):
-        return (node.left, node.right)
-    if isinstance(node, Cond):
-        return (node.then_branch, node.else_branch)
-    if isinstance(node, _BINDERS):
-        return (node.body,)
-    raise TypeError(f"not a formula node: {node!r}")
+    return tuple(getattr(node, name) for name in _child_fields(node))
+
+
+def map_children(node: Node, f, **changes) -> Node:
+    """Rebuild ``node`` with ``f`` applied to each child, left to right.
+
+    ``changes`` replaces non-child fields (a binder's ``var``, a junction's
+    ``site``); leaves without changes are returned as they are.
+    """
+    fields = _child_fields(node)
+    if not fields and not changes:
+        return node
+    for name in fields:
+        changes[name] = f(getattr(node, name))
+    return replace(node, **changes)
 
 
 def formula_size(node: Node) -> int:
@@ -191,32 +213,14 @@ def assign_sites(node: Node) -> Node:
 
     Min and max sites are numbered in separate sequences.
     """
-    counters = {"min": 0, "max": 0}
+    counters = {MinJ: 0, MaxJ: 0}
 
     def go(n: Node) -> Node:
-        if isinstance(n, MinJ):
-            site = counters["min"]
-            counters["min"] += 1
-            return MinJ(go(n.left), go(n.right), site)
-        if isinstance(n, MaxJ):
-            site = counters["max"]
-            counters["max"] += 1
-            return MaxJ(go(n.left), go(n.right), site)
-        if isinstance(n, Modal):
-            return Modal(n.transition, go(n.body))
-        if isinstance(n, Angelic):
-            return Angelic(n.set_name, go(n.body))
-        if isinstance(n, Demonic):
-            return Demonic(n.set_name, go(n.body))
-        if isinstance(n, Cond):
-            return Cond(n.predicate, go(n.then_branch), go(n.else_branch))
-        if isinstance(n, Mu):
-            return Mu(n.var, go(n.body))
-        if isinstance(n, Nu):
-            return Nu(n.var, go(n.body))
-        if isinstance(n, Fix):
-            return Fix(n.start, n.var, go(n.body))
-        return n
+        if isinstance(n, (MinJ, MaxJ)):
+            site = counters[type(n)]
+            counters[type(n)] += 1
+            return map_children(n, go, site=site)
+        return map_children(n, go)
 
     return go(node)
 
@@ -422,11 +426,6 @@ def parse(text: str, known_symbols=None) -> Node:
 
 # --- Pretty printer --------------------------------------------------------
 
-def _fmt_number(x: float) -> str:
-    s = repr(float(x))
-    return s
-
-
 def pretty_print(node: Node) -> str:
     """Render to concrete syntax; re-parsing yields an alpha-equal AST."""
 
@@ -446,7 +445,7 @@ def pretty_print(node: Node) -> str:
         if isinstance(n, Nu):
             return wrap(n, f"nu {n.var} . {go(n.body, 0)}", level > 0)
         if isinstance(n, Fix):
-            return wrap(n, f"fix({_fmt_number(n.start)}) {n.var} . {go(n.body, 0)}",
+            return wrap(n, f"fix({float(n.start)!r}) {n.var} . {go(n.body, 0)}",
                         level > 0)
         if isinstance(n, Cond):
             text = (f"if {n.predicate} then {go(n.then_branch, 0)} "
@@ -494,35 +493,17 @@ def _clone_with_fresh_binders(node: Node, used: set[str]) -> Node:
     def go(n: Node) -> Node:
         if isinstance(n, Var):
             return Var(mapping.get(n.name, n.name))
-        if isinstance(n, Const):
-            return n
-        if isinstance(n, Modal):
-            return Modal(n.transition, go(n.body))
-        if isinstance(n, Angelic):
-            return Angelic(n.set_name, go(n.body))
-        if isinstance(n, Demonic):
-            return Demonic(n.set_name, go(n.body))
-        if isinstance(n, MinJ):
-            return MinJ(go(n.left), go(n.right), n.site)
-        if isinstance(n, MaxJ):
-            return MaxJ(go(n.left), go(n.right), n.site)
-        if isinstance(n, Cond):
-            return Cond(n.predicate, go(n.then_branch), go(n.else_branch))
-        if isinstance(n, (Mu, Nu, Fix)):
+        if isinstance(n, _BINDERS):
             renamed = fresh(n.var)
             outer = mapping.get(n.var)
             mapping[n.var] = renamed
-            body = go(n.body)
+            out = map_children(n, go, var=renamed)
             if outer is None:
                 mapping.pop(n.var, None)
             else:
                 mapping[n.var] = outer
-            if isinstance(n, Mu):
-                return Mu(renamed, body)
-            if isinstance(n, Nu):
-                return Nu(renamed, body)
-            return Fix(n.start, renamed, body)
-        raise TypeError(f"not a formula node: {n!r}")
+            return out
+        return map_children(n, go)
 
     return go(node)
 
@@ -561,26 +542,10 @@ def reduce(node: Node, valuation: Valuation) -> Node:
 
     def go(n: Node) -> Node:
         if isinstance(n, Angelic):
-            return expand(n.set_name, n.body, lambda a, b: MaxJ(a, b))
+            return expand(n.set_name, n.body, MaxJ)
         if isinstance(n, Demonic):
-            return expand(n.set_name, n.body, lambda a, b: MinJ(a, b))
-        if isinstance(n, (Var, Const)):
-            return n
-        if isinstance(n, Modal):
-            return Modal(n.transition, go(n.body))
-        if isinstance(n, MinJ):
-            return MinJ(go(n.left), go(n.right))
-        if isinstance(n, MaxJ):
-            return MaxJ(go(n.left), go(n.right))
-        if isinstance(n, Cond):
-            return Cond(n.predicate, go(n.then_branch), go(n.else_branch))
-        if isinstance(n, Mu):
-            return Mu(n.var, go(n.body))
-        if isinstance(n, Nu):
-            return Nu(n.var, go(n.body))
-        if isinstance(n, Fix):
-            return Fix(n.start, n.var, go(n.body))
-        raise TypeError(f"not a formula node: {n!r}")
+            return expand(n.set_name, n.body, MinJ)
+        return map_children(n, go)
 
     return assign_sites(go(node))
 
@@ -625,29 +590,12 @@ def canonical(node: Node) -> Node:
     def go(n: Node, env: dict[str, str]) -> Node:
         if isinstance(n, Var):
             return Var(env.get(n.name, n.name))
-        if isinstance(n, Const):
-            return n
-        if isinstance(n, Modal):
-            return Modal(n.transition, go(n.body, env))
-        if isinstance(n, Angelic):
-            return Angelic(n.set_name, go(n.body, env))
-        if isinstance(n, Demonic):
-            return Demonic(n.set_name, go(n.body, env))
-        if isinstance(n, MinJ):
-            return MinJ(go(n.left, env), go(n.right, env), n.site)
-        if isinstance(n, MaxJ):
-            return MaxJ(go(n.left, env), go(n.right, env), n.site)
-        if isinstance(n, Cond):
-            return Cond(n.predicate, go(n.then_branch, env), go(n.else_branch, env))
-        name = f"_v{counter[0]}"
-        counter[0] += 1
-        inner = dict(env)
-        inner[n.var] = name
-        if isinstance(n, Mu):
-            return Mu(name, go(n.body, inner))
-        if isinstance(n, Nu):
-            return Nu(name, go(n.body, inner))
-        return Fix(n.start, name, go(n.body, inner))
+        if isinstance(n, _BINDERS):
+            name = f"_v{counter[0]}"
+            counter[0] += 1
+            inner = {**env, n.var: name}
+            return map_children(n, lambda c: go(c, inner), var=name)
+        return map_children(n, lambda c: go(c, env))
 
     return go(node, {})
 

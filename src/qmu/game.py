@@ -262,14 +262,7 @@ def _check_playable(phi: Node, model: Model) -> None:
         node = stack.pop()
         if isinstance(node, Fix):
             raise GameError("the game rules do not cover fix(x) binders")
-        if isinstance(node, (Modal,)):
-            stack.append(node.body)
-        elif isinstance(node, (MinJ, MaxJ)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Cond):
-            stack.extend((node.then_branch, node.else_branch))
-        elif isinstance(node, (Mu, Nu)):
-            stack.append(node.body)
+        stack.extend(children(node))
 
 
 def _expand_literal(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,

@@ -20,8 +20,7 @@ from .evaluator import (
     EvalConfig, NotConvergedError, PathStrategy, converged_walk, evaluate,
 )
 from .formula import (
-    Cond, Fix, MaxJ, MinJ, Modal, Mu, Node, Nu,
-    choice_sites, fingerprint,
+    Cond, MaxJ, MinJ, Node, choice_sites, fingerprint, map_children,
 )
 
 STRATEGY_SCHEMA = "qmu-strategy/1"
@@ -83,31 +82,28 @@ def synthesize(phi: Node, model: Model,
                cfg: EvalConfig | None = None) -> tuple[MemorilessStrategy, np.ndarray]:
     """Extract an optimal memoriless strategy and the formula's value.
 
-    At every max site the predicate holds where the left operand's converged
-    value is at least the right's minus the iteration tolerance (dually for
-    min sites); ties go left.  Operand values are taken in the final
-    converged environment.
+    The formula is evaluated once; at every max site the predicate holds
+    where the left operand's value is at least the right's minus the
+    iteration tolerance (dually for min sites); ties go left.  Operand
+    values are those of the final iteration of every enclosing binder.
     """
     cfg = cfg or EvalConfig()
-    report = evaluate(phi, model, cfg)
+    operands: dict = {}
+
+    def on_junction(node, left, right):
+        operands[type(node), node.site] = (left, right)
+
+    report = converged_walk(phi, model, cfg, on_junction)
     if not report.converged:
         raise NotConvergedError(
             "evaluation did not converge; cannot extract a strategy")
     mins, maxs = choice_sites(phi)
-    min_choices: list = [None] * mins
-    max_choices: list = [None] * maxs
     tol = cfg.tolerance
-
-    def on_junction(node, left, right):
-        if isinstance(node, MinJ):
-            min_choices[node.site] = left <= right + tol
-        else:
-            max_choices[node.site] = left >= right - tol
-
-    converged_walk(phi, model, cfg, on_junction)
     strategy = MemorilessStrategy(
-        min_choices=tuple(np.asarray(c) for c in min_choices),
-        max_choices=tuple(np.asarray(c) for c in max_choices),
+        min_choices=tuple(left <= right + tol for left, right in
+                          (operands[MinJ, site] for site in range(mins))),
+        max_choices=tuple(left >= right - tol for left, right in
+                          (operands[MaxJ, site] for site in range(maxs))),
     )
     return strategy, report.result
 
@@ -132,31 +128,16 @@ def specialize(phi: Node, strategy: MemorilessStrategy,
             raise StrategyError(f"max side covers {len(strategy.max_choices)} "
                                 f"sites, formula has {maxs}")
     extension: dict[str, np.ndarray] = {}
+    sides = {MinJ: (strategy.min_choices, min_site_symbol),
+             MaxJ: (strategy.max_choices, max_site_symbol)}
 
     def go(node: Node) -> Node:
-        if isinstance(node, MinJ) and strategy.min_choices is not None:
-            symbol = min_site_symbol(node.site)
-            extension[symbol] = predicate(strategy.min_choices[node.site])
-            return Cond(symbol, go(node.left), go(node.right))
-        if isinstance(node, MaxJ) and strategy.max_choices is not None:
-            symbol = max_site_symbol(node.site)
-            extension[symbol] = predicate(strategy.max_choices[node.site])
-            return Cond(symbol, go(node.left), go(node.right))
-        if isinstance(node, MinJ):
-            return MinJ(go(node.left), go(node.right), node.site)
-        if isinstance(node, MaxJ):
-            return MaxJ(go(node.left), go(node.right), node.site)
-        if isinstance(node, Modal):
-            return Modal(node.transition, go(node.body))
-        if isinstance(node, Cond):
-            return Cond(node.predicate, go(node.then_branch), go(node.else_branch))
-        if isinstance(node, Mu):
-            return Mu(node.var, go(node.body))
-        if isinstance(node, Nu):
-            return Nu(node.var, go(node.body))
-        if isinstance(node, Fix):
-            return Fix(node.start, node.var, go(node.body))
-        return node
+        choices, symbol_of = sides.get(type(node), (None, None))
+        if choices is None:
+            return map_children(node, go)
+        symbol = symbol_of(node.site)
+        extension[symbol] = predicate(choices[node.site])
+        return Cond(symbol, go(node.left), go(node.right))
 
     return go(phi), extension
 

@@ -73,6 +73,12 @@ class TestEval:
                                   vardi_files["formula"], "--max-iters", "1"])
         assert code == 2
 
+    def test_deeply_nested_formula_exits_one(self, capsys, vardi_files):
+        code, _, err = run(capsys, ["eval", vardi_files["model"],
+                                    "<k> " * 3000 + "atB"])
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestSynthesize:
     def test_writes_strategy_and_values(self, capsys, vardi_files, tmp_path):
@@ -140,6 +146,26 @@ class TestCrosscheck:
         code, out, _ = run(capsys, ["crosscheck", "--count", "5", "--seed", "1"])
         assert code == 0
         assert "checked 5 instances, 0 failures" in out
+
+    def test_json_output(self, capsys):
+        code, out, _ = run(capsys, ["crosscheck", "--count", "3", "--seed", "1",
+                                    "--json"])
+        assert code == 0
+        assert json.loads(out) == {"checked": 3, "failures": []}
+
+    def test_json_failures(self, capsys, monkeypatch):
+        from qmu import cli
+        from qmu.oracle import CheckFailure, CrosscheckReport
+        failure = CheckFailure(2, "minimax gap", ("dump/instance_2.json",))
+        monkeypatch.setattr(cli, "crosscheck",
+                            lambda *args, **kwargs: CrosscheckReport(3, (failure,)))
+        code, out, _ = run(capsys, ["crosscheck", "--count", "3", "--json"])
+        assert code == 3
+        assert json.loads(out) == {
+            "checked": 3,
+            "failures": [{"index": 2, "message": "minimax gap",
+                          "dump_paths": ["dump/instance_2.json"]}],
+        }
 
     def test_count_zero(self, capsys):
         code, out, _ = run(capsys, ["crosscheck", "--count", "0", "--seed", "1"])

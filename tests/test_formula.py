@@ -1,12 +1,14 @@
 """Parser, printer, reduction and structural checks."""
 
+from typing import get_args
+
 import pytest
 
 from qmu.examples import GAME_TEXT, VARDI_TEXT, futures_model, vardi_model
 from qmu.formula import (
-    Angelic, Cond, Const, Demonic, MaxJ, MinJ, Modal, Mu, Nu, ParseError,
-    UnboundVariableError, Var, alpha_equal, choice_sites, fingerprint, parse,
-    pretty_print, reduce,
+    Angelic, Cond, Const, Demonic, Fix, MaxJ, MinJ, Modal, Mu, Node, Nu,
+    ParseError, UnboundVariableError, Var, alpha_equal, children, choice_sites,
+    fingerprint, map_children, parse, pretty_print, reduce,
 )
 from qmu.oracle import random_formula
 
@@ -224,3 +226,31 @@ class TestPrettyPrint:
         b = parse("mu Other . <k> Other")
         assert fingerprint(a) == fingerprint(b)
         assert fingerprint(a) != fingerprint(parse("nu X . <k> X"))
+
+
+ONE_OF_EACH_KIND = [
+    Var("X"), Const("P"), Modal("k", Const("P")), Angelic("K", Var("X")),
+    Demonic("K", Const("P")), MinJ(Const("P"), Var("X"), 0),
+    MaxJ(Var("X"), Const("P"), 1), Cond("p", Const("P"), Var("X")),
+    Mu("X", Var("X")), Nu("X", Const("P")), Fix(0.5, "X", Var("X")),
+]
+
+
+class TestRebuild:
+    def test_every_node_kind_listed(self):
+        assert {type(n) for n in ONE_OF_EACH_KIND} == set(get_args(Node))
+
+    @pytest.mark.parametrize("node", ONE_OF_EACH_KIND,
+                             ids=lambda n: type(n).__name__)
+    def test_map_children_rebuilds_each_kind(self, node):
+        assert map_children(node, lambda c: c) == node
+        swapped = map_children(node, lambda c: Const("Q"))
+        assert type(swapped) is type(node)
+        assert children(swapped) == (Const("Q"),) * len(children(node))
+
+    @pytest.mark.parametrize("bad", [None, "mu X . X", (Var("X"),)])
+    def test_non_node_rejected(self, bad):
+        with pytest.raises(TypeError):
+            children(bad)
+        with pytest.raises(TypeError):
+            map_children(bad, lambda c: c)

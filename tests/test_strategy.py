@@ -51,6 +51,23 @@ class TestSynthesize:
         assert strategy2.min_choices[0].all()
 
 
+    def test_synthesis_solves_once(self, futures, monkeypatch):
+        import qmu.evaluator
+        model, game = futures
+        product = qmu.evaluator.pre_expectation_all
+        calls = [0]
+
+        def counting(t, post):
+            calls[0] += 1
+            return product(t, post)
+
+        monkeypatch.setattr(qmu.evaluator, "pre_expectation_all", counting)
+        evaluate(game, model)
+        evaluated, calls[0] = calls[0], 0
+        synthesize(game, model)
+        assert calls[0] == evaluated > 0
+
+
 class TestSpecialize:
     def test_vardi_committed_formula_shape(self, vardi):
         model, phi = vardi
