@@ -7,12 +7,18 @@ sub-distribution over successor states plus a payoff weight: the deficit
 weight is the *expected* immediate payoff (pre-divided by that probability),
 so it can be read directly off the transition.
 
+Transitions are stored sparse, as compressed sparse rows (one target and one
+probability per edge), so memory and the cost of a pre-expectation grow with
+the number of edges, not with the square of the number of states.  Per-state
+rows are read through views built from those arrays on access.
+
 Everything here is immutable after construction and safe to share across
 threads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -81,44 +87,105 @@ class StateSpace:
             raise ModelError(f"unknown state label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class Transition:
-    """A probabilistic transition: per-state successors plus payoff weight.
+class StateView(Sequence):
+    """Read-only sequence of per-state items computed from arrays on access.
 
-    ``successors[s]`` holds only strictly positive probabilities
-    (zero-probability edges are never stored), and ``payoff_weights[s]`` is
-    the expected immediate payoff routed to the absorbing payoff outcome.
+    Holds no copy of the data: each item is built when it is read.  Compares
+    equal to any sequence with equal items.
     """
 
-    successors: tuple[Successors, ...]
-    payoff_weights: tuple[float, ...]
+    __slots__ = ("_item", "_len")
+
+    def __init__(self, item, length: int):
+        self._item = item
+        self._len = length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, s: int):
+        if s < 0:
+            s += self._len
+        if not 0 <= s < self._len:
+            raise IndexError(f"state index {s} out of range")
+        return self._item(s)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"StateView({list(self)!r})"
+
+
+@dataclass(frozen=True, eq=False)
+class Transition:
+    """A probabilistic transition in compressed sparse row (CSR) form.
+
+    The successors of state ``s`` are the edges ``indptr[s]:indptr[s+1]``,
+    with target states ``indices`` and probabilities ``probs``;
+    ``weights[s]`` is the expected immediate payoff routed to the absorbing
+    payoff outcome.  :func:`transition` stores only strictly positive
+    probabilities, one edge per target, sorted by target.  The arrays are
+    read-only, and storage grows with the number of edges, not of states
+    squared.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    probs: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64),
+                            ("probs", np.float64), ("weights", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if arr.ndim != 1:
+                raise ModelError(f"transition {name} must be a vector")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        ptr = self.indptr
+        if (len(ptr) != len(self.weights) + 1 or ptr[0] != 0
+                or np.any(np.diff(ptr) < 0)
+                or ptr[-1] != len(self.indices) or len(self.probs) != len(self.indices)):
+            raise ModelError("transition arrays are not a consistent CSR form")
+
+    def __eq__(self, other):
+        if not isinstance(other, Transition):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("indptr", "indices", "probs", "weights"))
 
     @property
     def n_states(self) -> int:
-        return len(self.successors)
+        return len(self.weights)
+
+    def _row(self, s: int) -> Successors:
+        a, b = self.indptr[s], self.indptr[s + 1]
+        return tuple(zip(self.indices[a:b].tolist(), self.probs[a:b].tolist()))
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense (n, n) successor-probability matrix."""
-        n = self.n_states
-        m = np.zeros((n, n), dtype=np.float64)
-        for s, row in enumerate(self.successors):
-            for target, prob in row:
-                m[s, target] += prob
-        m.setflags(write=False)
-        return m
+    def successors(self) -> StateView:
+        """Per-state view: ``successors[s]`` is ``((target, prob), ...)``."""
+        return StateView(self._row, self.n_states)
 
     @cached_property
-    def weight_vector(self) -> np.ndarray:
-        w = np.asarray(self.payoff_weights, dtype=np.float64)
-        w.setflags(write=False)
-        return w
+    def payoff_weights(self) -> StateView:
+        """Per-state view of ``weights`` as Python floats."""
+        return StateView(self.weights.item, self.n_states)
 
     @cached_property
-    def row_sums(self) -> np.ndarray:
-        sums = np.array([sum(p for _, p in row) for row in self.successors])
-        sums.setflags(write=False)
-        return sums
+    def _sources(self) -> np.ndarray:
+        """The source state of every edge."""
+        src = np.repeat(np.arange(self.n_states), np.diff(self.indptr))
+        src.setflags(write=False)
+        return src
+
+
+def _row_mass(t: Transition) -> np.ndarray:
+    """Successor probability of every state, summed in edge order."""
+    return np.bincount(t._sources, weights=t.probs, minlength=t.n_states)
 
 
 def transition(rows, weights=None) -> Transition:
@@ -127,7 +194,9 @@ def transition(rows, weights=None) -> Transition:
     Zero-probability edges are dropped and duplicate targets merged, keeping
     the stored form canonical.
     """
-    canon_rows = []
+    indptr = [0]
+    targets: list[int] = []
+    probs: list[float] = []
     for row in rows:
         merged: dict[int, float] = {}
         for target, prob in row:
@@ -135,14 +204,15 @@ def transition(rows, weights=None) -> Transition:
                 raise ModelError(f"negative probability {prob} to state {target}")
             if prob > 0.0:
                 merged[int(target)] = merged.get(int(target), 0.0) + float(prob)
-        canon_rows.append(tuple(sorted(merged.items())))
-    n = len(canon_rows)
-    if weights is None:
-        weights = [0.0] * n
-    w = tuple(float(x) for x in weights)
+        for target in sorted(merged):
+            targets.append(target)
+            probs.append(merged[target])
+        indptr.append(len(targets))
+    n = len(indptr) - 1
+    w = [0.0] * n if weights is None else [float(x) for x in weights]
     if len(w) != n:
         raise ModelError("payoff weights must have one entry per state")
-    return Transition(successors=tuple(canon_rows), payoff_weights=w)
+    return Transition(indptr, targets, probs, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +281,9 @@ def pre_expectation(t: Transition, s: int, post: np.ndarray) -> float:
 
 
 def pre_expectation_all(t: Transition, post: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`pre_expectation` over every state."""
-    return t.weight_vector + t.matrix @ post
+    """Vectorised :func:`pre_expectation` over every state, in O(edges)."""
+    return np.bincount(t._sources, weights=t.probs * post[t.indices],
+                       minlength=t.n_states) + t.weights
 
 
 def halt_payoff(t: Transition, s: int) -> float:
@@ -224,10 +295,10 @@ def halt_payoff(t: Transition, s: int) -> float:
     """
     if not 0 <= s < t.n_states:
         raise IndexError(f"state index {s} out of range")
-    residual = 1.0 - sum(p for _, p in t.successors[s])
+    residual = 1.0 - float(t.probs[t.indptr[s]:t.indptr[s + 1]].sum())
     if residual <= EPS_REPR:
         return 0.0
-    return min(1.0, max(0.0, t.payoff_weights[s] / residual))
+    return min(1.0, max(0.0, t.weights.item(s) / residual))
 
 
 def make_discounted(t: Transition, alpha: float, keep_deficit: bool) -> Transition:
@@ -239,18 +310,55 @@ def make_discounted(t: Transition, alpha: float, keep_deficit: bool) -> Transiti
     """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError(f"discount factor must lie in [0, 1], got {alpha}")
-    for s in range(t.n_states):
-        row_sum = sum(p for _, p in t.successors[s])
-        if abs(row_sum - 1.0) > EPS_REPR or t.payoff_weights[s] > EPS_REPR:
-            raise ModelError(
-                f"make_discounted requires a normal transition; state {s} has "
-                f"probability sum {row_sum} and weight {t.payoff_weights[s]}"
-            )
+    mass = _row_mass(t)
+    abnormal = np.flatnonzero((np.abs(mass - 1.0) > EPS_REPR) | (t.weights > EPS_REPR))
+    if abnormal.size:
+        s = int(abnormal[0])
+        raise ModelError(
+            f"make_discounted requires a normal transition; state {s} has "
+            f"probability sum {mass.item(s)} and weight {t.weights.item(s)}"
+        )
+    n = t.n_states
+    probs = alpha * t.probs
+    keep = probs > 0.0
+    counts = np.bincount(t._sources[keep], minlength=n)
     weight = (1.0 - alpha) if keep_deficit else 0.0
-    rows = [
-        [(target, alpha * prob) for target, prob in row] for row in t.successors
-    ]
-    return transition(rows, [weight] * t.n_states)
+    return Transition(np.concatenate(([0], np.cumsum(counts))), t.indices[keep],
+                      probs[keep], np.full(n, weight))
+
+
+def _transition_diagnostics(name: str, t: Transition, n: int) -> list[Diagnostic]:
+    """The transition rules of :func:`validate`, one diagnostic per state."""
+    found: list[Diagnostic] = []
+    w = t.weights
+    mass = _row_mass(t)
+
+    def per_state(rule, bad_states, message):
+        for s in np.flatnonzero(bad_states).tolist():
+            found.append(Diagnostic(rule, name, s, message(s)))
+
+    def per_edge(rule, bad_edges, message):
+        # reported at each offending state, naming its first offending edge
+        edges = np.flatnonzero(bad_edges)
+        states, first = np.unique(t._sources[edges], return_index=True)
+        for s, e in zip(states.tolist(), edges[first].tolist()):
+            found.append(Diagnostic(rule, name, s, message(e)))
+
+    per_edge("successor-range", (t.indices < 0) | (t.indices >= n),
+             lambda e: f"target index {t.indices.item(e)} out of range")
+    per_edge("probability-positive", t.probs <= 0.0,
+             lambda e: f"stored probability {t.probs.item(e)} must be > 0")
+    per_state("weight-nonnegative", w < 0.0,
+              lambda s: f"payoff weight {w.item(s)} is negative")
+    weighted_total = (np.abs(mass - 1.0) <= EPS_REPR) & (w > EPS_REPR)
+    per_state("weight-zero-when-total", weighted_total,
+              lambda s: "payoff weight must be zero when successor "
+                        "probabilities sum to one")
+    per_state("mass-bounded", ~weighted_total & (mass + w > 1.0 + EPS_REPR),
+              lambda s: f"probability sum {mass.item(s)} plus weight "
+                        f"{w.item(s)} exceeds one")
+    # stable: each state's rules stay in the order they are checked above
+    return sorted(found, key=lambda d: d.state)
 
 
 def validate(model: Model) -> list[Diagnostic]:
@@ -277,27 +385,7 @@ def validate(model: Model) -> list[Diagnostic]:
             out.append(Diagnostic("transition-length", name,
                                   message=f"{t.n_states} rows, expected {n}"))
             continue
-        for s in range(n):
-            row = t.successors[s]
-            w = t.payoff_weights[s]
-            row_sum = sum(p for _, p in row)
-            for target, prob in row:
-                if not 0 <= target < n:
-                    out.append(Diagnostic("successor-range", name, s,
-                                          f"target index {target} out of range"))
-                if prob <= 0.0:
-                    out.append(Diagnostic("probability-positive", name, s,
-                                          f"stored probability {prob} must be > 0"))
-            if w < 0.0:
-                out.append(Diagnostic("weight-nonnegative", name, s,
-                                      f"payoff weight {w} is negative"))
-            if abs(row_sum - 1.0) <= EPS_REPR and w > EPS_REPR:
-                out.append(Diagnostic("weight-zero-when-total", name, s,
-                                      "payoff weight must be zero when successor "
-                                      "probabilities sum to one"))
-            elif row_sum + w > 1.0 + EPS_REPR:
-                out.append(Diagnostic("mass-bounded", name, s,
-                                      f"probability sum {row_sum} plus weight {w} exceeds one"))
+        out.extend(_transition_diagnostics(name, t, n))
 
     for name, members in v.transition_sets.items():
         if not members:

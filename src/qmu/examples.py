@@ -21,7 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Model, StateSpace, Valuation, expectation, predicate, transition
+from .core import (
+    Model, StateSpace, Valuation, expectation, pre_expectation_all, predicate,
+    transition,
+)
 from .evaluator import EvalConfig, evaluate
 from .formula import Node, parse, reduce
 from .strategy import MemorilessStrategy, specialize, specialized_model
@@ -208,7 +211,7 @@ def case_study_tables(cfg: EvalConfig | None = None,
     yield_value = evaluate(yield_phi, specialized_model(model, ext), cfg).result
 
     month = model.valuation.transitions["month"]
-    one_month = month.weight_vector + month.matrix @ model.valuation.expectations["Sold"]
+    one_month = pre_expectation_all(month, model.valuation.expectations["Sold"])
 
     chance_optimal = evaluate(chance, model, cfg).result
     fixed_intuitive = MemorilessStrategy(

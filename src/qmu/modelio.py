@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 
 from .core import (
-    Model, StateSpace, Valuation, expectation, predicate, transition,
-    validate,
+    Model, StateSpace, Transition, Valuation, expectation, predicate,
+    transition, validate,
 )
 
 MODEL_SCHEMA = "qmu-model/1"
@@ -22,19 +22,19 @@ class ModelFileError(ValueError):
     """A model file is malformed or fails validation."""
 
 
+def _rows_to_list(t: Transition) -> list[dict]:
+    bounds = t.indptr.tolist()
+    edges = [list(e) for e in zip(t.indices.tolist(), t.probs.tolist())]
+    return [{"to": edges[a:b], "payoff_weight": w}
+            for a, b, w in zip(bounds, bounds[1:], t.weights.tolist())]
+
+
 def model_to_dict(model: Model) -> dict:
     v = model.valuation
     return {
         "schema": MODEL_SCHEMA,
         "states": list(model.space.labels),
-        "transitions": {
-            name: [
-                {"to": [[target, prob] for target, prob in t.successors[s]],
-                 "payoff_weight": t.payoff_weights[s]}
-                for s in range(t.n_states)
-            ]
-            for name, t in v.transitions.items()
-        },
+        "transitions": {name: _rows_to_list(t) for name, t in v.transitions.items()},
         "transition_sets": {name: list(members)
                             for name, members in v.transition_sets.items()},
         "expectations": {name: [float(x) for x in arr]

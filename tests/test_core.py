@@ -1,12 +1,17 @@
 """Transition, expectation and validation primitives."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import qmu
 from qmu.core import (
-    EPS_REPR, Model, ModelError, StateSpace, Valuation, expectation,
-    halt_payoff, make_discounted, pre_expectation, predicate, transition,
-    validate,
+    EPS_REPR, Model, ModelError, StateSpace, Transition, Valuation,
+    expectation, halt_payoff, make_discounted, pre_expectation,
+    pre_expectation_all, predicate, transition, validate,
 )
 from qmu.oracle import random_instance
 
@@ -163,3 +168,62 @@ class TestCanonicalStorage:
     def test_predicate_roundtrip(self):
         arr = predicate([True, False, True])
         assert arr.dtype == bool and not arr.flags.writeable
+
+
+class TestSparseStorage:
+    def test_product_matches_scalar_pre_expectation(self, futures, vardi):
+        cases = [
+            futures[0].valuation.transitions["month"],
+            *vardi[0].valuation.transitions.values(),
+            transition([[]], [0.3]),  # n = 1, empty row
+            transition([[(0, 0.5)]], [0.25]),  # n = 1
+            # merged duplicate targets and an empty row
+            transition([[(1, 0.2), (1, 0.3), (0, 0.1)], [], [(2, 1.0)]],
+                       [0.1, 0.6, 0.0]),
+        ]
+        for trial in range(200):
+            cases.extend(random_instance([41, trial]).model.valuation.transitions.values())
+        assert any(t.n_states == 1 for t in cases[5:])
+        rng = np.random.default_rng(41)
+        for t in cases:
+            x = rng.random(t.n_states)
+            vec = pre_expectation_all(t, x)
+            assert vec.shape == (t.n_states,)
+            for s in range(t.n_states):
+                assert abs(vec[s] - pre_expectation(t, s, x)) <= 1e-15
+
+    def test_rows_are_views_of_the_arrays(self):
+        t = transition([[(2, 0.25), (0, 0.5)], [], [(1, 1.0)]], [0.25, 0.5, 0.0])
+        assert t.indptr.tolist() == [0, 2, 2, 3]
+        assert t.indices.tolist() == [0, 2, 1]
+        assert t.successors == ((((0, 0.5), (2, 0.25)), (), ((1, 1.0),)))
+        assert t.successors[-1] == ((1, 1.0),)
+        assert t.payoff_weights == (0.25, 0.5, 0.0)
+        for arr in (t.indptr, t.indices, t.probs, t.weights):
+            assert not arr.flags.writeable
+        with pytest.raises(IndexError):
+            t.successors[3]
+
+    def test_inconsistent_arrays_rejected(self):
+        with pytest.raises(ModelError):
+            Transition([0, 2], [0], [0.5], [0.0])
+        with pytest.raises(ModelError):
+            Transition([0, 1], [0], [0.5], [0.0, 0.0])
+
+    def test_directly_built_rows_checked_once_per_state(self):
+        # state 0 has two targets out of range, state 1 a zero probability
+        t = Transition([0, 2, 3], [5, -1, 0], [0.2, 0.3, 0.0], [0.0, 0.0])
+        problems = validate(Model(StateSpace(("a", "b")),
+                                  Valuation(transitions={"k": t})))
+        assert [(d.rule, d.state) for d in problems] == [
+            ("successor-range", 0), ("probability-positive", 1)]
+        assert "target index 5" in problems[0].message
+
+    def test_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(qmu.__file__))
+        code = ("import sys, qmu, qmu.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]"

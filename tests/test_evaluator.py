@@ -230,3 +230,19 @@ class TestConfig:
             EvalConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             EvalConfig(max_iterations=0)
+
+
+def test_reachability_on_a_200000_state_ring():
+    # storage and products grow with edges: a dense matrix of this size
+    # would take 320 GB
+    n = 200_000
+    ring = transition([[((s + 1) % n, 0.5)] for s in range(n)])
+    payoff = np.zeros(n)
+    payoff[0] = 1.0
+    model = Model(StateSpace(tuple(f"s{s}" for s in range(n))),
+                  Valuation(expectations={"P": expectation(payoff)},
+                            transitions={"a": ring}))
+    rep = evaluate(reduce(parse("mu X . P \\/ <a> X"), model.valuation), model)
+    assert rep.converged
+    distance = (-np.arange(n)) % n
+    assert np.max(np.abs(rep.result - 0.5 ** distance)) <= TOL
