@@ -12,8 +12,8 @@ from .core import (
     validate,
 )
 from .evaluator import (
-    EvalConfig, EvalReport, PathStrategy, evaluate, evaluate_fix,
-    evaluate_with_strategies,
+    EvalConfig, EvalReport, PathStrategy, evaluate, evaluate_batch,
+    evaluate_fix, evaluate_with_strategies,
 )
 from .formula import (
     alpha_equal, choice_sites, fingerprint, parse, pretty_print, reduce,
@@ -32,8 +32,8 @@ __all__ = [
     "InstanceBounds", "MemorilessStrategy", "Model", "PathStrategy",
     "PlayoutResult", "StateSpace", "TinyInstance", "Transition", "Valuation",
     "alpha_equal", "brute_minimax", "choice_sites", "crosscheck", "estimate",
-    "evaluate", "evaluate_fix", "evaluate_with_strategies", "expand_tree",
-    "expectation", "fingerprint", "halt_payoff", "load_strategy",
+    "evaluate", "evaluate_batch", "evaluate_fix", "evaluate_with_strategies",
+    "expand_tree", "expectation", "fingerprint", "halt_payoff", "load_strategy",
     "make_discounted", "one_step_advice", "parse", "play", "pre_expectation",
     "predicate", "pretty_print", "random_instance", "reduce", "save_strategy",
     "specialize", "specialized_model", "synthesize", "transition", "validate",

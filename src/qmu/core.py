@@ -281,9 +281,20 @@ def pre_expectation(t: Transition, s: int, post: np.ndarray) -> float:
 
 
 def pre_expectation_all(t: Transition, post: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`pre_expectation` over every state, in O(edges)."""
-    return np.bincount(t._sources, weights=t.probs * post[t.indices],
-                       minlength=t.n_states) + t.weights
+    """Vectorised :func:`pre_expectation` over every state, in O(edges).
+
+    ``post`` is one expectation of shape ``(n,)`` or a batch of shape
+    ``(B, n)``, one expectation per row.  Each output cell sums its edges in
+    edge order either way, so every row of a batched product is bit-identical
+    to the product of that row alone.
+    """
+    if post.ndim == 1:
+        return np.bincount(t._sources, weights=t.probs * post[t.indices],
+                           minlength=t.n_states) + t.weights
+    batch, n = post.shape[0], t.n_states
+    rows = t._sources + n * np.arange(batch)[:, None]
+    return np.bincount(rows.ravel(), weights=(t.probs * post[:, t.indices]).ravel(),
+                       minlength=batch * n).reshape(batch, n) + t.weights
 
 
 def halt_payoff(t: Transition, s: int) -> float:

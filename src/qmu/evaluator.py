@@ -12,7 +12,9 @@ The strategy-extended semantics resolves junctions by consulting a pair of
 strategy functions instead of taking min/max; with memoriless strategies the
 specialised system is solved exactly, otherwise the formula is unfolded to a
 bounded depth with truncated fixpoints contributing their binder's default
-(0 for ``mu``, 1 for ``nu``).
+(0 for ``mu``, 1 for ``nu``).  :func:`evaluate_batch` solves many memoriless
+strategy pairs at once, one row of a ``(B, n)`` expectation per pair, each
+row with its own stopping test.
 """
 
 from __future__ import annotations
@@ -81,7 +83,11 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class FixpointStats:
-    """Iteration record for one binder (its most recent solve)."""
+    """Iteration record for one binder (its most recent solve).
+
+    In a batched evaluation ``iterations`` and ``residual`` are those of the
+    slowest row, and ``converged`` holds only if every row converged.
+    """
 
     binder: str
     iterations: int
@@ -132,13 +138,22 @@ class PathStrategy:
 
 
 class _Engine:
-    """Shared tree-walking evaluator with pluggable junction handling."""
+    """Shared tree-walking evaluator with pluggable junction handling.
+
+    With ``batch`` set, every expectation is ``(batch, n)``, one row per
+    strategy pair; constants and predicates stay ``(n,)`` and broadcast.
+    """
 
     def __init__(self, model: Model, cfg: EvalConfig, fix_policy: str = "reject",
-                 min_masks=None, max_masks=None, on_junction=None):
+                 min_masks=None, max_masks=None, on_junction=None,
+                 batch: int | None = None):
         self.model = model
         self.v = model.valuation
         self.n = model.space.size
+        self.shape = (self.n,) if batch is None else (batch, self.n)
+        # Rows still iterating in the innermost running solve (None unbatched);
+        # a nested solve starts from its enclosing solve's live rows.
+        self._live = None if batch is None else np.ones(batch, dtype=bool)
         self.cfg = cfg
         self.fix_policy = fix_policy
         self.min_masks = min_masks
@@ -206,10 +221,10 @@ class _Engine:
 
     def _seed(self, node) -> np.ndarray:
         if isinstance(node, Mu):
-            return np.zeros(self.n)
+            return np.zeros(self.shape)
         if isinstance(node, Nu):
-            return np.ones(self.n)
-        return np.full(self.n, float(node.start))
+            return np.ones(self.shape)
+        return np.full(self.shape, float(node.start))
 
     def _check_fix(self, node: Fix) -> bool:
         """Returns whether divergence detection is needed for this node."""
@@ -233,16 +248,30 @@ class _Engine:
         cur = self._seed(node)
         var = node.var
         outer = env.get(var)
+        outer_live = self._live
         tol = self.cfg.tolerance
         residual = np.inf
         iterations = 0
         window: deque[float] = deque(maxlen=_DIVERGENCE_WINDOW + 1)
+        if outer_live is not None:
+            live = self._live = outer_live.copy()
+            # last step of each row; rows idle in the enclosing solve read 0
+            steps = np.where(live, np.inf, 0.0)
         try:
             for iterations in range(1, self.cfg.max_iterations + 1):
                 env[var] = cur
                 new = np.clip(self.eval(node.body, env), 0.0, 1.0)
-                residual = float(np.max(np.abs(new - cur)))
-                cur = new
+                if outer_live is None:
+                    residual = float(np.max(np.abs(new - cur)))
+                    cur = new
+                else:
+                    # A row stops after its own first step within tolerance,
+                    # where evaluating it alone would stop, and keeps that value.
+                    step = np.max(np.abs(new - cur), axis=1)
+                    cur = np.where(live[:, None], new, cur)
+                    steps = np.where(live, step, steps)
+                    live &= step > tol
+                    residual = float(steps.max())
                 if residual <= tol:
                     break
                 if detect_divergence:
@@ -254,6 +283,7 @@ class _Engine:
                             f"non-decreasing residual over {_DIVERGENCE_WINDOW} "
                             "iterates")
         finally:
+            self._live = outer_live
             if outer is None:
                 env.pop(var, None)
             else:
@@ -279,10 +309,11 @@ def _check_entry(phi: Node) -> None:
 
 
 def _run(phi: Node, model: Model, cfg: EvalConfig | None, fix_policy: str,
-         on_junction=None) -> EvalReport:
+         on_junction=None, **engine_args) -> EvalReport:
     _check_entry(phi)
-    engine = _Engine(model, cfg or EvalConfig(), fix_policy, on_junction=on_junction)
-    result = np.clip(engine.eval(phi, {}), 0.0, 1.0)
+    engine = _Engine(model, cfg or EvalConfig(), fix_policy, on_junction=on_junction,
+                     **engine_args)
+    result = np.clip(np.broadcast_to(engine.eval(phi, {}), engine.shape), 0.0, 1.0)
     result.setflags(write=False)
     converged = all(st.converged for st in engine.stats.values())
     return EvalReport(result=result, fixpoints=dict(engine.stats), converged=converged)
@@ -316,6 +347,32 @@ def converged_walk(phi: Node, model: Model, cfg: EvalConfig | None,
     iteration tolerance.
     """
     return _run(phi, model, cfg, "reject", on_junction)
+
+
+def evaluate_batch(phi: Node, model: Model, min_masks: np.ndarray,
+                   max_masks: np.ndarray, cfg: EvalConfig | None = None) -> EvalReport:
+    """Evaluate under a batch of memoriless strategy pairs in one pass.
+
+    ``min_masks`` has shape ``(min sites, B, n)`` and ``max_masks`` shape
+    ``(max sites, B, n)``: ``min_masks[site, b]`` is pair ``b``'s choice at
+    that min site, true where it takes the left 'junct.  The result has
+    shape ``(B, n)``.  Each row iterates every binder with its own stopping
+    test, so row ``b`` is bit-identical to evaluating the formula with pair
+    ``b``'s choices alone.  The report's ``converged`` holds only if every
+    row converged.
+    """
+    min_masks = np.asarray(min_masks, dtype=bool)
+    max_masks = np.asarray(max_masks, dtype=bool)
+    mins, maxs = choice_sites(phi)
+    n = model.space.size
+    batch = min_masks.shape[1] if min_masks.ndim == 3 else 0
+    if (batch < 1 or min_masks.shape != (mins, batch, n)
+            or max_masks.shape != (maxs, batch, n)):
+        raise ValueError(
+            f"masks of shapes {min_masks.shape} and {max_masks.shape} do not fit "
+            f"{mins} min and {maxs} max sites over {n} states")
+    return _run(phi, model, cfg, "reject", min_masks=min_masks,
+                max_masks=max_masks, batch=batch)
 
 
 def _strategy_masks(phi: Node, model: Model, sigma: PathStrategy | None,

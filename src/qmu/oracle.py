@@ -1,30 +1,28 @@
 """Brute-force ground truth and random desk-scale instances.
 
 The brute force enumerates every memoriless strategy tuple for both players,
-evaluates the fully specialised (choice-free) formula for each pair, and
-takes the pointwise min-of-max and max-of-min.  Their equality with each
-other and with the direct evaluation is the desk-scale check of the
-minimax/denotation equivalence; the enumeration order is fixed so failures
-reproduce exactly.
+solves the formula with each (min tuple, max tuple) pair resolving every
+junction (all pairs of a slice in one batched evaluation, each pair with its
+own stopping test), and takes the pointwise min-of-max and max-of-min.
+Their equality with each other and with the direct evaluation, which takes
+pointwise min and max at the junctions instead, is the desk-scale check of
+the minimax/denotation equivalence; the enumeration order is fixed so
+failures reproduce exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Model, StateSpace, Valuation, expectation, predicate, transition
-from .evaluator import EvalConfig, evaluate
+from .evaluator import EvalConfig, NotConvergedError, evaluate, evaluate_batch
 from .formula import (
     Angelic, Cond, Const, Demonic, Fix, MaxJ, MinJ, Mu, Node, Nu, Var,
     assign_sites, choice_sites, parse, pretty_print, reduce,
 )
-from .strategy import (
-    MemorilessStrategy, max_site_symbol, min_site_symbol, specialize,
-    specialized_model,
-)
+from .strategy import MemorilessStrategy
 
 
 class StrategySpaceError(ValueError):
@@ -33,6 +31,11 @@ class StrategySpaceError(ValueError):
 
 #: Hard cap on enumerated strategy pairs (2 ** bits).
 MAX_STRATEGY_BITS = 20
+
+#: Strategy pairs solved in one batched evaluation (the whole space at the
+#: default 12-bit budget); larger spaces are solved slice by slice, which
+#: bounds memory at the 20-bit cap.
+PAIRS_PER_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -274,11 +277,19 @@ def random_formula(seed, max_depth: int = 5) -> Node:
 
 # --- Brute-force minimax ----------------------------------------------------
 
-def bits_to_choices(bits: tuple[bool, ...], n_sites: int,
-                    n_states: int) -> tuple[np.ndarray, ...]:
-    """Unpack a flat (site-major) boolean tuple into per-site predicates."""
-    return tuple(np.array(bits[site * n_states:(site + 1) * n_states], dtype=bool)
-                 for site in range(n_sites))
+def _tuple_choices(index, n_sites: int, n_states: int) -> np.ndarray:
+    """Per-site choices of strategy tuples, by their enumeration index.
+
+    Tuple ``index`` reads its ``n_sites * n_states`` choices, flat in
+    (site, state) order, from the bits of ``index``, most significant
+    first, so tuples are enumerated in lexicographic order with False before
+    True.  ``index`` may be an array of shape ``(B,)``; the result has shape
+    ``(n_sites, n_states)`` or ``(n_sites, B, n_states)``.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    shifts = np.arange(n_sites * n_states - 1, -1, -1)
+    bits = ((index[..., None] >> shifts) & 1).astype(bool)
+    return np.moveaxis(bits.reshape(*index.shape, n_sites, n_states), -2, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +306,13 @@ class BruteForceResult:
 def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteForceResult:
     """Exact strategy-enumeration values of a tiny instance.
 
-    Evaluates the fully specialised formula for every (min tuple, max tuple)
-    pair; min/max tuples are enumerated in lexicographic (site, state) order.
+    Solves the formula for every (min tuple, max tuple) pair, with the
+    pair's choices resolving every junction; min/max tuples are enumerated in
+    lexicographic (site, state) order.  The pairs are solved
+    :data:`PAIRS_PER_BATCH` at a time in one batched evaluation, each with
+    its own stopping test, so every table row equals the pair's value solved
+    alone.  Raises :class:`NotConvergedError` when some pair does not
+    converge within ``cfg.max_iterations``.
     """
     cfg = cfg or EvalConfig()
     phi = inst.phi
@@ -308,24 +324,19 @@ def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteFor
         raise StrategySpaceError(
             f"strategy space has 2^{bits} tuples, budget is 2^{MAX_STRATEGY_BITS}")
 
-    placeholder = MemorilessStrategy(
-        min_choices=tuple(np.zeros(n, dtype=bool) for _ in range(mins)),
-        max_choices=tuple(np.zeros(n, dtype=bool) for _ in range(maxs)),
-    )
-    phi_spec, _ = specialize(phi, placeholder, n)
-
-    min_tuples = list(itertools.product((False, True), repeat=mins * n))
-    max_tuples = list(itertools.product((False, True), repeat=maxs * n))
-    table = np.empty((len(min_tuples), len(max_tuples), n))
-    for i, min_bits in enumerate(min_tuples):
-        min_preds = {min_site_symbol(site): arr for site, arr in
-                     enumerate(bits_to_choices(min_bits, mins, n))}
-        for j, max_bits in enumerate(max_tuples):
-            preds = dict(min_preds)
-            preds.update({max_site_symbol(site): arr for site, arr in
-                          enumerate(bits_to_choices(max_bits, maxs, n))})
-            m2 = specialized_model(model, preds)
-            table[i, j] = evaluate(phi_spec, m2, cfg).result
+    n_min, n_max = 2 ** (mins * n), 2 ** (maxs * n)
+    table = np.empty((n_min * n_max, n))
+    for start in range(0, len(table), PAIRS_PER_BATCH):
+        pairs = np.arange(start, min(start + PAIRS_PER_BATCH, len(table)))
+        report = evaluate_batch(phi, model,
+                                _tuple_choices(pairs // n_max, mins, n),
+                                _tuple_choices(pairs % n_max, maxs, n), cfg)
+        if not report.converged:
+            raise NotConvergedError(
+                f"brute force did not converge within {cfg.max_iterations} "
+                "iterations for some strategy pair")
+        table[start:start + len(pairs)] = report.result
+    table = table.reshape(n_min, n_max, n)
 
     max_first = table.max(axis=1)          # best Max reply per Min tuple
     minimax = max_first.min(axis=0)
@@ -341,9 +352,9 @@ def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteFor
         minimax=minimax,
         maximin=maximin,
         min_witness=MemorilessStrategy(
-            min_choices=bits_to_choices(min_tuples[i0], mins, n)),
+            min_choices=tuple(_tuple_choices(i0, mins, n))),
         max_witness=MemorilessStrategy(
-            max_choices=bits_to_choices(max_tuples[j0], maxs, n)),
+            max_choices=tuple(_tuple_choices(j0, maxs, n))),
         min_witness_gap=float(min_gaps[i0]),
         max_witness_gap=float(max_gaps[j0]),
         table=table,
@@ -375,21 +386,32 @@ def crosscheck(count: int, seed: int, bounds: InstanceBounds | None = None,
     """Run the minimax = maximin = denotation check over random instances.
 
     ``evaluate_fn`` is an injection point for fault testing; it defaults to
-    the real evaluator.  On failure the instance is dumped (model file plus
-    formula text) for replay when ``dump_dir`` is given.
+    the real evaluator.  An instance whose brute force or evaluation does
+    not converge fails with a message saying so, not with a value gap.  On
+    failure the instance is dumped (model file plus formula text) for replay
+    when ``dump_dir`` is given.
     """
     evaluate_fn = evaluate_fn or evaluate
     cfg = cfg or EvalConfig()
     failures: list[CheckFailure] = []
     for i in range(count):
         inst = random_instance([seed, i], bounds)
-        result = brute_minimax(inst, cfg)
-        deno = evaluate_fn(inst.phi, inst.model, cfg).result
-        gap_mm = float(np.max(np.abs(result.minimax - result.maximin)))
-        gap_de = float(np.max(np.abs(result.minimax - deno)))
-        if gap_mm > tolerance or gap_de > tolerance:
-            message = (f"instance {i}: |minimax - maximin| = {gap_mm:.3e}, "
-                       f"|minimax - evaluate| = {gap_de:.3e}")
+        message = None
+        try:
+            result = brute_minimax(inst, cfg)
+        except NotConvergedError as exc:
+            message = f"instance {i}: {exc}"
+        else:
+            report = evaluate_fn(inst.phi, inst.model, cfg)
+            gap_mm = float(np.max(np.abs(result.minimax - result.maximin)))
+            gap_de = float(np.max(np.abs(result.minimax - report.result)))
+            if not report.converged:
+                message = (f"instance {i}: evaluate did not converge within "
+                           f"{cfg.max_iterations} iterations")
+            elif gap_mm > tolerance or gap_de > tolerance:
+                message = (f"instance {i}: |minimax - maximin| = {gap_mm:.3e}, "
+                           f"|minimax - evaluate| = {gap_de:.3e}")
+        if message is not None:
             dump_paths = ()
             if dump_dir is not None:
                 dump_paths = _dump_instance(dump_dir, i, inst)

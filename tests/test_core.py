@@ -191,6 +191,13 @@ class TestSparseStorage:
             assert vec.shape == (t.n_states,)
             for s in range(t.n_states):
                 assert abs(vec[s] - pre_expectation(t, s, x)) <= 1e-15
+            # a batch of rows: each row bit-identical to its own 1-D product
+            for batch in (1, 3):
+                xs = rng.random((batch, t.n_states))
+                rows = pre_expectation_all(t, xs)
+                assert rows.shape == (batch, t.n_states)
+                for b in range(batch):
+                    assert np.array_equal(rows[b], pre_expectation_all(t, xs[b]))
 
     def test_rows_are_views_of_the_arrays(self):
         t = transition([[(2, 0.25), (0, 0.5)], [], [(1, 1.0)]], [0.25, 0.5, 0.0])

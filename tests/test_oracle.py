@@ -1,17 +1,56 @@
 """Brute-force enumeration oracle and random instance generation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qmu.core import validate
-from qmu.evaluator import evaluate
+from qmu.evaluator import EvalConfig, NotConvergedError, evaluate
 from qmu.formula import MaxJ, MinJ, Mu, Nu, alpha_equal, choice_sites, parse, reduce
 from qmu.modelio import load_model
 from qmu.oracle import (
     _TEMPLATES, InstanceBounds, StrategySpaceError, TinyInstance,
     brute_minimax, crosscheck, random_instance,
 )
-from qmu.strategy import specialize, specialized_model
+from qmu.strategy import MemorilessStrategy, specialize, specialized_model
+
+
+def _choices(bits, n_sites, n_states):
+    return tuple(np.array(bits[site * n_states:(site + 1) * n_states], dtype=bool)
+                 for site in range(n_sites))
+
+
+def _pair_value(inst, min_bits, max_bits):
+    """One strategy pair's value: evaluate of the specialised formula."""
+    n = inst.model.space.size
+    mins, maxs = choice_sites(inst.phi)
+    strategy = MemorilessStrategy(min_choices=_choices(min_bits, mins, n),
+                                  max_choices=_choices(max_bits, maxs, n))
+    phi2, ext = specialize(inst.phi, strategy, n)
+    return evaluate(phi2, specialized_model(inst.model, ext)).result
+
+
+def per_pair_brute_minimax(inst):
+    """The brute force with one evaluate per strategy pair, as reference.
+
+    Returns the table, both witnesses' choices and both witness gaps.
+    """
+    n = inst.model.space.size
+    mins, maxs = choice_sites(inst.phi)
+    min_tuples = list(itertools.product((False, True), repeat=mins * n))
+    max_tuples = list(itertools.product((False, True), repeat=maxs * n))
+    table = np.array([[_pair_value(inst, a, b) for b in max_tuples]
+                      for a in min_tuples])
+    max_first = table.max(axis=1)
+    minimax = max_first.min(axis=0)
+    min_first = table.min(axis=0)
+    maximin = min_first.max(axis=0)
+    min_gaps = (max_first - minimax[None, :]).max(axis=1)
+    max_gaps = (maximin[None, :] - min_first).max(axis=1)
+    i0, j0 = int(np.argmin(min_gaps)), int(np.argmin(max_gaps))
+    return (table, _choices(min_tuples[i0], mins, n), _choices(max_tuples[j0], maxs, n),
+            float(min_gaps[i0]), float(max_gaps[j0]))
 
 
 class TestRandomInstance:
@@ -115,6 +154,52 @@ class TestBruteMinimax:
             achieved = evaluate(phi2, specialized_model(inst.model, ext)).result
             assert np.abs(achieved - result.minimax).max() <= 1e-6
 
+    def test_bit_identical_to_per_pair_evaluation(self, vardi):
+        model, phi = vardi
+        cases = [TinyInstance(model=model, phi=phi, text="", open_body=phi,
+                              free_var="W0", alternating=False, template="")]
+        first = {}
+        for trial in range(400):
+            inst = random_instance([77, trial])
+            first.setdefault(inst.template, inst)
+        assert len(first) == len(_TEMPLATES)
+        assert sum(inst.alternating for inst in first.values()) == 2
+        cases.extend(first.values())
+        for inst in cases:
+            table, min_choices, max_choices, min_gap, max_gap = (
+                per_pair_brute_minimax(inst))
+            result = brute_minimax(inst)
+            assert np.array_equal(result.table, table), inst.template
+            for got, want in ((result.min_witness.min_choices, min_choices),
+                              (result.max_witness.max_choices, max_choices)):
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert result.min_witness_gap == min_gap
+            assert result.max_witness_gap == max_gap
+
+    def test_sixteen_bit_instance_in_slices(self):
+        inst = next(c for c in (random_instance([5, i], InstanceBounds(max_states=4))
+                                for i in range(100)) if c.model.space.size == 4)
+        text = "mu X . (a0 \\/ <t0> X) /\\ (a1 \\/ <t1> X) /\\ <t0> X"
+        phi = reduce(parse(text), inst.model.valuation)
+        assert choice_sites(phi) == (2, 2)
+        big = TinyInstance(model=inst.model, phi=phi, text=text, open_body=phi,
+                           free_var="W0", alternating=False, template="")
+        result = brute_minimax(big)
+        assert result.table.shape == (256, 256, 4)
+        assert np.abs(result.minimax - result.maximin).max() <= 1e-6
+        assert np.abs(result.minimax - evaluate(phi, inst.model).result).max() <= 1e-6
+        rng = np.random.default_rng(16)
+        for i, j in rng.integers(0, 256, size=(16, 2)).tolist():
+            bits = [bool(int(c)) for c in f"{i:08b}{j:08b}"]
+            assert np.array_equal(result.table[i, j],
+                                  _pair_value(big, bits[:8], bits[8:]))
+
+    def test_non_convergence_raises(self):
+        inst = random_instance([0, 0])
+        with pytest.raises(NotConvergedError, match="did not converge"):
+            brute_minimax(inst, EvalConfig(max_iterations=2))
+
     def test_budget_exceeded(self):
         # 3 min + 3 max sites over 4 states needs 2^24 tuples
         inst = random_instance(5, InstanceBounds(max_states=4))
@@ -137,6 +222,27 @@ class TestCrosscheck:
     def test_count_zero_passes(self):
         report = crosscheck(0, seed=1)
         assert report.ok and report.checked == 0
+
+    def test_unconverged_brute_force_is_reported_as_such(self):
+        report = crosscheck(5, 0, cfg=EvalConfig(max_iterations=2))
+        assert report.failures
+        for failure in report.failures:
+            assert "brute force did not converge" in failure.message
+
+    def test_unconverged_denotation_is_reported_as_such(self):
+        short = EvalConfig(max_iterations=1)
+
+        def truncated(phi, model, cfg=None):
+            return evaluate(phi, model, short)
+
+        instances = [random_instance([3, i]) for i in range(10)]
+        unconverged = {i for i, inst in enumerate(instances)
+                       if not truncated(inst.phi, inst.model).converged}
+        assert unconverged
+        report = crosscheck(10, 3, evaluate_fn=truncated)
+        assert {f.index for f in report.failures} == unconverged
+        for failure in report.failures:
+            assert "evaluate did not converge" in failure.message
 
     def test_faulty_evaluator_is_caught_and_dumped(self, tmp_path):
         def flipped(phi, model, cfg=None):
