@@ -16,10 +16,8 @@ import sys
 
 from . import examples
 from .core import Model
-from .evaluator import (
-    EvalConfig, EvaluationError, evaluate, evaluate_fix,
-)
-from .formula import ParseError, ReduceError, contains_fix, parse, reduce
+from .evaluator import EvalConfig, EvaluationError, evaluate_fix
+from .formula import ParseError, ReduceError, parse, reduce
 from .game import estimate
 from .modelio import ModelFileError, load_model, save_model
 from .oracle import InstanceBounds, crosscheck
@@ -69,8 +67,7 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     phi = _load_formula_arg(args.formula, model)
     cfg = _config(args)
-    runner = evaluate_fix if contains_fix(phi) else evaluate
-    report = runner(phi, model, cfg)
+    report = evaluate_fix(phi, model, cfg)
     states = _state_indices(args, model)
     scale = 10.0 if args.dollars else 1.0
     if args.json:

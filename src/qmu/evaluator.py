@@ -29,7 +29,8 @@ import numpy as np
 from .core import Model, pre_expectation_all
 from .formula import (
     Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
-    choice_sites, contains_fix, free_variables, is_reduced, junction_free,
+    choice_sites, free_variables, is_reduced, junction_free, subformulae,
+    unbound_symbol,
 )
 
 
@@ -140,13 +141,16 @@ class PathStrategy:
 class _Engine:
     """Shared tree-walking evaluator with pluggable junction handling.
 
-    With ``batch`` set, every expectation is ``(batch, n)``, one row per
-    strategy pair; constants and predicates stay ``(n,)`` and broadcast.
+    It walks only formulae :func:`_check_entry` accepted, so every name it
+    looks up is bound.  ``forced`` holds the ids of the ``fix(x)`` binders
+    iterated under the divergence detector.  With ``batch`` set, every
+    expectation is ``(batch, n)``, one row per strategy pair; constants and
+    predicates stay ``(n,)`` and broadcast.
     """
 
-    def __init__(self, model: Model, cfg: EvalConfig, fix_policy: str = "reject",
-                 min_masks=None, max_masks=None, on_junction=None,
-                 batch: int | None = None):
+    def __init__(self, model: Model, cfg: EvalConfig, min_masks=None,
+                 max_masks=None, on_junction=None, batch: int | None = None,
+                 forced: frozenset[int] = frozenset()):
         self.model = model
         self.v = model.valuation
         self.n = model.space.size
@@ -155,38 +159,15 @@ class _Engine:
         # a nested solve starts from its enclosing solve's live rows.
         self._live = None if batch is None else np.ones(batch, dtype=bool)
         self.cfg = cfg
-        self.fix_policy = fix_policy
+        self.forced = forced
         self.min_masks = min_masks
         self.max_masks = max_masks
         self.on_junction = on_junction
         self.stats: dict[str, FixpointStats] = {}
-        self._fix_body_ok: dict[int, bool] = {}
-
-    # -- symbol lookups ------------------------------------------------
-
-    def _const(self, name: str) -> np.ndarray:
-        try:
-            return self.v.expectations[name]
-        except KeyError:
-            raise UnresolvedSymbolError("expectation", name) from None
-
-    def _transition(self, name: str):
-        try:
-            return self.v.transitions[name]
-        except KeyError:
-            raise UnresolvedSymbolError("transition", name) from None
-
-    def _predicate(self, name: str) -> np.ndarray:
-        try:
-            return self.v.predicates[name]
-        except KeyError:
-            raise UnresolvedSymbolError("predicate", name) from None
-
-    # -- evaluation ----------------------------------------------------
 
     def eval(self, node: Node, env: dict[str, np.ndarray]) -> np.ndarray:
         if isinstance(node, Modal):
-            return pre_expectation_all(self._transition(node.transition),
+            return pre_expectation_all(self.v.transitions[node.transition],
                                        self.eval(node.body, env))
         if isinstance(node, MaxJ):
             left = self.eval(node.left, env)
@@ -205,19 +186,14 @@ class _Engine:
                 return np.where(self.min_masks[node.site], left, right)
             return np.minimum(left, right)
         if isinstance(node, Var):
-            try:
-                return env[node.name]
-            except KeyError:
-                raise UnresolvedSymbolError("variable", node.name) from None
+            return env[node.name]
         if isinstance(node, Const):
-            return self._const(node.name)
+            return self.v.expectations[node.name]
         if isinstance(node, Cond):
-            return np.where(self._predicate(node.predicate),
+            return np.where(self.v.predicates[node.predicate],
                             self.eval(node.then_branch, env),
                             self.eval(node.else_branch, env))
-        if isinstance(node, (Mu, Nu, Fix)):
-            return self.solve_fixpoint(node, env)
-        raise EvaluationError(f"cannot evaluate node {node!r}; reduce the formula first")
+        return self.solve_fixpoint(node, env)  # Mu, Nu or Fix
 
     def _seed(self, node) -> np.ndarray:
         if isinstance(node, Mu):
@@ -226,25 +202,8 @@ class _Engine:
             return np.ones(self.shape)
         return np.full(self.shape, float(node.start))
 
-    def _check_fix(self, node: Fix) -> bool:
-        """Returns whether divergence detection is needed for this node."""
-        if self.fix_policy == "reject":
-            raise FixNotSupportedError(
-                "formula contains fix(x) binders; use evaluate_fix")
-        ok = self._fix_body_ok.get(id(node))
-        if ok is None:
-            ok = junction_free(node.body)
-            self._fix_body_ok[id(node)] = ok
-        if ok:
-            return False
-        if self.fix_policy != "force":
-            raise NondeterministicFixBodyError(
-                f"fix body of {node.var!r} contains min/max choice; "
-                "pass force=True to iterate anyway")
-        return True
-
     def solve_fixpoint(self, node, env: dict[str, np.ndarray]) -> np.ndarray:
-        detect_divergence = isinstance(node, Fix) and self._check_fix(node)
+        detect_divergence = id(node) in self.forced
         cur = self._seed(node)
         var = node.var
         outer = env.get(var)
@@ -300,19 +259,39 @@ class _Engine:
         return cur
 
 
-def _check_entry(phi: Node) -> None:
+def _check_entry(phi: Node, model: Model, fix_policy: str) -> frozenset[int]:
+    """Raise every entry error before the first product, in this order.
+
+    A free variable, a set modality, an unbound symbol (the first in
+    preorder), any ``fix(x)`` under ``"reject"`` and a ``fix(x)`` body with
+    min/max choice unless ``"force"``.  Returns the ids of the ``fix(x)``
+    binders with choice in their bodies.
+    """
     free = free_variables(phi)
     if free:
         raise UnresolvedSymbolError("variable", sorted(free)[0])
     if not is_reduced(phi):
         raise EvaluationError("formula contains set modalities; reduce it first")
+    missing = unbound_symbol(phi, model.valuation)
+    if missing is not None:
+        raise UnresolvedSymbolError(*missing)
+    fixes = [node for node in subformulae(phi) if isinstance(node, Fix)]
+    if fixes and fix_policy == "reject":
+        raise FixNotSupportedError(
+            "formula contains fix(x) binders; only evaluate_fix covers them")
+    forced = [node for node in fixes if not junction_free(node.body)]
+    if forced and fix_policy != "force":
+        raise NondeterministicFixBodyError(
+            f"fix body of {forced[0].var!r} contains min/max choice; "
+            "pass force=True to iterate anyway")
+    return frozenset(map(id, forced))
 
 
 def _run(phi: Node, model: Model, cfg: EvalConfig | None, fix_policy: str,
          on_junction=None, **engine_args) -> EvalReport:
-    _check_entry(phi)
-    engine = _Engine(model, cfg or EvalConfig(), fix_policy, on_junction=on_junction,
-                     **engine_args)
+    forced = _check_entry(phi, model, fix_policy)
+    engine = _Engine(model, cfg or EvalConfig(), on_junction=on_junction,
+                     forced=forced, **engine_args)
     result = np.clip(np.broadcast_to(engine.eval(phi, {}), engine.shape), 0.0, 1.0)
     result.setflags(write=False)
     converged = all(st.converged for st in engine.stats.values())
@@ -402,18 +381,18 @@ def evaluate_with_strategies(
     solved by fixpoint iteration; lower and upper coincide.  Otherwise the
     formula is unfolded: each binder may be re-entered at most ``depth``
     times per binding, and a truncated ``mu`` (``nu``) contributes 0 (1).
+    A memoriless evaluation that hits ``max_iterations`` raises
+    :class:`NotConvergedError`.
     """
-    cfg = cfg or EvalConfig()
-    _check_entry(phi)
-    if contains_fix(phi):
-        raise FixNotSupportedError("strategy semantics does not cover fix(x)")
     if ((sigma_min is None or sigma_min.memoriless)
             and (sigma_max is None or sigma_max.memoriless)):
-        engine = _Engine(model, cfg, fix_policy="reject",
-                         min_masks=_strategy_masks(phi, model, sigma_min, "min"),
-                         max_masks=_strategy_masks(phi, model, sigma_max, "max"))
-        value = np.clip(engine.eval(phi, {}), 0.0, 1.0)
-        return value.copy(), value.copy()
+        report = _run(phi, model, cfg, "reject",
+                      min_masks=_strategy_masks(phi, model, sigma_min, "min"),
+                      max_masks=_strategy_masks(phi, model, sigma_max, "max"))
+        if not report.converged:
+            raise NotConvergedError("strategy evaluation did not converge")
+        return report.result.copy(), report.result.copy()
+    _check_entry(phi, model, "reject")
     if depth is None:
         raise TypeError("history-dependent strategies require an unfolding depth")
     if depth < 0:
@@ -447,10 +426,7 @@ def _unfold(phi: Node, model: Model, s0: int, sigma_min: PathStrategy | None,
         view.append((node, s))
         try:
             if isinstance(node, Const):
-                try:
-                    return float(v.expectations[node.name][s])
-                except KeyError:
-                    raise UnresolvedSymbolError("expectation", node.name) from None
+                return float(v.expectations[node.name][s])
             if isinstance(node, Var):
                 remaining = budgets[node.name]
                 if remaining == 0:
@@ -461,9 +437,7 @@ def _unfold(phi: Node, model: Model, s0: int, sigma_min: PathStrategy | None,
                 view[-1] = (node.name, s)
                 return go(bodies[node.name], s, inner, defaults, bodies)
             if isinstance(node, Modal):
-                t = v.transitions.get(node.transition)
-                if t is None:
-                    raise UnresolvedSymbolError("transition", node.transition)
+                t = v.transitions[node.transition]
                 total = t.payoff_weights[s]
                 for target, prob in t.successors[s]:
                     total += prob * go(node.body, target, budgets, defaults, bodies)
@@ -483,10 +457,8 @@ def _unfold(phi: Node, model: Model, s0: int, sigma_min: PathStrategy | None,
                 return go(node.left if take_left else node.right,
                           s, budgets, defaults, bodies)
             if isinstance(node, Cond):
-                pred = v.predicates.get(node.predicate)
-                if pred is None:
-                    raise UnresolvedSymbolError("predicate", node.predicate)
-                branch = node.then_branch if pred[s] else node.else_branch
+                branch = (node.then_branch if v.predicates[node.predicate][s]
+                          else node.else_branch)
                 return go(branch, s, budgets, defaults, bodies)
             if isinstance(node, (Mu, Nu)):
                 default = 0.0 if isinstance(node, Mu) else 1.0

@@ -152,60 +152,72 @@ def map_children(node: Node, f, **changes) -> Node:
     return replace(node, **changes)
 
 
+def subformulae(node: Node):
+    """Yield every node of ``node`` in preorder, left to right, without recursion."""
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        for name in reversed(_child_fields(cur)):
+            stack.append(getattr(cur, name))
+
+
 def formula_size(node: Node) -> int:
     """Number of AST nodes."""
-    return 1 + sum(formula_size(c) for c in children(node))
+    return sum(1 for _ in subformulae(node))
 
 
 def free_variables(node: Node) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, _BINDERS):
-        return free_variables(node.body) - {node.var}
-    out: set[str] = set()
-    for c in children(node):
-        out |= free_variables(c)
-    return out
+    free: set[str] = set()
+    stack = [(node, frozenset())]
+    while stack:
+        cur, bound = stack.pop()
+        if isinstance(cur, Var):
+            if cur.name not in bound:
+                free.add(cur.name)
+            continue
+        if isinstance(cur, _BINDERS):
+            bound = bound | {cur.var}
+        for name in _child_fields(cur):
+            stack.append((getattr(cur, name), bound))
+    return free
 
 
 def binder_names(node: Node) -> set[str]:
-    out = {node.var} if isinstance(node, _BINDERS) else set()
-    for c in children(node):
-        out |= binder_names(c)
-    return out
+    return {n.var for n in subformulae(node) if isinstance(n, _BINDERS)}
 
 
 def is_reduced(node: Node) -> bool:
     """True when no set modalities remain."""
-    if isinstance(node, (Angelic, Demonic)):
-        return False
-    return all(is_reduced(c) for c in children(node))
+    return not any(isinstance(n, (Angelic, Demonic)) for n in subformulae(node))
 
 
 def junction_free(node: Node) -> bool:
-    if isinstance(node, (MinJ, MaxJ, Angelic, Demonic)):
-        return False
-    return all(junction_free(c) for c in children(node))
+    return not any(isinstance(n, (MinJ, MaxJ, Angelic, Demonic))
+                   for n in subformulae(node))
 
 
 def contains_fix(node: Node) -> bool:
-    if isinstance(node, Fix):
-        return True
-    return any(contains_fix(c) for c in children(node))
+    return any(isinstance(n, Fix) for n in subformulae(node))
 
 
 def choice_sites(node: Node) -> tuple[int, int]:
     """Counts of demonic (min) and angelic (max) choice nodes."""
-    mins = maxs = 0
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, MinJ):
-            mins += 1
-        elif isinstance(cur, MaxJ):
-            maxs += 1
-        stack.extend(children(cur))
-    return mins, maxs
+    kinds = [type(n) for n in subformulae(node)]
+    return kinds.count(MinJ), kinds.count(MaxJ)
+
+
+def unbound_symbol(node: Node, valuation: Valuation) -> tuple[str, str] | None:
+    """The first ``(kind, name)`` in preorder that ``valuation`` does not
+    bind, kind being "expectation", "transition" or "predicate"; else None."""
+    for n in subformulae(node):
+        if isinstance(n, Const) and n.name not in valuation.expectations:
+            return "expectation", n.name
+        if isinstance(n, Modal) and n.transition not in valuation.transitions:
+            return "transition", n.transition
+        if isinstance(n, Cond) and n.predicate not in valuation.predicates:
+            return "predicate", n.predicate
+    return None
 
 
 def assign_sites(node: Node) -> Node:

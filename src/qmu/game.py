@@ -26,8 +26,8 @@ import numpy as np
 from .core import Model, halt_payoff
 from .evaluator import PathStrategy, UnresolvedSymbolError
 from .formula import (
-    Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
-    children, formula_size, free_variables, is_reduced,
+    Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
+    contains_fix, formula_size, free_variables, is_reduced, unbound_symbol,
 )
 
 
@@ -105,12 +105,23 @@ def path_bracket(path: GamePath, max_depth: int) -> PlayoutResult:
 def walk_playout(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
                  sigma_max: PathStrategy, max_depth: int, rng) -> GamePath:
     """Play one game, recording the full position sequence."""
+    return _walk(phi, model, s0, sigma_min, sigma_max, max_depth,
+                 _step_budget(phi, model, max_depth), rng)
+
+
+def _step_budget(phi: Node, model: Model, max_depth: int) -> int:
+    """Check the playout arguments and return the playout step budget."""
     if max_depth < 1:
         raise GameError("max_depth must be at least 1")
     _check_playable(phi, model)
-    v = model.valuation
-    step_budget = max_depth * formula_size(phi)
+    return max_depth * formula_size(phi)
 
+
+def _walk(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
+          sigma_max: PathStrategy, max_depth: int, step_budget: int,
+          rng) -> GamePath:
+    """:func:`walk_playout` on a formula that :func:`_check_playable` accepted."""
+    v = model.valuation
     positions: list = []
     view: list = []  # what strategies may inspect: (node-or-binder-name, state)
     counts: dict[Colour, int] = {}
@@ -199,17 +210,20 @@ def estimate(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
 
     Each path draws from its own stream derived from (seed, path index), so
     the result is a deterministic function of the seed and is reproducible
-    under any parallel schedule.
+    under any parallel schedule.  The formula is checked once per call, not
+    once per path.
     """
     if n_paths < 1:
         raise GameError("n_paths must be at least 1")
+    step_budget = _step_budget(phi, model, max_depth)
     streams = np.random.SeedSequence(seed).spawn(n_paths)
     lows = np.empty(n_paths)
     highs = np.empty(n_paths)
     n_truncated = 0
     for i, stream in enumerate(streams):
         rng = np.random.Generator(np.random.PCG64(stream))
-        result = play(phi, model, s0, sigma_min, sigma_max, max_depth, rng)
+        result = path_bracket(_walk(phi, model, s0, sigma_min, sigma_max,
+                                    max_depth, step_budget, rng), max_depth)
         lows[i] = result.value_low
         highs[i] = result.value_high
         if not result.terminated:
@@ -252,17 +266,20 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
 
 
 def _check_playable(phi: Node, model: Model) -> None:
+    """Reject, before any move, a formula the game rules cannot play.
+
+    Unbound names raise :class:`UnresolvedSymbolError`, as in the evaluator.
+    """
     free = free_variables(phi)
     if free:
         raise UnresolvedSymbolError("variable", sorted(free)[0])
     if not is_reduced(phi):
         raise GameError("formula contains set modalities; reduce it first")
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Fix):
-            raise GameError("the game rules do not cover fix(x) binders")
-        stack.extend(children(node))
+    missing = unbound_symbol(phi, model.valuation)
+    if missing is not None:
+        raise UnresolvedSymbolError(*missing)
+    if contains_fix(phi):
+        raise GameError("the game rules do not cover fix(x) binders")
 
 
 def _expand_literal(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
@@ -342,18 +359,12 @@ def _expand_shared(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
 
     With history-insensitive strategies the value below a position depends
     only on the formula node, the state and the remaining re-entry budget of
-    each enclosing binder, so identical subtrees are computed once.
+    each enclosing binder, so identical subtrees are computed once.  A budget
+    entry maps a variable name to its remaining re-entries and the id of the
+    binder in scope, so binders that share a name stay apart.
     """
     v = model.valuation
-    binder_default: dict[str, float] = {}
-    binder_body: dict[str, Node] = {}
-    stack = [phi]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, (Mu, Nu)):
-            binder_default[cur.var] = 0.0 if isinstance(cur, Mu) else 1.0
-            binder_body[cur.var] = cur.body
-        stack.extend(children(cur))
+    binders: dict[int, Node] = {}
     memo: dict = {}
     visits = [0]
 
@@ -369,12 +380,12 @@ def _expand_shared(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
             value = float(v.expectations[node.name][s])
         elif isinstance(node, Var):
             entry = dict(budgets)
-            remaining = entry[node.name]
+            remaining, binder = entry[node.name]
             if remaining == 0:
-                value = binder_default[node.name]
+                value = 0.0 if isinstance(binders[binder], Mu) else 1.0
             else:
-                entry[node.name] = remaining - 1
-                value = go(binder_body[node.name], s, tuple(sorted(entry.items())))
+                entry[node.name] = (remaining - 1, binder)
+                value = go(binders[binder].body, s, tuple(sorted(entry.items())))
         elif isinstance(node, Modal):
             t = v.transitions[node.transition]
             value = t.payoff_weights[s]
@@ -392,10 +403,11 @@ def _expand_shared(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
             value = go(branch, s, budgets)
         elif isinstance(node, (Mu, Nu)):
             if depth == 0:
-                value = binder_default[node.var]
+                value = 0.0 if isinstance(node, Mu) else 1.0
             else:
+                binders[id(node)] = node
                 entry = dict(budgets)
-                entry[node.var] = depth - 1
+                entry[node.var] = (depth - 1, id(node))
                 value = go(node.body, s, tuple(sorted(entry.items())))
         else:
             raise GameError(f"cannot expand node {node!r}")

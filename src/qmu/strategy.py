@@ -54,7 +54,8 @@ class MemorilessStrategy:
     min_choices: tuple[np.ndarray, ...] | None = None
     max_choices: tuple[np.ndarray, ...] | None = None
 
-    def check_shape(self, phi: Node, n_states: int) -> None:
+    def check_shape(self, phi: Node, n_states: int | None = None) -> None:
+        """Site counts must match ``phi``; with ``n_states``, predicate lengths too."""
         mins, maxs = choice_sites(phi)
         for label, choices, count in (("min", self.min_choices, mins),
                                       ("max", self.max_choices, maxs)):
@@ -64,6 +65,8 @@ class MemorilessStrategy:
                 raise StrategyError(
                     f"{label} side has {len(choices)} site predicates, "
                     f"formula has {count} {label} sites")
+            if n_states is None:
+                continue
             for site, arr in enumerate(choices):
                 if len(arr) != n_states:
                     raise StrategyError(
@@ -117,16 +120,7 @@ def specialize(phi: Node, strategy: MemorilessStrategy,
     strategy (one side ``None``) leaves the other side's junctions in
     place, to be resolved adversarially by evaluation.
     """
-    if n_states is not None:
-        strategy.check_shape(phi, n_states)
-    else:
-        mins, maxs = choice_sites(phi)
-        if strategy.min_choices is not None and len(strategy.min_choices) != mins:
-            raise StrategyError(f"min side covers {len(strategy.min_choices)} "
-                                f"sites, formula has {mins}")
-        if strategy.max_choices is not None and len(strategy.max_choices) != maxs:
-            raise StrategyError(f"max side covers {len(strategy.max_choices)} "
-                                f"sites, formula has {maxs}")
+    strategy.check_shape(phi, n_states)
     extension: dict[str, np.ndarray] = {}
     sides = {MinJ: (strategy.min_choices, min_site_symbol),
              MaxJ: (strategy.max_choices, max_site_symbol)}

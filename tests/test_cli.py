@@ -73,6 +73,12 @@ class TestEval:
                                   vardi_files["formula"], "--max-iters", "1"])
         assert code == 2
 
+    def test_fix_formula_evaluates(self, capsys, vardi_files):
+        code, out, _ = run(capsys, ["eval", vardi_files["model"],
+                                    "fix(0.25) X . <k> X", "--state", "B"])
+        assert code == 0
+        assert out.splitlines()[0] == "B 0.250000"
+
     def test_deeply_nested_formula_exits_one(self, capsys, vardi_files):
         code, _, err = run(capsys, ["eval", vardi_files["model"],
                                     "<k> " * 3000 + "atB"])
@@ -131,6 +137,22 @@ class TestSimulate:
         code, _, err = run(capsys, ["simulate", vardi_files["model"],
                                     vardi_files["formula"], "--state", "A"])
         assert code == 1 and "--strategy" in err
+
+    def test_unbound_predicate_exits_one(self, capsys, vardi_files, tmp_path):
+        from qmu.formula import parse, reduce
+        from qmu.modelio import load_model
+        from qmu.strategy import MemorilessStrategy, save_strategy
+        text = "if nope then atB else <k> atB"
+        model = load_model(vardi_files["model"])
+        strategy = tmp_path / "s.json"
+        save_strategy(strategy, MemorilessStrategy((), ()),
+                      reduce(parse(text), model.valuation))
+        code, out, err = run(capsys, ["simulate", vardi_files["model"], text,
+                                      "--strategy", str(strategy),
+                                      "--state", "A", "--paths", "10"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "nope" in err
 
     def test_forced_truncation_reported(self, capsys, vardi_files):
         code, out, _ = run(capsys, ["simulate", vardi_files["model"],

@@ -6,7 +6,8 @@ import pytest
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate, transition
 from qmu.evaluator import (
     DivergenceError, EvalConfig, FixNotSupportedError,
-    NondeterministicFixBodyError, PathStrategy, UnresolvedSymbolError,
+    NondeterministicFixBodyError, NotConvergedError, PathStrategy,
+    UnresolvedSymbolError,
     evaluate, evaluate_batch, evaluate_fix, evaluate_with_strategies,
 )
 from qmu.formula import (
@@ -124,6 +125,29 @@ class TestEvaluateFix:
         with pytest.raises(NondeterministicFixBodyError):
             evaluate_fix(phi, two_state)
 
+    def test_entry_errors_come_before_the_first_product(self, vardi,
+                                                         monkeypatch):
+        import qmu.evaluator
+        model, _ = vardi
+        products = []
+        product = qmu.evaluator.pre_expectation_all
+
+        def counted(t, post):
+            products.append(1)
+            return product(t, post)
+
+        monkeypatch.setattr(qmu.evaluator, "pre_expectation_all", counted)
+        phi = reduce(parse("mu Y . <k> Y /\\ (fix(0.5) X . <k> X \\/ atB)"),
+                     model.valuation)
+        with pytest.raises(NondeterministicFixBodyError):
+            evaluate_fix(phi, model)
+        with pytest.raises(FixNotSupportedError):
+            evaluate(phi, model)
+        phi = reduce(parse("mu X . <k> X \\/ <k> nope"), model.valuation)
+        with pytest.raises(UnresolvedSymbolError, match="nope"):
+            evaluate(phi, model)
+        assert products == []
+
     def test_force_converging_junction_body(self, two_state):
         phi = reduce(parse("fix(0.5) X . <swap> X \\/ e"), two_state.valuation)
         report = evaluate_fix(phi, two_state, force=True)
@@ -233,6 +257,22 @@ class TestStrategySemantics:
                                           PathStrategy.constant(True))
         base = evaluate(phi, two_state).result
         assert np.abs(lo - base).max() <= 10 * TOL
+
+    def test_memoriless_non_convergence_raises(self, futures, futures_strategy):
+        model, game = futures
+        sigma_min, sigma_max = futures_strategy[0].path_strategies()
+        cfg = EvalConfig(max_iterations=3)
+        assert not evaluate(game, model, cfg).converged
+        with pytest.raises(NotConvergedError):
+            evaluate_with_strategies(game, model, sigma_min, sigma_max, cfg)
+
+    def test_unresolved_symbols_in_every_branch(self, vardi):
+        model, _ = vardi
+        phi = reduce(parse("if nope then atB else <k> atB"), model.valuation)
+        history = PathStrategy(decide=lambda site, path, s: True)
+        for sigma, depth in ((None, None), (history, 4)):
+            with pytest.raises(UnresolvedSymbolError, match="nope"):
+                evaluate_with_strategies(phi, model, sigma, sigma, depth=depth)
 
     def test_depth_zero_truncation_defaults(self, two_state):
         history = PathStrategy(decide=lambda site, path, s: len(path) % 2 == 0)

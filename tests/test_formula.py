@@ -7,8 +7,10 @@ import pytest
 from qmu.examples import GAME_TEXT, VARDI_TEXT, futures_model, vardi_model
 from qmu.formula import (
     Angelic, Cond, Const, Demonic, Fix, MaxJ, MinJ, Modal, Mu, Node, Nu,
-    ParseError, UnboundVariableError, Var, alpha_equal, children, choice_sites,
-    fingerprint, map_children, parse, pretty_print, reduce,
+    ParseError, UnboundVariableError, Var, alpha_equal, binder_names, children,
+    choice_sites, contains_fix, fingerprint, formula_size, free_variables,
+    is_reduced, junction_free, map_children, parse, pretty_print, reduce,
+    subformulae, unbound_symbol,
 )
 from qmu.oracle import random_formula
 
@@ -254,3 +256,49 @@ class TestRebuild:
             children(bad)
         with pytest.raises(TypeError):
             map_children(bad, lambda c: c)
+
+
+class TestAnalyses:
+    def test_subformulae_preorder_left_to_right(self):
+        phi = Mu("X", MaxJ(Modal("k", Var("X")), Cond("p", Const("A"), Const("B"))))
+        assert list(subformulae(phi)) == [
+            phi, phi.body, phi.body.left, Var("X"), phi.body.right,
+            Const("A"), Const("B")]
+
+    def test_unbound_symbol_first_in_preorder(self):
+        valuation = vardi_model()[0].valuation
+        assert unbound_symbol(parse("mu X . <k> atB \\/ <k> X"), valuation) is None
+        phi = Cond("nope", Const("nothere"), Modal("j", Const("atB")))
+        assert unbound_symbol(phi, valuation) == ("predicate", "nope")
+        assert unbound_symbol(phi.else_branch, valuation) == ("transition", "j")
+        assert unbound_symbol(phi.then_branch, valuation) == ("expectation", "nothere")
+
+    def test_deep_modal_chain_without_recursion(self):
+        phi = Const("atB")
+        for _ in range(5000):
+            phi = Modal("k", phi)
+        assert formula_size(phi) == 5001
+        assert free_variables(phi) == set()
+        assert binder_names(phi) == set()
+        assert is_reduced(phi) and junction_free(phi)
+        assert not contains_fix(phi)
+        assert choice_sites(phi) == (0, 0)
+        valuation = vardi_model()[0].valuation
+        assert unbound_symbol(phi, valuation) is None
+        assert unbound_symbol(Modal("j", phi), valuation) == ("transition", "j")
+        assert unbound_symbol(Modal("k", Const("c")), valuation) == ("expectation", "c")
+
+    def test_deep_binder_chain_without_recursion(self):
+        depth = 3000
+        phi = MinJ(Var("X0"), MaxJ(Var("Y"), Angelic("K", Var(f"X{depth - 1}")),
+                                   site=0), site=0)
+        for i in range(depth):
+            kind = (Mu, Nu, lambda var, body: Fix(0.5, var, body))[i % 3]
+            phi = kind(f"X{i}", phi)
+        assert formula_size(phi) == depth + 6
+        assert free_variables(phi) == {"Y"}
+        assert binder_names(phi) == {f"X{i}" for i in range(depth)}
+        assert not is_reduced(phi) and not junction_free(phi)
+        assert contains_fix(phi)
+        assert choice_sites(phi) == (1, 1)
+        assert unbound_symbol(phi, vardi_model()[0].valuation) is None

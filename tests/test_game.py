@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate, transition
-from qmu.evaluator import PathStrategy, evaluate_with_strategies
-from qmu.formula import parse, reduce
+from qmu import game
+from qmu.evaluator import (
+    PathStrategy, UnresolvedSymbolError, evaluate_with_strategies,
+)
+from qmu.formula import MaxJ, Modal, Mu, Nu, Var, assign_sites, parse, reduce
 from qmu.game import (
     Colour, GamePath, TreeBudgetError, estimate, expand_tree, path_bracket,
     play, walk_playout,
@@ -238,6 +241,17 @@ class TestExpandTree:
             assert lo == pytest.approx(float(lo_vec[s0]), abs=1e-9)
             assert hi == pytest.approx(float(hi_vec[s0]), abs=1e-9)
 
+    def test_binders_sharing_a_name_stay_apart(self, vardi):
+        # built directly: the parser would rename the second binder
+        model, _ = vardi
+        loop = Modal("k", Var("X"))
+        phi = assign_sites(MaxJ(Mu("X", loop), Nu("X", loop)))
+        history = PathStrategy(decide=lambda site, path, s: True)
+        for sigma, expected in ((LEFT, 0.0), (RIGHT, 1.0)):
+            assert expand_tree(phi, model, 0, LEFT, sigma, depth=6) == (
+                expected, expected)
+        assert expand_tree(phi, model, 0, history, history, depth=6) == (0.0, 0.0)
+
     def test_node_cap_raises(self, simple):
         phi = reduce(parse("mu X . e \\/ <k> X"), simple.valuation)
         with pytest.raises(TreeBudgetError):
@@ -249,3 +263,30 @@ class TestExpandTree:
     def test_fix_not_playable(self, simple):
         with pytest.raises(Exception):
             play(parse("fix(0.5) X . X"), simple, 0, LEFT, LEFT, 3, rng_for(8))
+
+
+UNBOUND_IN_VARDI = ["if nope then atB else <k> atB", "mu X . <k> nope \\/ <k> X"]
+
+
+class TestEntryCheck:
+    def test_estimate_checks_the_formula_once(self, vardi, monkeypatch):
+        model, phi = vardi
+        calls = {"_check_playable": 0, "formula_size": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(game, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(game, name, counted)
+        estimate(phi, model, 0, LEFT, RIGHT, n_paths=50, max_depth=20, seed=4)
+        assert calls == {"_check_playable": 1, "formula_size": 1}
+
+    @pytest.mark.parametrize("text", UNBOUND_IN_VARDI)
+    def test_unbound_symbol_raises_before_any_move(self, vardi, text):
+        model, _ = vardi
+        phi = reduce(parse(text), model.valuation)
+        with pytest.raises(UnresolvedSymbolError, match="nope"):
+            play(phi, model, 0, LEFT, LEFT, max_depth=5, rng=rng_for(9))
+        with pytest.raises(UnresolvedSymbolError, match="nope"):
+            estimate(phi, model, 0, LEFT, LEFT, n_paths=5, max_depth=5, seed=9)
+        with pytest.raises(UnresolvedSymbolError, match="nope"):
+            expand_tree(phi, model, 0, LEFT, LEFT, depth=5)

@@ -96,6 +96,18 @@ class TestSpecialize:
         with pytest.raises(StrategyError):
             specialize(phi, bad, model.space.size)
 
+    def test_check_shape_lengths_only_with_state_count(self, vardi):
+        model, phi = vardi
+        short = MemorilessStrategy(max_choices=(np.array([True]),))
+        short.check_shape(phi)
+        with pytest.raises(StrategyError, match="entries"):
+            short.check_shape(phi, model.space.size)
+        two_sites = MemorilessStrategy(max_choices=(np.array([True, False]),) * 2)
+        with pytest.raises(StrategyError, match="sites"):
+            two_sites.check_shape(phi)
+        with pytest.raises(StrategyError, match="sites"):
+            specialize(phi, two_sites)
+
     def test_neutral_extension_does_not_move_values(self, vardi):
         model, phi = vardi
         strategy = MemorilessStrategy(
