@@ -127,6 +127,7 @@ def cmd_simulate(args) -> int:
     cfg = _config(args)
     if args.strategy:
         strategy = load_strategy(args.strategy, phi)
+        strategy.check_shape(phi, model.space.size)
     elif args.synthesize:
         strategy, _ = synthesize(phi, model, cfg)
     else:

@@ -138,53 +138,58 @@ class PathStrategy:
         return PathStrategy(decide=lambda site, path, s: left, memoriless=True)
 
 
-class _Engine:
-    """Shared tree-walking evaluator with pluggable junction handling.
+def _pointwise(node: Node, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The adversarial junction rule: max at a max site, min at a min site."""
+    if isinstance(node, MaxJ):
+        return np.maximum(left, right)
+    return np.minimum(left, right)
 
-    It walks only formulae :func:`_check_entry` accepted, so every name it
-    looks up is bound.  ``forced`` holds the ids of the ``fix(x)`` binders
-    iterated under the divergence detector.  With ``batch`` set, every
-    expectation is ``(batch, n)``, one row per strategy pair; constants and
-    predicates stay ``(n,)`` and broadcast.
+
+def _masked(min_masks, max_masks):
+    """Junction rule taking the left 'junct where a site's mask holds.
+
+    A side whose masks are ``None`` stays adversarial.
+    """
+    def choose(node, left, right):
+        masks = max_masks if isinstance(node, MaxJ) else min_masks
+        if masks is None:
+            return _pointwise(node, left, right)
+        return np.where(masks[node.site], left, right)
+    return choose
+
+
+class _Engine:
+    """Shared tree-walking evaluator with a pluggable junction rule.
+
+    ``choose(node, left, right)`` resolves each min/max node from its
+    operand expectations.  It walks only formulae :func:`_check_entry`
+    accepted, so every name it looks up is bound.  ``forced`` holds the ids
+    of the ``fix(x)`` binders iterated under the divergence detector.  With
+    ``batch`` set, every expectation is ``(batch, n)``, one row per strategy
+    pair; constants and predicates stay ``(n,)`` and broadcast.
     """
 
-    def __init__(self, model: Model, cfg: EvalConfig, min_masks=None,
-                 max_masks=None, on_junction=None, batch: int | None = None,
-                 forced: frozenset[int] = frozenset()):
-        self.model = model
+    def __init__(self, model: Model, cfg: EvalConfig, choose,
+                 batch: int | None, forced: frozenset[int]):
         self.v = model.valuation
-        self.n = model.space.size
-        self.shape = (self.n,) if batch is None else (batch, self.n)
-        # Rows still iterating in the innermost running solve (None unbatched);
-        # a nested solve starts from its enclosing solve's live rows.
-        self._live = None if batch is None else np.ones(batch, dtype=bool)
+        n = model.space.size
+        self.shape = (n,) if batch is None else (batch, n)
+        # Rows still iterating in the innermost running solve, one flag per
+        # row (a 0-d flag unbatched); a nested solve starts from its
+        # enclosing solve's live rows.
+        self._live = np.ones(self.shape[:-1], dtype=bool)
         self.cfg = cfg
         self.forced = forced
-        self.min_masks = min_masks
-        self.max_masks = max_masks
-        self.on_junction = on_junction
+        self.choose = choose
         self.stats: dict[str, FixpointStats] = {}
 
     def eval(self, node: Node, env: dict[str, np.ndarray]) -> np.ndarray:
         if isinstance(node, Modal):
             return pre_expectation_all(self.v.transitions[node.transition],
                                        self.eval(node.body, env))
-        if isinstance(node, MaxJ):
-            left = self.eval(node.left, env)
-            right = self.eval(node.right, env)
-            if self.on_junction is not None:
-                self.on_junction(node, left, right)
-            if self.max_masks is not None:
-                return np.where(self.max_masks[node.site], left, right)
-            return np.maximum(left, right)
-        if isinstance(node, MinJ):
-            left = self.eval(node.left, env)
-            right = self.eval(node.right, env)
-            if self.on_junction is not None:
-                self.on_junction(node, left, right)
-            if self.min_masks is not None:
-                return np.where(self.min_masks[node.site], left, right)
-            return np.minimum(left, right)
+        if isinstance(node, (MaxJ, MinJ)):
+            return self.choose(node, self.eval(node.left, env),
+                               self.eval(node.right, env))
         if isinstance(node, Var):
             return env[node.name]
         if isinstance(node, Const):
@@ -208,29 +213,24 @@ class _Engine:
         var = node.var
         outer = env.get(var)
         outer_live = self._live
+        live = self._live = outer_live.copy()
+        # last step of each row; rows idle in the enclosing solve read 0
+        steps = np.where(live, np.inf, 0.0)
         tol = self.cfg.tolerance
         residual = np.inf
         iterations = 0
         window: deque[float] = deque(maxlen=_DIVERGENCE_WINDOW + 1)
-        if outer_live is not None:
-            live = self._live = outer_live.copy()
-            # last step of each row; rows idle in the enclosing solve read 0
-            steps = np.where(live, np.inf, 0.0)
         try:
             for iterations in range(1, self.cfg.max_iterations + 1):
                 env[var] = cur
                 new = np.clip(self.eval(node.body, env), 0.0, 1.0)
-                if outer_live is None:
-                    residual = float(np.max(np.abs(new - cur)))
-                    cur = new
-                else:
-                    # A row stops after its own first step within tolerance,
-                    # where evaluating it alone would stop, and keeps that value.
-                    step = np.max(np.abs(new - cur), axis=1)
-                    cur = np.where(live[:, None], new, cur)
-                    steps = np.where(live, step, steps)
-                    live &= step > tol
-                    residual = float(steps.max())
+                # A row stops after its own first step within tolerance,
+                # where evaluating it alone would stop, and keeps that value.
+                step = np.abs(new - cur).max(axis=-1)
+                cur = np.where(live[..., None], new, cur)
+                steps = np.where(live, step, steps)
+                live &= step > tol
+                residual = float(steps.max())
                 if residual <= tol:
                     break
                 if detect_divergence:
@@ -288,10 +288,9 @@ def _check_entry(phi: Node, model: Model, fix_policy: str) -> frozenset[int]:
 
 
 def _run(phi: Node, model: Model, cfg: EvalConfig | None, fix_policy: str,
-         on_junction=None, **engine_args) -> EvalReport:
+         choose=_pointwise, batch: int | None = None) -> EvalReport:
     forced = _check_entry(phi, model, fix_policy)
-    engine = _Engine(model, cfg or EvalConfig(), on_junction=on_junction,
-                     forced=forced, **engine_args)
+    engine = _Engine(model, cfg or EvalConfig(), choose, batch, forced)
     result = np.clip(np.broadcast_to(engine.eval(phi, {}), engine.shape), 0.0, 1.0)
     result.setflags(write=False)
     converged = all(st.converged for st in engine.stats.values())
@@ -325,7 +324,11 @@ def converged_walk(phi: Node, model: Model, cfg: EvalConfig | None,
     every enclosing binder, i.e. those in the converged environment up to
     iteration tolerance.
     """
-    return _run(phi, model, cfg, "reject", on_junction)
+    def choose(node, left, right):
+        on_junction(node, left, right)
+        return _pointwise(node, left, right)
+
+    return _run(phi, model, cfg, "reject", choose)
 
 
 def evaluate_batch(phi: Node, model: Model, min_masks: np.ndarray,
@@ -350,8 +353,7 @@ def evaluate_batch(phi: Node, model: Model, min_masks: np.ndarray,
         raise ValueError(
             f"masks of shapes {min_masks.shape} and {max_masks.shape} do not fit "
             f"{mins} min and {maxs} max sites over {n} states")
-    return _run(phi, model, cfg, "reject", min_masks=min_masks,
-                max_masks=max_masks, batch=batch)
+    return _run(phi, model, cfg, "reject", _masked(min_masks, max_masks), batch)
 
 
 def _strategy_masks(phi: Node, model: Model, sigma: PathStrategy | None,
@@ -387,8 +389,8 @@ def evaluate_with_strategies(
     if ((sigma_min is None or sigma_min.memoriless)
             and (sigma_max is None or sigma_max.memoriless)):
         report = _run(phi, model, cfg, "reject",
-                      min_masks=_strategy_masks(phi, model, sigma_min, "min"),
-                      max_masks=_strategy_masks(phi, model, sigma_max, "max"))
+                      _masked(_strategy_masks(phi, model, sigma_min, "min"),
+                              _strategy_masks(phi, model, sigma_max, "max")))
         if not report.converged:
             raise NotConvergedError("strategy evaluation did not converge")
         return report.result.copy(), report.result.copy()

@@ -565,34 +565,40 @@ def reduce(node: Node, valuation: Valuation) -> Node:
 # --- Structural comparison and fingerprinting -------------------------------
 
 def alpha_equal(a: Node, b: Node) -> bool:
-    """Structural equality up to renaming of bound variables."""
+    """Structural equality up to renaming of bound variables.
 
-    def go(x: Node, y: Node, env: dict[str, str]) -> bool:
+    Each side maps its bound names to the depth of their binder, so a bound
+    variable equals only one bound at the same depth, never a free one.
+    """
+
+    def go(x: Node, y: Node, left: dict[str, int], right: dict[str, int],
+           depth: int) -> bool:
         if type(x) is not type(y):
             return False
         if isinstance(x, Var):
-            return env.get(x.name, x.name) == y.name
+            return left.get(x.name, x.name) == right.get(y.name, y.name)
         if isinstance(x, Const):
             return x.name == y.name
         if isinstance(x, Modal):
-            return x.transition == y.transition and go(x.body, y.body, env)
+            return (x.transition == y.transition
+                    and go(x.body, y.body, left, right, depth))
         if isinstance(x, (Angelic, Demonic)):
-            return x.set_name == y.set_name and go(x.body, y.body, env)
+            return (x.set_name == y.set_name
+                    and go(x.body, y.body, left, right, depth))
         if isinstance(x, (MinJ, MaxJ)):
-            return (x.site == y.site and go(x.left, y.left, env)
-                    and go(x.right, y.right, env))
+            return (x.site == y.site and go(x.left, y.left, left, right, depth)
+                    and go(x.right, y.right, left, right, depth))
         if isinstance(x, Cond):
             return (x.predicate == y.predicate
-                    and go(x.then_branch, y.then_branch, env)
-                    and go(x.else_branch, y.else_branch, env))
+                    and go(x.then_branch, y.then_branch, left, right, depth)
+                    and go(x.else_branch, y.else_branch, left, right, depth))
         if isinstance(x, Fix):
             if x.start != y.start:
                 return False
-        inner = dict(env)
-        inner[x.var] = y.var
-        return go(x.body, y.body, inner)
+        return go(x.body, y.body, {**left, x.var: depth},
+                  {**right, y.var: depth}, depth + 1)
 
-    return go(a, b, {})
+    return go(a, b, {}, {}, 0)
 
 
 def canonical(node: Node) -> Node:

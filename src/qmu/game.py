@@ -243,26 +243,87 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
 
     Expands the probabilistic tree (probability-one edges for all
     non-modality rules) and sums payoff values weighted by path probability.
-    Colour re-entry is bounded exactly as in :func:`play`.  Raises
+    Colour re-entry is bounded exactly as in :func:`play`: a budget entry
+    maps a variable name to its remaining re-entries and the id of the
+    binder in scope, so binders that share a name stay apart.  Strategies
+    see the position sequence of a playout: each node, with a binder-name
+    position at every binder entry and in place of every variable.  Raises
     :class:`TreeBudgetError` when more than ``node_cap`` tree nodes would be
     built.
 
-    With two memoriless strategies the expansion shares identical subtrees,
-    which keeps deep expansions tractable.
+    With two memoriless strategies the value below a position depends only
+    on the node, the state and the budgets, so identical subtrees are
+    computed once (a shared subtree counts no further nodes), which keeps
+    deep expansions tractable.
     """
     if depth < 0:
         raise GameError("depth must be non-negative")
     _check_playable(phi, model)
+    v = model.valuation
+    binders: dict[int, Node] = {}
+    memo = {} if sigma_min.memoriless and sigma_max.memoriless else None
+    view: list = []
+    visits = 0
+
+    def go(node: Node, s: int, budgets: tuple) -> float:
+        nonlocal visits
+        key = (id(node), s, budgets)
+        if memo is not None and key in memo:
+            return memo[key]
+        visits += 1
+        if visits > node_cap:
+            raise TreeBudgetError(f"tree expansion exceeded {node_cap} nodes")
+        mark = len(view)
+        view.append((node.name if isinstance(node, Var) else node, s))
+        try:
+            if isinstance(node, Const):
+                value = float(v.expectations[node.name][s])
+            elif isinstance(node, Var):
+                entry = dict(budgets)
+                remaining, binder = entry[node.name]
+                if remaining == 0:
+                    value = 0.0 if isinstance(binders[binder], Mu) else 1.0
+                else:
+                    entry[node.name] = (remaining - 1, binder)
+                    value = go(binders[binder].body, s,
+                               tuple(sorted(entry.items())))
+            elif isinstance(node, Modal):
+                t = v.transitions[node.transition]
+                value = t.payoff_weights[s]
+                for target, prob in t.successors[s]:
+                    value += prob * go(node.body, target, budgets)
+            elif isinstance(node, MaxJ):
+                take_left = sigma_max.decide(node.site, view, s)
+                value = go(node.left if take_left else node.right, s, budgets)
+            elif isinstance(node, MinJ):
+                take_left = sigma_min.decide(node.site, view, s)
+                value = go(node.left if take_left else node.right, s, budgets)
+            elif isinstance(node, Cond):
+                branch = (node.then_branch if v.predicates[node.predicate][s]
+                          else node.else_branch)
+                value = go(branch, s, budgets)
+            else:  # Mu or Nu: bind, then enter the body
+                view.append((node.var, s))
+                if depth == 0:
+                    value = 0.0 if isinstance(node, Mu) else 1.0
+                else:
+                    binders[id(node)] = node
+                    entry = dict(budgets)
+                    entry[node.var] = (depth - 1, id(node))
+                    value = go(node.body, s, tuple(sorted(entry.items())))
+        finally:
+            del view[mark:]
+        if memo is not None:
+            memo[key] = value
+        return value
+
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:
-        if sigma_min.memoriless and sigma_max.memoriless:
-            return _expand_shared(phi, model, s0, sigma_min, sigma_max, depth,
-                                  node_cap)
-        return _expand_literal(phi, model, s0, sigma_min, sigma_max, depth,
-                               node_cap)
+        value = go(phi, s0, ())
     finally:
         sys.setrecursionlimit(limit)
+    return value, value
 
 
 def _check_playable(phi: Node, model: Model) -> None:
@@ -280,139 +341,3 @@ def _check_playable(phi: Node, model: Model) -> None:
         raise UnresolvedSymbolError(*missing)
     if contains_fix(phi):
         raise GameError("the game rules do not cover fix(x) binders")
-
-
-def _expand_literal(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
-                    sigma_max: PathStrategy, depth: int,
-                    node_cap: int) -> tuple[float, float]:
-    """Tree expansion with explicit paths and colour bookkeeping."""
-    v = model.valuation
-    view: list = []
-    visits = [0]
-
-    def tick():
-        visits[0] += 1
-        if visits[0] > node_cap:
-            raise TreeBudgetError(f"tree expansion exceeded {node_cap} nodes")
-
-    def colour_value(colour: Colour, s: int, env, counts, bodies) -> float:
-        tick()
-        view.append((colour.binder, s))
-        try:
-            seen = counts.get(colour, 0) + 1
-            if seen > depth:
-                return 0.0 if colour.kind == "mu" else 1.0
-            inner = dict(counts)
-            inner[colour] = seen
-            return node_value(bodies[colour], s, env, inner, bodies)
-        finally:
-            view.pop()
-
-    def node_value(node: Node, s: int, env, counts, bodies) -> float:
-        if isinstance(node, Var):
-            return colour_value(env[node.name], s, env, counts, bodies)
-        tick()
-        view.append((node, s))
-        try:
-            if isinstance(node, Const):
-                return float(v.expectations[node.name][s])
-            if isinstance(node, Modal):
-                t = v.transitions[node.transition]
-                total = t.payoff_weights[s]
-                for target, prob in t.successors[s]:
-                    total += prob * node_value(node.body, target, env, counts,
-                                               bodies)
-                return total
-            if isinstance(node, MaxJ):
-                take_left = sigma_max.decide(node.site, view, s)
-                return node_value(node.left if take_left else node.right,
-                                  s, env, counts, bodies)
-            if isinstance(node, MinJ):
-                take_left = sigma_min.decide(node.site, view, s)
-                return node_value(node.left if take_left else node.right,
-                                  s, env, counts, bodies)
-            if isinstance(node, Cond):
-                branch = (node.then_branch if v.predicates[node.predicate][s]
-                          else node.else_branch)
-                return node_value(branch, s, env, counts, bodies)
-            if isinstance(node, (Mu, Nu)):
-                colour = Colour(node.var,
-                                "mu" if isinstance(node, Mu) else "nu",
-                                created_at=len(view))
-                inner_env = dict(env)
-                inner_env[node.var] = colour
-                inner_bodies = dict(bodies)
-                inner_bodies[colour] = node.body
-                return colour_value(colour, s, inner_env, counts, inner_bodies)
-            raise GameError(f"cannot expand node {node!r}")
-        finally:
-            view.pop()
-
-    value = node_value(phi, s0, {}, {}, {})
-    return value, value
-
-
-def _expand_shared(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
-                   sigma_max: PathStrategy, depth: int,
-                   node_cap: int) -> tuple[float, float]:
-    """Tree expansion with subtree sharing, valid for memoriless strategies.
-
-    With history-insensitive strategies the value below a position depends
-    only on the formula node, the state and the remaining re-entry budget of
-    each enclosing binder, so identical subtrees are computed once.  A budget
-    entry maps a variable name to its remaining re-entries and the id of the
-    binder in scope, so binders that share a name stay apart.
-    """
-    v = model.valuation
-    binders: dict[int, Node] = {}
-    memo: dict = {}
-    visits = [0]
-
-    def go(node: Node, s: int, budgets: tuple) -> float:
-        key = (id(node), s, budgets)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        visits[0] += 1
-        if visits[0] > node_cap:
-            raise TreeBudgetError(f"tree expansion exceeded {node_cap} nodes")
-        if isinstance(node, Const):
-            value = float(v.expectations[node.name][s])
-        elif isinstance(node, Var):
-            entry = dict(budgets)
-            remaining, binder = entry[node.name]
-            if remaining == 0:
-                value = 0.0 if isinstance(binders[binder], Mu) else 1.0
-            else:
-                entry[node.name] = (remaining - 1, binder)
-                value = go(binders[binder].body, s, tuple(sorted(entry.items())))
-        elif isinstance(node, Modal):
-            t = v.transitions[node.transition]
-            value = t.payoff_weights[s]
-            for target, prob in t.successors[s]:
-                value += prob * go(node.body, target, budgets)
-        elif isinstance(node, MaxJ):
-            take_left = sigma_max.decide(node.site, (), s)
-            value = go(node.left if take_left else node.right, s, budgets)
-        elif isinstance(node, MinJ):
-            take_left = sigma_min.decide(node.site, (), s)
-            value = go(node.left if take_left else node.right, s, budgets)
-        elif isinstance(node, Cond):
-            branch = (node.then_branch if v.predicates[node.predicate][s]
-                      else node.else_branch)
-            value = go(branch, s, budgets)
-        elif isinstance(node, (Mu, Nu)):
-            if depth == 0:
-                value = 0.0 if isinstance(node, Mu) else 1.0
-            else:
-                binders[id(node)] = node
-                entry = dict(budgets)
-                entry[node.var] = (depth - 1, id(node))
-                value = go(node.body, s, tuple(sorted(entry.items())))
-        else:
-            raise GameError(f"cannot expand node {node!r}")
-        memo[key] = value
-        return value
-
-    value = go(phi, s0, ())
-    return value, value

@@ -178,6 +178,8 @@ def _choices_to_json(choices: tuple[np.ndarray, ...] | None):
 def _choices_from_json(data, side: str) -> tuple[np.ndarray, ...] | None:
     if data is None:
         return None
+    if not isinstance(data, dict):
+        raise StrategyError(f"malformed {side} choice map")
     try:
         sites = sorted(int(k) for k in data)
     except (TypeError, ValueError):
@@ -197,6 +199,8 @@ def strategy_to_dict(strategy: MemorilessStrategy, phi: Node) -> dict:
 
 
 def strategy_from_dict(data: dict, phi: Node) -> MemorilessStrategy:
+    if not isinstance(data, dict):
+        raise StrategyError("strategy file must be a JSON object")
     if data.get("schema") != STRATEGY_SCHEMA:
         raise StrategyError(f"unsupported strategy schema {data.get('schema')!r}")
     expected = fingerprint(phi)

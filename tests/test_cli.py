@@ -154,6 +154,75 @@ class TestSimulate:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "nope" in err
 
+    @staticmethod
+    def _three_state_model(path):
+        from qmu.core import (
+            Model, StateSpace, Valuation, expectation, predicate, transition,
+        )
+        from qmu.modelio import save_model
+        save_model(path, Model(StateSpace(("A", "B", "C")), Valuation(
+            expectations={"atB": expectation([0.0, 1.0, 0.0])},
+            transitions={"k": transition([[(1, 1.0)], [(2, 1.0)],
+                                          [(0, 1.0)]])},
+            transition_sets={}, predicates={})))
+
+    def test_strategy_for_fewer_states_exits_one(self, capsys, vardi_files,
+                                                 tmp_path):
+        strategy = tmp_path / "s.json"
+        run(capsys, ["synthesize", vardi_files["model"],
+                     vardi_files["formula"], "--out", str(strategy)])
+        bigger = tmp_path / "three.json"
+        self._three_state_model(bigger)
+        code, out, err = run(capsys, ["simulate", str(bigger),
+                                      vardi_files["formula"],
+                                      "--strategy", str(strategy),
+                                      "--state", "C", "--paths", "10"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "expected 3" in err
+
+    def test_strategy_for_more_states_exits_one(self, capsys, vardi_files,
+                                                tmp_path):
+        strategy = tmp_path / "s.json"
+        run(capsys, ["synthesize", vardi_files["model"],
+                     vardi_files["formula"], "--out", str(strategy)])
+        data = json.loads(strategy.read_text())
+        data["max_choices"]["0"].append(True)
+        strategy.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["simulate", vardi_files["model"],
+                                      vardi_files["formula"],
+                                      "--strategy", str(strategy),
+                                      "--state", "A", "--paths", "10"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "expected 2" in err
+
+    def test_strategy_file_not_an_object_exits_one(self, capsys, vardi_files,
+                                                   tmp_path):
+        strategy = tmp_path / "s.json"
+        strategy.write_text("[]")
+        code, out, err = run(capsys, ["simulate", vardi_files["model"],
+                                      vardi_files["formula"],
+                                      "--strategy", str(strategy),
+                                      "--state", "A", "--paths", "10"])
+        assert code == 1 and out == ""
+        assert err == "error: strategy file must be a JSON object\n"
+
+    def test_choice_map_not_an_object_exits_one(self, capsys, vardi_files,
+                                                tmp_path):
+        strategy = tmp_path / "s.json"
+        run(capsys, ["synthesize", vardi_files["model"],
+                     vardi_files["formula"], "--out", str(strategy)])
+        data = json.loads(strategy.read_text())
+        data["max_choices"] = [True, False]
+        strategy.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["simulate", vardi_files["model"],
+                                      vardi_files["formula"],
+                                      "--strategy", str(strategy),
+                                      "--state", "A", "--paths", "10"])
+        assert code == 1 and out == ""
+        assert err == "error: malformed max choice map\n"
+
     def test_forced_truncation_reported(self, capsys, vardi_files):
         code, out, _ = run(capsys, ["simulate", vardi_files["model"],
                                     "mu X . <k> X", "--synthesize",

@@ -223,6 +223,23 @@ class TestPrettyPrint:
             again = reduce(parse(printed), inst.model.valuation)
             assert alpha_equal(again, inst.phi), printed
 
+    @pytest.mark.parametrize("a, b", [
+        (Mu("Y", Var("X")), Mu("X", Var("X"))),
+        (Nu("X", Modal("k", Var("Y"))), Nu("Y", Modal("k", Var("Y")))),
+        (Mu("X", Mu("Y", Var("X"))), Mu("X", Mu("Y", Var("Y")))),
+    ])
+    def test_alpha_equal_keeps_bound_and_free_apart(self, a, b):
+        assert not alpha_equal(a, b)
+        assert not alpha_equal(b, a)
+
+    def test_alpha_equal_is_symmetric_under_renaming(self):
+        a = Mu("X", Nu("Y", MaxJ(Var("X"), Var("F"), 0)))
+        b = Mu("Y", Nu("X", MaxJ(Var("Y"), Var("F"), 0)))
+        assert alpha_equal(a, b) and alpha_equal(b, a)
+        shadowed = Mu("X", Nu("X", Var("X")))
+        assert alpha_equal(shadowed, Mu("A", Nu("B", Var("B"))))
+        assert not alpha_equal(shadowed, Mu("A", Nu("B", Var("A"))))
+
     def test_fingerprint_alpha_insensitive(self):
         a = parse("mu X . <k> X")
         b = parse("mu Other . <k> Other")

@@ -8,7 +8,9 @@ from qmu import game
 from qmu.evaluator import (
     PathStrategy, UnresolvedSymbolError, evaluate_with_strategies,
 )
-from qmu.formula import MaxJ, Modal, Mu, Nu, Var, assign_sites, parse, reduce
+from qmu.formula import (
+    MaxJ, Modal, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
+)
 from qmu.game import (
     Colour, GamePath, TreeBudgetError, estimate, expand_tree, path_bracket,
     play, walk_playout,
@@ -252,6 +254,34 @@ class TestExpandTree:
                 expected, expected)
         assert expand_tree(phi, model, 0, history, history, depth=6) == (0.0, 0.0)
 
+    def test_shared_subtrees_change_no_value(self):
+        # the same choice tables, typed once as memoriless (subtrees shared)
+        # and once as history-dependent (every path expanded)
+        compared = capped = 0
+        for trial in range(60):
+            inst = random_instance([607, trial])
+            mins, maxs = choice_sites(inst.phi)
+            n = inst.model.space.size
+            rng = np.random.default_rng(trial)
+            sigma_min = PathStrategy.from_choices(
+                [rng.random(n) < 0.5 for _ in range(mins)])
+            sigma_max = PathStrategy.from_choices(
+                [rng.random(n) < 0.5 for _ in range(maxs)])
+            hist_min = PathStrategy(decide=sigma_min.decide, memoriless=False)
+            hist_max = PathStrategy(decide=sigma_max.decide, memoriless=False)
+            for depth in (0, 3, 9):
+                shared = expand_tree(inst.phi, inst.model, 0, sigma_min,
+                                     sigma_max, depth)
+                try:
+                    literal = expand_tree(inst.phi, inst.model, 0, hist_min,
+                                          hist_max, depth, node_cap=200_000)
+                except TreeBudgetError:
+                    capped += 1  # no literal value to compare
+                    continue
+                assert shared == literal, (trial, depth)
+                compared += 1
+        assert compared >= 170 and compared + capped == 180
+
     def test_node_cap_raises(self, simple):
         phi = reduce(parse("mu X . e \\/ <k> X"), simple.valuation)
         with pytest.raises(TreeBudgetError):
@@ -259,6 +289,11 @@ class TestExpandTree:
                         PathStrategy(decide=lambda *a: True),
                         PathStrategy(decide=lambda *a: False),
                         depth=30, node_cap=50)
+
+    def test_node_cap_raises_memoriless(self, simple):
+        phi = reduce(parse("mu X . e \\/ <k> X"), simple.valuation)
+        with pytest.raises(TreeBudgetError):
+            expand_tree(phi, simple, 0, LEFT, RIGHT, depth=30, node_cap=50)
 
     def test_fix_not_playable(self, simple):
         with pytest.raises(Exception):
