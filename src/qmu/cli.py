@@ -78,7 +78,8 @@ def cmd_eval(args) -> int:
             "fixpoints": {name: {"iterations": st.iterations,
                                  "residual": st.residual,
                                  "converged": st.converged,
-                                 "solves": st.solves}
+                                 "solves": st.solves,
+                                 "total_iterations": st.total_iterations}
                           for name, st in report.fixpoints.items()},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -6,7 +6,10 @@ its body, junctions are pointwise min/max, and the binders are solved by
 plain Kleene iteration from their canonical seeds (all-zero for ``mu``,
 all-one for ``nu``, the constant ``x`` for ``fix(x)``).  Nested fixpoints are
 re-solved from their seeds on every outer iterate, which keeps alternation
-correct at the cost of some repeated work.
+correct.  Each evaluation first compiles the formula into a flat plan of
+vector steps, without recursion; a subformula that does not mention a
+binder's variable is computed once per iterate of the binders around it,
+before that binder's loop, instead of on every iterate of the loop.
 
 The strategy-extended semantics resolves junctions by consulting a pair of
 strategy functions instead of taking min/max; with memoriless strategies the
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,8 +32,8 @@ import numpy as np
 from .core import Model, pre_expectation_all
 from .formula import (
     Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
-    choice_sites, free_variables, is_reduced, junction_free, subformulae,
-    unbound_symbol,
+    children, choice_sites, free_variables, is_reduced, junction_free,
+    subformulae, unbound_symbol,
 )
 
 
@@ -84,10 +87,14 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class FixpointStats:
-    """Iteration record for one binder (its most recent solve).
+    """Iteration record for one binder.
 
-    In a batched evaluation ``iterations`` and ``residual`` are those of the
-    slowest row, and ``converged`` holds only if every row converged.
+    ``iterations`` and ``residual`` are those of its most recent solve,
+    ``solves`` counts its solves and ``total_iterations`` sums the
+    iterations of all of them; ``converged`` holds only if every solve
+    converged.  In a batched evaluation ``iterations`` and ``residual`` are
+    those of the slowest row, and ``converged`` holds only if every row
+    converged.
     """
 
     binder: str
@@ -95,6 +102,7 @@ class FixpointStats:
     residual: float
     converged: bool
     solves: int
+    total_iterations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +127,13 @@ class PathStrategy:
     positions traversed so far, with fixpoint re-entries presented by binder
     name only, so strategies cannot distinguish the underlying colours.
     ``memoriless`` promises the rule ignores the path argument entirely.
+    ``tables`` holds the per-site, per-state choices of a strategy made by
+    :meth:`from_choices`, for :meth:`check_tables`.
     """
 
     decide: Callable[[int, Sequence, int], bool]
     memoriless: bool = False
+    tables: tuple[np.ndarray, ...] | None = field(default=None, compare=False)
 
     @staticmethod
     def from_choices(choices: Sequence) -> "PathStrategy":
@@ -131,7 +142,15 @@ class PathStrategy:
         return PathStrategy(
             decide=lambda site, path, s: bool(tables[site][s]),
             memoriless=True,
+            tables=tables,
         )
+
+    def check_tables(self, side: str, n_states: int, error: type) -> None:
+        """Raise ``error`` unless every table has one entry per state."""
+        for site, table in enumerate(self.tables or ()):
+            if len(table) != n_states:
+                raise error(f"{side} strategy table for site {site} has "
+                            f"{len(table)} entries, model has {n_states} states")
 
     @staticmethod
     def constant(left: bool) -> "PathStrategy":
@@ -158,105 +177,219 @@ def _masked(min_masks, max_masks):
     return choose
 
 
-class _Engine:
-    """Shared tree-walking evaluator with a pluggable junction rule.
+#: Plan step kinds.  A step is a tuple whose first item is its kind; loops
+#: are bracketed by an ``_ENTER`` and a ``_TEST`` step that share a
+#: :class:`_Loop`.
+_PRODUCT, _JUNCTION, _COND, _ENTER, _TEST = range(5)
 
-    ``choose(node, left, right)`` resolves each min/max node from its
-    operand expectations.  It walks only formulae :func:`_check_entry`
-    accepted, so every name it looks up is bound.  ``forced`` holds the ids
-    of the ``fix(x)`` binders iterated under the divergence detector.  With
-    ``batch`` set, every expectation is ``(batch, n)``, one row per strategy
-    pair; constants and predicates stay ``(n,)`` and broadcast.
+
+@dataclass(frozen=True, eq=False)
+class _Loop:
+    """One binder's loop: where its iterate lives and how it stops.
+
+    ``drop_body`` says that the test is the only reader of the body's
+    register.  ``length`` counts the body steps between the loop's
+    ``_ENTER`` and ``_TEST``, so the test jumps back by that much.
     """
 
-    def __init__(self, model: Model, cfg: EvalConfig, choose,
-                 batch: int | None, forced: frozenset[int]):
-        self.v = model.valuation
-        n = model.space.size
-        self.shape = (n,) if batch is None else (batch, n)
-        # Rows still iterating in the innermost running solve, one flag per
-        # row (a 0-d flag unbatched); a nested solve starts from its
-        # enclosing solve's live rows.
-        self._live = np.ones(self.shape[:-1], dtype=bool)
-        self.cfg = cfg
-        self.forced = forced
-        self.choose = choose
-        self.stats: dict[str, FixpointStats] = {}
+    var: str
+    register: int
+    body: int
+    drop_body: bool
+    seed: float
+    forced: bool
+    length: int
 
-    def eval(self, node: Node, env: dict[str, np.ndarray]) -> np.ndarray:
-        if isinstance(node, Modal):
-            return pre_expectation_all(self.v.transitions[node.transition],
-                                       self.eval(node.body, env))
-        if isinstance(node, (MaxJ, MinJ)):
-            return self.choose(node, self.eval(node.left, env),
-                               self.eval(node.right, env))
-        if isinstance(node, Var):
-            return env[node.name]
-        if isinstance(node, Const):
-            return self.v.expectations[node.name]
-        if isinstance(node, Cond):
-            return np.where(self.v.predicates[node.predicate],
-                            self.eval(node.then_branch, env),
-                            self.eval(node.else_branch, env))
-        return self.solve_fixpoint(node, env)  # Mu, Nu or Fix
 
-    def _seed(self, node) -> np.ndarray:
-        if isinstance(node, Mu):
-            return np.zeros(self.shape)
-        if isinstance(node, Nu):
-            return np.ones(self.shape)
-        return np.full(self.shape, float(node.start))
+class _Plan:
+    """A formula compiled, once per evaluation, into a flat list of steps.
 
-    def solve_fixpoint(self, node, env: dict[str, np.ndarray]) -> np.ndarray:
-        detect_divergence = id(node) in self.forced
-        cur = self._seed(node)
-        var = node.var
-        outer = env.get(var)
-        outer_live = self._live
-        live = self._live = outer_live.copy()
-        # last step of each row; rows idle in the enclosing solve read 0
-        steps = np.where(live, np.inf, 0.0)
-        tol = self.cfg.tolerance
-        residual = np.inf
-        iterations = 0
-        window: deque[float] = deque(maxlen=_DIVERGENCE_WINDOW + 1)
-        try:
-            for iterations in range(1, self.cfg.max_iterations + 1):
-                env[var] = cur
-                new = np.clip(self.eval(node.body, env), 0.0, 1.0)
+    Every subformula gets a register.  Constants are loaded into theirs at
+    compile time and a variable reads its binder's, so only modalities,
+    junctions, conditionals and binders become steps.  A step goes into the
+    loop of the innermost binder whose variable occurs free in it, and
+    before every inner loop it sits in, so a binder's loop runs only the
+    steps that depend on its variable; a step with no free variable runs
+    once, before every loop.  A step's result (a binder's once its loop has
+    ended) has one reader, its parent; when both sit in the same loop the
+    parent writes its own result over it or drops it, so a loop holds about
+    as many vectors at once as a tree walk would.
+
+    The formula is one :func:`_check_entry` accepted, so every name it looks
+    up is bound.  ``forced`` holds the ids of the ``fix(x)`` binders
+    iterated under the divergence detector.
+    """
+
+    def __init__(self, phi: Node, model: Model, forced: frozenset[int]):
+        v = model.valuation
+        self.n = model.space.size
+        self.registers: list = []
+        consts: dict[str, int] = {}
+        blocks: list[list] = [[]]  # blocks[d + 1]: the loop body at depth d
+        scope: dict[str, tuple[int, int]] = {}  # name -> (depth, register)
+        # (register, free depths as bits, whether it holds a step's result:
+        # not a constant or a variable, so its parent is its one reader)
+        done: list[tuple[int, int, bool]] = []
+        binders: list[str] = []
+        todo: list = [(phi, None)]
+        while todo:
+            node, entered = todo.pop()
+            if isinstance(node, Var):
+                depth, register = scope[node.name]
+                done.append((register, 1 << depth, False))
+                continue
+            if isinstance(node, Const):
+                if node.name not in consts:
+                    consts[node.name] = self._register(v.expectations[node.name])
+                done.append((consts[node.name], 0, False))
+                continue
+            kids = children(node)
+            if entered is None:
+                if isinstance(node, (Mu, Nu, Fix)):
+                    entered = (scope.get(node.var), self._register())
+                    scope[node.var] = (len(blocks) - 1, entered[1])
+                    blocks.append([])
+                todo.append((node, entered or ()))
+                todo.extend((child, None) for child in reversed(kids))
+                continue
+            operands = done[len(done) - len(kids):]
+            del done[len(done) - len(kids):]
+            free = 0
+            for _, bits, _ in operands:
+                free |= bits
+            regs = [register for register, _, _ in operands]
+            if isinstance(node, (Mu, Nu, Fix)):
+                outer, register = entered
+                body = blocks.pop()
+                depth = len(blocks) - 1
+                free &= ~(1 << depth)
+                if outer is None:
+                    del scope[node.var]
+                else:
+                    scope[node.var] = outer
+                seed = (0.0 if isinstance(node, Mu) else 1.0
+                        if isinstance(node, Nu) else float(node.start))
+                # a body step in this loop has no other reader than the test
+                _, bits, result = operands[0]
+                loop = _Loop(node.var, register, regs[0],
+                             result and bool(bits >> depth & 1), seed,
+                             id(node) in forced, len(body))
+                steps = [(_ENTER, loop), *body, (_TEST, loop)]
+                binders.append(node.var)
+            else:
+                # operand results computed in this block have no other reader
+                mine = [register for register, bits, result in operands
+                        if result and bits.bit_length() == free.bit_length()]
+                register = mine[0] if mine else self._register()
+                drop = mine[1] if len(mine) > 1 else None
+                if isinstance(node, Modal):
+                    steps = [(_PRODUCT, register, v.transitions[node.transition],
+                              regs[0])]
+                elif isinstance(node, Cond):
+                    steps = [(_COND, register, v.predicates[node.predicate],
+                              *regs, drop)]
+                else:
+                    steps = [(_JUNCTION, register, node, *regs, drop)]
+            blocks[free.bit_length()].extend(steps)
+            done.append((register, free, True))
+        (self.out, _, _), = done
+        self.steps = blocks[0]
+        # each binder's first solve ends in postorder when nothing is hoisted
+        self.binders = tuple(dict.fromkeys(binders))
+
+    def _register(self, value=None) -> int:
+        self.registers.append(value)
+        return len(self.registers) - 1
+
+    def run(self, cfg: EvalConfig, choose, batch: int | None) -> EvalReport:
+        """Execute the steps with junction rule ``choose``.
+
+        ``choose(node, left, right)`` resolves each min/max node from its
+        operand expectations.  With ``batch`` set, every iterate is
+        ``(batch, n)``, one row per strategy pair; constants and predicates
+        stay ``(n,)`` and broadcast.
+        """
+        shape = (self.n,) if batch is None else (batch, self.n)
+        tol = cfg.tolerance
+        regs = list(self.registers)
+        steps = self.steps
+        # Rows still iterating in the innermost running loop, one flag per
+        # row (a 0-d flag unbatched); a loop starts from its enclosing
+        # loop's live rows.
+        live = np.ones(shape[:-1], dtype=bool)
+        # per running loop: enclosing live rows, each row's last step,
+        # iterations and, for a forced fix(x), its residual window
+        frames: list[list] = []
+        stats: dict[str, list] = {}
+        pc = 0
+        end = len(steps)
+        while pc < end:
+            step = steps[pc]
+            kind = step[0]
+            if kind == _PRODUCT:
+                regs[step[1]] = pre_expectation_all(step[2], regs[step[3]])
+            elif kind == _JUNCTION:
+                regs[step[1]] = choose(step[2], regs[step[3]], regs[step[4]])
+                if step[5] is not None:
+                    regs[step[5]] = None
+            elif kind == _COND:
+                regs[step[1]] = np.where(step[2], regs[step[3]], regs[step[4]])
+                if step[5] is not None:
+                    regs[step[5]] = None
+            elif kind == _ENTER:
+                loop = step[1]
+                regs[loop.register] = np.full(shape, loop.seed)
+                # rows idle in the enclosing loop read a last step of 0
+                window = (deque(maxlen=_DIVERGENCE_WINDOW + 1) if loop.forced
+                          else None)
+                frames.append([live, np.where(live, np.inf, 0.0), 0, window])
+                live = live.copy()
+            else:
+                loop = step[1]
+                frame = frames[-1]
+                cur = regs[loop.register]
+                new = np.clip(regs[loop.body], 0.0, 1.0)
+                if loop.drop_body:
+                    regs[loop.body] = None
                 # A row stops after its own first step within tolerance,
                 # where evaluating it alone would stop, and keeps that value.
-                step = np.abs(new - cur).max(axis=-1)
-                cur = np.where(live[..., None], new, cur)
-                steps = np.where(live, step, steps)
-                live &= step > tol
-                residual = float(steps.max())
-                if residual <= tol:
-                    break
-                if detect_divergence:
-                    window.append(residual)
-                    if (len(window) == _DIVERGENCE_WINDOW + 1
-                            and all(b >= a for a, b in zip(window, list(window)[1:]))):
-                        raise DivergenceError(
-                            f"fix({node.start}) iteration for {var!r} shows "
-                            f"non-decreasing residual over {_DIVERGENCE_WINDOW} "
-                            "iterates")
-        finally:
-            self._live = outer_live
-            if outer is None:
-                env.pop(var, None)
-            else:
-                env[var] = outer
-        converged = residual <= tol
-        prev = self.stats.get(var)
-        self.stats[var] = FixpointStats(
-            binder=var,
-            iterations=iterations,
-            residual=residual,
-            converged=converged and (prev.converged if prev else True),
-            solves=(prev.solves if prev else 0) + 1,
-        )
-        return cur
+                change = np.abs(new - cur).max(axis=-1)
+                cur = regs[loop.register] = np.where(live[..., None], new, cur)
+                frame[1] = np.where(live, change, frame[1])
+                live &= change > tol
+                frame[2] += 1
+                residual = float(frame[1].max())
+                if residual > tol:
+                    window = frame[3]
+                    if window is not None:
+                        window.append(residual)
+                        if (len(window) == _DIVERGENCE_WINDOW + 1
+                                and all(b >= a for a, b in
+                                        zip(window, list(window)[1:]))):
+                            raise DivergenceError(
+                                f"fix({loop.seed}) iteration for {loop.var!r} "
+                                "shows non-decreasing residual over "
+                                f"{_DIVERGENCE_WINDOW} iterates")
+                    if frame[2] < cfg.max_iterations:
+                        pc -= loop.length
+                        continue
+                frames.pop()
+                live = frame[0]
+                iterations = frame[2]
+                converged = residual <= tol
+                prev = stats.get(loop.var)
+                if prev is None:
+                    stats[loop.var] = [iterations, residual, converged, 1,
+                                       iterations]
+                else:
+                    prev[:] = [iterations, residual, converged and prev[2],
+                               prev[3] + 1, prev[4] + iterations]
+            pc += 1
+        result = np.clip(np.broadcast_to(regs[self.out], shape), 0.0, 1.0)
+        result.setflags(write=False)
+        fixpoints = {var: FixpointStats(var, *stats[var]) for var in self.binders}
+        return EvalReport(result=result, fixpoints=fixpoints,
+                          converged=all(st.converged for st in fixpoints.values()))
 
 
 def _check_entry(phi: Node, model: Model, fix_policy: str) -> frozenset[int]:
@@ -290,11 +423,7 @@ def _check_entry(phi: Node, model: Model, fix_policy: str) -> frozenset[int]:
 def _run(phi: Node, model: Model, cfg: EvalConfig | None, fix_policy: str,
          choose=_pointwise, batch: int | None = None) -> EvalReport:
     forced = _check_entry(phi, model, fix_policy)
-    engine = _Engine(model, cfg or EvalConfig(), choose, batch, forced)
-    result = np.clip(np.broadcast_to(engine.eval(phi, {}), engine.shape), 0.0, 1.0)
-    result.setflags(write=False)
-    converged = all(st.converged for st in engine.stats.values())
-    return EvalReport(result=result, fixpoints=dict(engine.stats), converged=converged)
+    return _Plan(phi, model, forced).run(cfg or EvalConfig(), choose, batch)
 
 
 def evaluate(phi: Node, model: Model, cfg: EvalConfig | None = None) -> EvalReport:
@@ -319,9 +448,10 @@ def converged_walk(phi: Node, model: Model, cfg: EvalConfig | None,
     """Evaluate like :func:`evaluate`, reporting every junction visit.
 
     ``on_junction(node, left, right)`` is called at each min/max node every
-    time it is evaluated, with the operand expectations seen there.  The
-    last call at a site carries the operands of the final iteration of
-    every enclosing binder, i.e. those in the converged environment up to
+    time it is evaluated (once per iterate of the binders whose variables
+    occur free in it), with the operand expectations seen there.  The last
+    call at a site carries the operands of the final iteration of every
+    enclosing binder, i.e. those in the converged environment up to
     iteration tolerance.
     """
     def choose(node, left, right):
@@ -386,6 +516,10 @@ def evaluate_with_strategies(
     A memoriless evaluation that hits ``max_iterations`` raises
     :class:`NotConvergedError`.
     """
+    n = model.space.size
+    for side, sigma in (("min", sigma_min), ("max", sigma_max)):
+        if sigma is not None:
+            sigma.check_tables(side, n, EvaluationError)
     if ((sigma_min is None or sigma_min.memoriless)
             and (sigma_max is None or sigma_max.memoriless)):
         report = _run(phi, model, cfg, "reject",
@@ -399,7 +533,6 @@ def evaluate_with_strategies(
         raise TypeError("history-dependent strategies require an unfolding depth")
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    n = model.space.size
     values = np.empty(n)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))

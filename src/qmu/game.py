@@ -106,14 +106,15 @@ def walk_playout(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
                  sigma_max: PathStrategy, max_depth: int, rng) -> GamePath:
     """Play one game, recording the full position sequence."""
     return _walk(phi, model, s0, sigma_min, sigma_max, max_depth,
-                 _step_budget(phi, model, max_depth), rng)
+                 _step_budget(phi, model, sigma_min, sigma_max, max_depth), rng)
 
 
-def _step_budget(phi: Node, model: Model, max_depth: int) -> int:
+def _step_budget(phi: Node, model: Model, sigma_min: PathStrategy,
+                 sigma_max: PathStrategy, max_depth: int) -> int:
     """Check the playout arguments and return the playout step budget."""
     if max_depth < 1:
         raise GameError("max_depth must be at least 1")
-    _check_playable(phi, model)
+    _check_playable(phi, model, sigma_min, sigma_max)
     return max_depth * formula_size(phi)
 
 
@@ -215,7 +216,7 @@ def estimate(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     """
     if n_paths < 1:
         raise GameError("n_paths must be at least 1")
-    step_budget = _step_budget(phi, model, max_depth)
+    step_budget = _step_budget(phi, model, sigma_min, sigma_max, max_depth)
     streams = np.random.SeedSequence(seed).spawn(n_paths)
     lows = np.empty(n_paths)
     highs = np.empty(n_paths)
@@ -258,7 +259,7 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     """
     if depth < 0:
         raise GameError("depth must be non-negative")
-    _check_playable(phi, model)
+    _check_playable(phi, model, sigma_min, sigma_max)
     v = model.valuation
     binders: dict[int, Node] = {}
     memo = {} if sigma_min.memoriless and sigma_max.memoriless else None
@@ -326,8 +327,10 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     return value, value
 
 
-def _check_playable(phi: Node, model: Model) -> None:
-    """Reject, before any move, a formula the game rules cannot play.
+def _check_playable(phi: Node, model: Model, sigma_min: PathStrategy,
+                    sigma_max: PathStrategy) -> None:
+    """Reject, before any move, a formula the game rules cannot play, or a
+    strategy table that does not have one entry per state.
 
     Unbound names raise :class:`UnresolvedSymbolError`, as in the evaluator.
     """
@@ -341,3 +344,5 @@ def _check_playable(phi: Node, model: Model) -> None:
         raise UnresolvedSymbolError(*missing)
     if contains_fix(phi):
         raise GameError("the game rules do not cover fix(x) binders")
+    sigma_min.check_tables("min", model.space.size, GameError)
+    sigma_max.check_tables("max", model.space.size, GameError)

@@ -186,7 +186,13 @@ def _choices_from_json(data, side: str) -> tuple[np.ndarray, ...] | None:
         raise StrategyError(f"malformed {side} choice map") from None
     if sites != list(range(len(sites))):
         raise StrategyError(f"{side} choice map sites are not 0..{len(sites) - 1}")
-    return tuple(predicate(data[str(site)]) for site in sites)
+    tables = [data[str(site)] for site in sites]
+    for site, table in enumerate(tables):
+        if not (isinstance(table, list)
+                and all(isinstance(x, bool) for x in table)):
+            raise StrategyError(
+                f"{side} site {site} predicate is not a list of true/false")
+    return tuple(predicate(table) for table in tables)
 
 
 def strategy_to_dict(strategy: MemorilessStrategy, phi: Node) -> dict:

@@ -44,6 +44,9 @@ class TestEval:
         payload = json.loads(out)
         assert payload["converged"] is True
         assert payload["values"]["A"] == pytest.approx(0.5, abs=1e-8)
+        (stats,) = payload["fixpoints"].values()
+        assert stats["solves"] == 1
+        assert stats["total_iterations"] == stats["iterations"] > 1
 
     def test_missing_symbol_exits_one(self, capsys, vardi_files):
         code, _, err = run(capsys, ["eval", vardi_files["model"],
@@ -222,6 +225,22 @@ class TestSimulate:
                                       "--state", "A", "--paths", "10"])
         assert code == 1 and out == ""
         assert err == "error: malformed max choice map\n"
+
+    @pytest.mark.parametrize("table", [["x", None], [1, 0], [True, "true"]])
+    def test_non_boolean_predicate_exits_one(self, capsys, vardi_files,
+                                             tmp_path, table):
+        strategy = tmp_path / "s.json"
+        run(capsys, ["synthesize", vardi_files["model"],
+                     vardi_files["formula"], "--out", str(strategy)])
+        data = json.loads(strategy.read_text())
+        data["max_choices"]["0"] = table
+        strategy.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["simulate", vardi_files["model"],
+                                      vardi_files["formula"],
+                                      "--strategy", str(strategy),
+                                      "--state", "A", "--paths", "10"])
+        assert code == 1 and out == ""
+        assert err == "error: max site 0 predicate is not a list of true/false\n"
 
     def test_forced_truncation_reported(self, capsys, vardi_files):
         code, out, _ = run(capsys, ["simulate", vardi_files["model"],

@@ -12,8 +12,8 @@ from qmu.formula import (
     MaxJ, Modal, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
 )
 from qmu.game import (
-    Colour, GamePath, TreeBudgetError, estimate, expand_tree, path_bracket,
-    play, walk_playout,
+    Colour, GameError, GamePath, TreeBudgetError, estimate, expand_tree,
+    path_bracket, play, walk_playout,
 )
 from qmu.oracle import random_instance
 
@@ -314,6 +314,18 @@ class TestEntryCheck:
             monkeypatch.setattr(game, name, counted)
         estimate(phi, model, 0, LEFT, RIGHT, n_paths=50, max_depth=20, seed=4)
         assert calls == {"_check_playable": 1, "formula_size": 1}
+
+    @pytest.mark.parametrize("table", [[True], [True, False, True]])
+    def test_table_lengths_must_match_the_model(self, vardi, table):
+        model, phi = vardi
+        sigma_max = PathStrategy.from_choices([table])
+        match = (f"max strategy table for site 0 has {len(table)} entries, "
+                 "model has 2 states")
+        with pytest.raises(GameError, match=match):
+            estimate(phi, model, 0, LEFT, sigma_max, n_paths=5, max_depth=5,
+                     seed=9)
+        with pytest.raises(GameError, match=match):
+            expand_tree(phi, model, 0, LEFT, sigma_max, depth=5)
 
     @pytest.mark.parametrize("text", UNBOUND_IN_VARDI)
     def test_unbound_symbol_raises_before_any_move(self, vardi, text):
