@@ -145,8 +145,13 @@ class PathStrategy:
             tables=tables,
         )
 
-    def check_tables(self, side: str, n_states: int, error: type) -> None:
-        """Raise ``error`` unless every table has one entry per state."""
+    def check_tables(self, side: str, n_sites: int, n_states: int,
+                     error: type) -> None:
+        """Raise ``error`` unless there is one table per site and every
+        table has one entry per state."""
+        if self.tables is not None and len(self.tables) != n_sites:
+            raise error(f"{side} strategy has {len(self.tables)} site tables, "
+                        f"formula has {n_sites} {side} sites")
         for site, table in enumerate(self.tables or ()):
             if len(table) != n_states:
                 raise error(f"{side} strategy table for site {site} has "
@@ -320,7 +325,7 @@ class _Plan:
         # per running loop: enclosing live rows, each row's last step,
         # iterations and, for a forced fix(x), its residual window
         frames: list[list] = []
-        stats: dict[str, list] = {}
+        stats: dict[str, FixpointStats] = {}
         pc = 0
         end = len(steps)
         while pc < end:
@@ -375,19 +380,19 @@ class _Plan:
                         continue
                 frames.pop()
                 live = frame[0]
-                iterations = frame[2]
-                converged = residual <= tol
                 prev = stats.get(loop.var)
-                if prev is None:
-                    stats[loop.var] = [iterations, residual, converged, 1,
-                                       iterations]
-                else:
-                    prev[:] = [iterations, residual, converged and prev[2],
-                               prev[3] + 1, prev[4] + iterations]
+                stats[loop.var] = FixpointStats(
+                    binder=loop.var,
+                    iterations=frame[2],
+                    residual=residual,
+                    converged=residual <= tol and (prev.converged if prev else True),
+                    solves=(prev.solves if prev else 0) + 1,
+                    total_iterations=(prev.total_iterations if prev else 0) + frame[2],
+                )
             pc += 1
         result = np.clip(np.broadcast_to(regs[self.out], shape), 0.0, 1.0)
         result.setflags(write=False)
-        fixpoints = {var: FixpointStats(var, *stats[var]) for var in self.binders}
+        fixpoints = {var: stats[var] for var in self.binders}
         return EvalReport(result=result, fixpoints=fixpoints,
                           converged=all(st.converged for st in fixpoints.values()))
 
@@ -517,9 +522,10 @@ def evaluate_with_strategies(
     :class:`NotConvergedError`.
     """
     n = model.space.size
-    for side, sigma in (("min", sigma_min), ("max", sigma_max)):
+    for side, sigma, sites in zip(("min", "max"), (sigma_min, sigma_max),
+                                  choice_sites(phi)):
         if sigma is not None:
-            sigma.check_tables(side, n, EvaluationError)
+            sigma.check_tables(side, sites, n, EvaluationError)
     if ((sigma_min is None or sigma_min.memoriless)
             and (sigma_max is None or sigma_max.memoriless)):
         report = _run(phi, model, cfg, "reject",

@@ -27,7 +27,8 @@ from .core import Model, halt_payoff
 from .evaluator import PathStrategy, UnresolvedSymbolError
 from .formula import (
     Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
-    contains_fix, formula_size, free_variables, is_reduced, unbound_symbol,
+    choice_sites, contains_fix, formula_size, free_variables, is_reduced,
+    unbound_symbol,
 )
 
 
@@ -329,8 +330,8 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
 
 def _check_playable(phi: Node, model: Model, sigma_min: PathStrategy,
                     sigma_max: PathStrategy) -> None:
-    """Reject, before any move, a formula the game rules cannot play, or a
-    strategy table that does not have one entry per state.
+    """Reject, before any move, a formula the game rules cannot play, or
+    strategy tables that are not one per site with one entry per state.
 
     Unbound names raise :class:`UnresolvedSymbolError`, as in the evaluator.
     """
@@ -344,5 +345,6 @@ def _check_playable(phi: Node, model: Model, sigma_min: PathStrategy,
         raise UnresolvedSymbolError(*missing)
     if contains_fix(phi):
         raise GameError("the game rules do not cover fix(x) binders")
-    sigma_min.check_tables("min", model.space.size, GameError)
-    sigma_max.check_tables("max", model.space.size, GameError)
+    mins, maxs = choice_sites(phi)
+    sigma_min.check_tables("min", mins, model.space.size, GameError)
+    sigma_max.check_tables("max", maxs, model.space.size, GameError)

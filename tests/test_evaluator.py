@@ -5,7 +5,7 @@ import pytest
 
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate, transition
 from qmu.evaluator import (
-    DivergenceError, EvalConfig, EvaluationError, FixNotSupportedError,
+    DivergenceError, EvalConfig, FixNotSupportedError,
     NondeterministicFixBodyError, NotConvergedError, PathStrategy,
     UnresolvedSymbolError,
     evaluate, evaluate_batch, evaluate_fix, evaluate_with_strategies,
@@ -265,24 +265,6 @@ class TestStrategySemantics:
         assert not evaluate(game, model, cfg).converged
         with pytest.raises(NotConvergedError):
             evaluate_with_strategies(game, model, sigma_min, sigma_max, cfg)
-
-    @pytest.mark.parametrize("table", [[True], [True, False, True]])
-    def test_table_lengths_must_match_the_model(self, vardi, table,
-                                                monkeypatch):
-        import qmu.evaluator
-        model, phi = vardi
-        products = []
-        monkeypatch.setattr(qmu.evaluator, "pre_expectation_all",
-                            lambda t, post: products.append(1))
-        sigma_max = PathStrategy.from_choices([table])
-        history = PathStrategy(decide=lambda site, path, s: True)
-        match = (f"max strategy table for site 0 has {len(table)} entries, "
-                 "model has 2 states")
-        for sigma_min, depth in ((None, None), (history, 4)):
-            with pytest.raises(EvaluationError, match=match):
-                evaluate_with_strategies(phi, model, sigma_min, sigma_max,
-                                         depth=depth)
-        assert products == []
 
     def test_unresolved_symbols_in_every_branch(self, vardi):
         model, _ = vardi

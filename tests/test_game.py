@@ -6,7 +6,8 @@ import pytest
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate, transition
 from qmu import game
 from qmu.evaluator import (
-    PathStrategy, UnresolvedSymbolError, evaluate_with_strategies,
+    EvaluationError, PathStrategy, UnresolvedSymbolError,
+    evaluate_with_strategies,
 )
 from qmu.formula import (
     MaxJ, Modal, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
@@ -302,6 +303,16 @@ class TestExpandTree:
 
 UNBOUND_IN_VARDI = ["if nope then atB else <k> atB", "mu X . <k> nope \\/ <k> X"]
 
+#: Max-side tables that do not fit the vardi game (one max site, two
+#: states), with the error each must raise.
+TABLES_NOT_FOR_VARDI = [
+    ([[True]], "max strategy table for site 0 has 1 entries, model has 2 states"),
+    ([[True, False, True]],
+     "max strategy table for site 0 has 3 entries, model has 2 states"),
+    ([], "max strategy has 0 site tables, formula has 1 max sites"),
+    ([[True, False]] * 2, "max strategy has 2 site tables, formula has 1 max sites"),
+]
+
 
 class TestEntryCheck:
     def test_estimate_checks_the_formula_once(self, vardi, monkeypatch):
@@ -315,12 +326,21 @@ class TestEntryCheck:
         estimate(phi, model, 0, LEFT, RIGHT, n_paths=50, max_depth=20, seed=4)
         assert calls == {"_check_playable": 1, "formula_size": 1}
 
-    @pytest.mark.parametrize("table", [[True], [True, False, True]])
-    def test_table_lengths_must_match_the_model(self, vardi, table):
+    @pytest.mark.parametrize("tables, match", TABLES_NOT_FOR_VARDI)
+    def test_tables_must_fit_the_formula_and_model(self, vardi, tables, match,
+                                                   monkeypatch):
+        import qmu.evaluator
         model, phi = vardi
-        sigma_max = PathStrategy.from_choices([table])
-        match = (f"max strategy table for site 0 has {len(table)} entries, "
-                 "model has 2 states")
+        sigma_max = PathStrategy.from_choices(tables)
+        products = []
+        monkeypatch.setattr(qmu.evaluator, "pre_expectation_all",
+                            lambda t, post: products.append(1))
+        history = PathStrategy(decide=lambda site, path, s: True)
+        for sigma_min, depth in ((None, None), (history, 4)):
+            with pytest.raises(EvaluationError, match=match):
+                evaluate_with_strategies(phi, model, sigma_min, sigma_max,
+                                         depth=depth)
+        assert products == []
         with pytest.raises(GameError, match=match):
             estimate(phi, model, 0, LEFT, sigma_max, n_paths=5, max_depth=5,
                      seed=9)

@@ -4,7 +4,9 @@ The plan must give the values and ``FixpointStats`` of the recursive tree
 walk it replaced, which is kept here as a reference.  The one allowed
 difference is that a binder with no free occurrence of its enclosing
 binder's variable is solved once per enclosing iterate, not once per inner
-one, so its ``solves`` and ``total_iterations`` count fewer solves.
+one, so its ``solves`` and ``total_iterations`` (and those of the binders
+inside it) count fewer solves, and in a batched evaluation its
+``iterations`` and ``residual`` are those of its slowest row.
 """
 
 import sys
@@ -227,6 +229,31 @@ class TestMatchesTheRecursiveWalk:
         assert_same(evaluate_batch(inst.phi, inst.model, min_masks, max_masks),
                     walk(inst.phi, inst.model, choose=_masked(min_masks, max_masks),
                          batch=9))
+
+    def test_batched_closed_inner_binder_reports_its_slowest_row(self):
+        # Solved once, with every row live, a hoisted binder reports the
+        # slowest row of all; the walk reported its last solve, made with
+        # only the rows still live in the enclosing loop.
+        for i in range(20):
+            inst = random_instance([3, i])
+            model = inst.model
+            phi = reduce(parse("mu Y . <t0> Y \\/ (a0 /\\ (mu X . a1 \\/ <t1> X))"),
+                         model.valuation)
+            n = model.space.size
+            rng = np.random.default_rng(i)
+            min_masks = rng.random((1, 6, n)) < 0.5
+            max_masks = rng.random((2, 6, n)) < 0.5
+            batch = evaluate_batch(phi, model, min_masks, max_masks)
+            reference = walk(phi, model, choose=_masked(min_masks, max_masks),
+                             batch=6)
+            assert np.array_equal(batch.result, reference.result)
+            assert batch.fixpoints["Y"] == reference.fixpoints["Y"]
+            rows = [evaluate_batch(phi, model, min_masks[:, [b]], max_masks[:, [b]])
+                    for b in range(6)]
+            x = batch.fixpoints["X"]
+            assert x.solves == 1
+            assert x.iterations == max(row.fixpoints["X"].iterations for row in rows)
+            assert x.residual == max(row.fixpoints["X"].residual for row in rows)
 
     def test_random_formulae_with_fix(self):
         cfg = EvalConfig(tolerance=1e-6, max_iterations=40)
