@@ -150,13 +150,21 @@ def cmd_simulate(args) -> int:
             "std_error": result.std_error,
             "n_truncated": result.n_truncated,
             "truncated_fraction": truncated_fraction,
+            "truncated_mu": result.truncated_mu,
+            "truncated_nu": result.truncated_nu,
+            "truncated_budget": result.truncated_budget,
+            "mean_steps": result.mean_steps,
+            "max_steps": result.max_steps,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"mean bracket [{result.mean_low:.6f}, {result.mean_high:.6f}]")
         print(f"std error {result.std_error:.6f}")
         print(f"truncated {result.n_truncated}/{args.paths} "
-              f"({100 * truncated_fraction:.3f}%)")
+              f"({100 * truncated_fraction:.3f}%): {result.truncated_mu} mu, "
+              f"{result.truncated_nu} nu, {result.truncated_budget} step budget")
+        print(f"steps per playout mean {result.mean_steps:.3f}, "
+              f"max {result.max_steps}")
     return EXIT_OK
 
 

@@ -176,6 +176,30 @@ class Transition:
         return StateView(self.weights.item, self.n_states)
 
     @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Per-row running sums of ``probs``: ``cumulative[e]`` adds the
+        probabilities of its row's edges up to and including ``e``, one by
+        one in edge order, so it is bit-identical to that sequential sum."""
+        cum = self.probs.copy()
+        starts, lengths = self.indptr[:-1], np.diff(self.indptr)
+        for k in range(1, int(lengths.max(initial=0))):
+            edges = starts[lengths > k] + k
+            cum[edges] += cum[edges - 1]
+        cum.setflags(write=False)
+        return cum
+
+    @cached_property
+    def halt_payoffs(self) -> np.ndarray:
+        """:func:`halt_payoff` of every state."""
+        residual = 1.0 - _row_mass(self)
+        halts = residual > EPS_REPR
+        ratio = np.divide(self.weights, residual, out=np.zeros(self.n_states),
+                          where=halts)
+        payoffs = np.clip(ratio, 0.0, 1.0)
+        payoffs.setflags(write=False)
+        return payoffs
+
+    @cached_property
     def _sources(self) -> np.ndarray:
         """The source state of every edge."""
         src = np.repeat(np.arange(self.n_states), np.diff(self.indptr))
@@ -301,15 +325,13 @@ def halt_payoff(t: Transition, s: int) -> float:
     """Actual payoff received if the halt branch of ``t`` is taken at ``s``.
 
     The stored weight is pre-divided by the halt probability; this undoes
-    that division.  When the successor probabilities sum to one the halt
-    branch does not exist and the payoff is defined to be zero.
+    that division.  When the successor probabilities, added in edge order,
+    sum to one the halt branch does not exist and the payoff is defined to
+    be zero.
     """
     if not 0 <= s < t.n_states:
         raise IndexError(f"state index {s} out of range")
-    residual = 1.0 - float(t.probs[t.indptr[s]:t.indptr[s + 1]].sum())
-    if residual <= EPS_REPR:
-        return 0.0
-    return min(1.0, max(0.0, t.weights.item(s) / residual))
+    return t.halt_payoffs.item(s)
 
 
 def make_discounted(t: Transition, alpha: float, keep_deficit: bool) -> Transition:

@@ -157,6 +157,16 @@ class PathStrategy:
                 raise error(f"{side} strategy table for site {site} has "
                             f"{len(table)} entries, model has {n_states} states")
 
+    def choice_masks(self, n_sites: int, n_states: int) -> np.ndarray:
+        """The choices of a memoriless strategy as an ``(n_sites, n_states)``
+        boolean table: its :attr:`tables`, else ``decide(site, (), s)``."""
+        if self.tables is not None:
+            choices = self.tables
+        else:
+            choices = [[self.decide(site, (), s) for s in range(n_states)]
+                       for site in range(n_sites)]
+        return np.array(choices, dtype=bool).reshape(n_sites, n_states)
+
     @staticmethod
     def constant(left: bool) -> "PathStrategy":
         return PathStrategy(decide=lambda site, path, s: left, memoriless=True)
@@ -491,17 +501,6 @@ def evaluate_batch(phi: Node, model: Model, min_masks: np.ndarray,
     return _run(phi, model, cfg, "reject", _masked(min_masks, max_masks), batch)
 
 
-def _strategy_masks(phi: Node, model: Model, sigma: PathStrategy | None,
-                    kind: str) -> list | None:
-    if sigma is None:
-        return None
-    mins, maxs = choice_sites(phi)
-    count = mins if kind == "min" else maxs
-    n = model.space.size
-    return [np.array([bool(sigma.decide(site, (), s)) for s in range(n)])
-            for site in range(count)]
-
-
 def evaluate_with_strategies(
     phi: Node,
     model: Model,
@@ -522,15 +521,14 @@ def evaluate_with_strategies(
     :class:`NotConvergedError`.
     """
     n = model.space.size
-    for side, sigma, sites in zip(("min", "max"), (sigma_min, sigma_max),
-                                  choice_sites(phi)):
+    sides = tuple(zip(("min", "max"), (sigma_min, sigma_max), choice_sites(phi)))
+    for side, sigma, sites in sides:
         if sigma is not None:
             sigma.check_tables(side, sites, n, EvaluationError)
-    if ((sigma_min is None or sigma_min.memoriless)
-            and (sigma_max is None or sigma_max.memoriless)):
-        report = _run(phi, model, cfg, "reject",
-                      _masked(_strategy_masks(phi, model, sigma_min, "min"),
-                              _strategy_masks(phi, model, sigma_max, "max")))
+    if all(sigma is None or sigma.memoriless for _, sigma, _ in sides):
+        masks = [None if sigma is None else sigma.choice_masks(sites, n)
+                 for _, sigma, sites in sides]
+        report = _run(phi, model, cfg, "reject", _masked(*masks))
         if not report.converged:
             raise NotConvergedError("strategy evaluation did not converge")
         return report.result.copy(), report.result.copy()

@@ -10,9 +10,10 @@ and 1 for ``nu``, as if the path had continued forever.  A secondary step
 budget of ``max_depth * formula_size`` catches non-colour growth, with the
 uninformative bracket (0, 1).
 
-``expand_tree`` computes the same truncated value exactly, by expanding the
-whole probabilistic tree and weighting payoffs by path probability instead
-of sampling.
+``estimate`` plays many paths under memoriless strategies together, as
+arrays, by the same rules.  ``expand_tree`` computes the same truncated
+value exactly, by expanding the whole probabilistic tree and weighting
+payoffs by path probability instead of sampling.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Model, halt_payoff
+from .core import EPS_REPR, Model, halt_payoff
 from .evaluator import PathStrategy, UnresolvedSymbolError
 from .formula import (
     Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
     choice_sites, contains_fix, formula_size, free_variables, is_reduced,
-    unbound_symbol,
+    subformulae, unbound_symbol,
 )
 
 
@@ -79,10 +80,24 @@ class PlayoutResult:
 
 
 class EstimateResult(NamedTuple):
+    """Means of the playouts' value brackets, with how the playouts ended.
+
+    ``n_truncated`` counts the playouts that ended without a payoff:
+    ``truncated_mu`` and ``truncated_nu`` by a colour of that kind past
+    ``max_depth`` (bracket (0, 0) or (1, 1)), ``truncated_budget`` by the
+    step budget (bracket (0, 1)).  Steps count positions, the payoff
+    included, as :attr:`PlayoutResult.steps`.
+    """
+
     mean_low: float
     mean_high: float
     std_error: float
     n_truncated: int
+    truncated_mu: int
+    truncated_nu: int
+    truncated_budget: int
+    mean_steps: float
+    max_steps: int
 
 
 def path_bracket(path: GamePath, max_depth: int) -> PlayoutResult:
@@ -106,23 +121,7 @@ def path_bracket(path: GamePath, max_depth: int) -> PlayoutResult:
 def walk_playout(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
                  sigma_max: PathStrategy, max_depth: int, rng) -> GamePath:
     """Play one game, recording the full position sequence."""
-    return _walk(phi, model, s0, sigma_min, sigma_max, max_depth,
-                 _step_budget(phi, model, sigma_min, sigma_max, max_depth), rng)
-
-
-def _step_budget(phi: Node, model: Model, sigma_min: PathStrategy,
-                 sigma_max: PathStrategy, max_depth: int) -> int:
-    """Check the playout arguments and return the playout step budget."""
-    if max_depth < 1:
-        raise GameError("max_depth must be at least 1")
-    _check_playable(phi, model, sigma_min, sigma_max)
-    return max_depth * formula_size(phi)
-
-
-def _walk(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
-          sigma_max: PathStrategy, max_depth: int, step_budget: int,
-          rng) -> GamePath:
-    """:func:`walk_playout` on a formula that :func:`_check_playable` accepted."""
+    step_budget = _step_budget(phi, model, sigma_min, sigma_max, max_depth)
     v = model.valuation
     positions: list = []
     view: list = []  # what strategies may inspect: (node-or-binder-name, state)
@@ -169,7 +168,7 @@ def _walk(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
                     chosen = target
                     break
             if chosen is None:
-                if 1.0 - acc <= 1e-12 and row:
+                if 1.0 - acc <= EPS_REPR and row:
                     # float dust: the distribution is total, keep last edge
                     chosen = row[-1][0]
                 else:
@@ -198,6 +197,15 @@ def _walk(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     return GamePath(positions=positions, colour_counts=counts)
 
 
+def _step_budget(phi: Node, model: Model, sigma_min: PathStrategy,
+                 sigma_max: PathStrategy, max_depth: int) -> int:
+    """Check the playout arguments and return the playout step budget."""
+    if max_depth < 1:
+        raise GameError("max_depth must be at least 1")
+    _check_playable(phi, model, sigma_min, sigma_max)
+    return max_depth * formula_size(phi)
+
+
 def play(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
          sigma_max: PathStrategy, max_depth: int, rng) -> PlayoutResult:
     """One playout; sampling uses only the supplied generator."""
@@ -205,37 +213,279 @@ def play(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     return path_bracket(path, max_depth)
 
 
+#: Paths that :func:`estimate` plays together, one block after another.  A
+#: fixed size keeps the block engine's working memory bounded however many
+#: paths are asked for.
+BLOCK_PATHS = 8192
+
+# Position rules of the block engine, and how a playout ends.
+_BRANCH, _CONST, _MODAL, _BIND, _COLOUR = range(5)
+_PAYOFF, _MU, _NU, _BUDGET = range(4)
+
+
+class _Table:
+    """A formula and memoriless strategies compiled into a position table.
+
+    Every subformula object is a position (the root is position 0), and
+    every binder has a second one, its colour position, taken right after
+    it binds.  A position has a rule, two successor positions ``first`` and
+    ``second`` and an ``operand``:
+
+    - ``_BRANCH`` (a junction or a conditional) goes to ``first`` (left,
+      then) where row ``operand`` of ``choices`` holds at the state, else to
+      ``second``; the rows are the min sites', the max sites' and the
+      predicates';
+    - ``_CONST`` pays ``values[operand, s]``;
+    - ``_MODAL`` samples transition ``operand`` and goes to ``first``;
+    - ``_BIND`` binds variable slot ``operand`` to itself and goes to
+      ``first``, its colour position; ``second`` is its body;
+    - ``_COLOUR`` (a variable, or a binder's colour position) counts a
+      visit to the colour bound to slot ``operand``, then goes to that
+      binder's body.
+
+    Each variable name has one slot, which holds the binder that last bound
+    the name, as in :func:`walk_playout`: the variable's lexical binder,
+    since :func:`~qmu.formula.parse` makes binder names unique.  The table
+    is built from :func:`~qmu.formula.subformulae`, without recursion.
+    """
+
+    def __init__(self, phi: Node, model: Model, sigma_min: PathStrategy,
+                 sigma_max: PathStrategy):
+        v = model.valuation
+        n = model.space.size
+        ids: dict[int, int] = {}
+        nodes: list[Node] = []
+        for node in subformulae(phi):
+            if id(node) not in ids:
+                ids[id(node)] = len(nodes)
+                nodes.append(node)
+        size = len(nodes) + sum(isinstance(node, (Mu, Nu)) for node in nodes)
+        self.rule = np.empty(size, np.int8)
+        self.first = np.zeros(size, np.intp)
+        self.second = np.zeros(size, np.intp)
+        self.operand = np.zeros(size, np.intp)
+        self.nu = np.zeros(size, bool)
+        slots: dict[str, int] = {}
+        consts: dict[str, int] = {}
+        predicates: dict[str, int] = {}
+        transitions: dict[str, int] = {}
+        mins, maxs = choice_sites(phi)
+        colour = len(nodes)
+        for i, node in enumerate(nodes):
+            if isinstance(node, Const):
+                self.rule[i] = _CONST
+                self.operand[i] = consts.setdefault(node.name, len(consts))
+            elif isinstance(node, Modal):
+                self.rule[i] = _MODAL
+                self.operand[i] = transitions.setdefault(node.transition,
+                                                         len(transitions))
+                self.first[i] = ids[id(node.body)]
+            elif isinstance(node, Cond):
+                self.rule[i] = _BRANCH
+                self.operand[i] = mins + maxs + predicates.setdefault(
+                    node.predicate, len(predicates))
+                self.first[i] = ids[id(node.then_branch)]
+                self.second[i] = ids[id(node.else_branch)]
+            elif isinstance(node, (MinJ, MaxJ)):
+                if node.site is None:
+                    raise GameError("junction has no choice site; "
+                                    "number the sites with assign_sites")
+                self.rule[i] = _BRANCH
+                self.operand[i] = node.site + (mins if isinstance(node, MaxJ) else 0)
+                self.first[i] = ids[id(node.left)]
+                self.second[i] = ids[id(node.right)]
+            elif isinstance(node, Var):
+                self.rule[i] = _COLOUR
+                self.operand[i] = slots.setdefault(node.name, len(slots))
+            else:  # Mu or Nu
+                slot = slots.setdefault(node.var, len(slots))
+                self.rule[i] = _BIND
+                self.operand[i] = slot
+                self.first[i] = colour
+                self.second[i] = ids[id(node.body)]
+                self.nu[i] = isinstance(node, Nu)
+                self.rule[colour] = _COLOUR
+                self.operand[colour] = slot
+                colour += 1
+        self.n_slots = len(slots)
+        self.n_states = n
+        self.values = np.array([v.expectations[name] for name in consts],
+                               dtype=np.float64).reshape(len(consts), n)
+        self.choices = np.concatenate(
+            [sigma_min.choice_masks(mins, n), sigma_max.choice_masks(maxs, n)]
+            + [np.asarray(v.predicates[name], dtype=bool).reshape(1, n)
+               for name in predicates])
+        # The transitions' CSR forms, concatenated: transition j's row s is
+        # global row j * n + s.
+        used = [v.transitions[name] for name in transitions]
+        for name, t in zip(transitions, used):
+            if t.n_states != n:
+                raise GameError(f"transition {name!r} has {t.n_states} rows, "
+                                f"model has {n} states")
+        base = np.cumsum([0] + [len(t.probs) for t in used])
+        self.starts = np.concatenate(
+            [np.empty(0, np.intp)] + [t.indptr[:-1] + b for t, b in zip(used, base)])
+        self.ends = np.concatenate(
+            [np.empty(0, np.intp)] + [t.indptr[1:] + b for t, b in zip(used, base)])
+        self.cumulative = np.concatenate([np.empty(0)] + [t.cumulative for t in used])
+        self.targets = np.concatenate(
+            [np.empty(0, np.intp)] + [t.indices for t in used])
+        self.halts = np.concatenate([np.empty(0)] + [t.halt_payoffs for t in used])
+
+    def play_block(self, s0: int, size: int, max_depth: int, step_budget: int,
+                   rng) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Play ``size`` paths from ``s0`` together, by :func:`walk_playout`'s
+        rules; return each path's low and high value, steps and ending.
+
+        Each round advances every live path by one position.  The paths at a
+        modality in a round take the round's draws from ``rng`` in path
+        order.
+        """
+        low = np.zeros(size)
+        high = np.zeros(size)
+        steps = np.zeros(size, np.int64)
+        ending = np.zeros(size, np.int8)
+        live = np.arange(size)
+        node = np.zeros(size, np.intp)
+        state = np.full(size, s0, np.intp)
+        bound = np.zeros((size, self.n_slots), np.intp)  # binder per slot
+        visits = np.zeros((size, self.n_slots), np.int64)  # of its colour
+        step = 0
+
+        def finish(i, lo, hi, how, length):
+            paths = live[i]
+            low[paths], high[paths] = lo, hi
+            ending[paths], steps[paths] = how, length
+            done[i] = True
+
+        while live.size:
+            step += 1
+            done = np.zeros(live.size, bool)
+            rule = self.rule[node]
+            i = np.flatnonzero(rule == _COLOUR)
+            if i.size:
+                slot = self.operand[node[i]]
+                binder = bound[i, slot]
+                count = visits[i, slot] + 1
+                visits[i, slot] = count
+                over = count > max_depth
+                nu = self.nu[binder[over]]
+                finish(i[over], nu, nu, np.where(nu, _NU, _MU), step)
+                node[i[~over]] = self.second[binder[~over]]
+            if step > step_budget:
+                finish(np.flatnonzero(~done), 0.0, 1.0, _BUDGET, step)
+                break
+            i = np.flatnonzero(rule == _BRANCH)
+            if i.size:
+                p = node[i]
+                left = self.choices[self.operand[p], state[i]]
+                node[i] = np.where(left, self.first[p], self.second[p])
+            i = np.flatnonzero(rule == _CONST)
+            if i.size:
+                y = self.values[self.operand[node[i]], state[i]]
+                finish(i, y, y, _PAYOFF, step + 1)
+            i = np.flatnonzero(rule == _MODAL)
+            if i.size:
+                p = node[i]
+                row = self.operand[p] * self.n_states + state[i]
+                start, end = self.starts[row], self.ends[row]
+                edge = _first_reaching(self.cumulative, start, end,
+                                       rng.random(i.size))
+                fell = np.flatnonzero(edge == end)
+                rows = fell[end[fell] > start[fell]]
+                # float dust: the distribution is total, keep last edge
+                dust = rows[1.0 - self.cumulative[end[rows] - 1] <= EPS_REPR]
+                edge[dust] -= 1
+                halt = np.setdiff1d(fell, dust, assume_unique=True)
+                y = self.halts[row[halt]]
+                finish(i[halt], y, y, _PAYOFF, step + 1)
+                move = edge < end
+                state[i[move]] = self.targets[edge[move]]
+                node[i[move]] = self.first[p[move]]
+            i = np.flatnonzero(rule == _BIND)
+            if i.size:
+                p = node[i]
+                slot = self.operand[p]
+                bound[i, slot] = p
+                visits[i, slot] = 0
+                node[i] = self.first[p]
+            if done.any():
+                keep = ~done
+                live, node, state = live[keep], node[keep], state[keep]
+                bound, visits = bound[keep], visits[keep]
+        return low, high, steps, ending
+
+
+def _first_reaching(cumulative: np.ndarray, start: np.ndarray, end: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """Per draw, the first edge ``e`` in ``[start, end)`` with
+    ``u <= cumulative[e]``, or ``end`` if there is none.
+
+    A binary search over each row's running sums, which never decrease
+    because stored probabilities are positive; it finds the edge that a
+    scan of the row in order stops at.
+    """
+    lo, hi = start.copy(), end.copy()
+    while True:
+        open_ = np.flatnonzero(lo < hi)
+        if not open_.size:
+            return lo
+        mid = (lo[open_] + hi[open_]) // 2
+        below = cumulative[mid] < u[open_]
+        lo[open_[below]] = mid[below] + 1
+        hi[open_[~below]] = mid[~below]
+
+
 def estimate(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
              sigma_max: PathStrategy, n_paths: int, max_depth: int,
              seed: int) -> EstimateResult:
-    """Monte-Carlo value estimate over independent seeded playouts.
+    """Monte-Carlo value estimate over playouts under memoriless strategies.
 
-    Each path draws from its own stream derived from (seed, path index), so
-    the result is a deterministic function of the seed and is reproducible
-    under any parallel schedule.  The formula is checked once per call, not
-    once per path.
+    By the paper's corollary memoriless strategies suffice for the value, so
+    no path needs its history and all of them are played together, by
+    :func:`walk_playout`'s rules, in blocks of :data:`BLOCK_PATHS`.  The
+    draws come from one generator, ``Generator(PCG64(SeedSequence(seed)))``:
+    the blocks take them in path order, and within a block each round's
+    paths at a modality take the next draws in path order.  The result is a
+    deterministic function of the seed, and with ``n_paths=1`` the playout
+    is :func:`play`'s with that generator.  A history-dependent strategy
+    raises :class:`GameError` before any move; the formula is checked once
+    per call.
     """
     if n_paths < 1:
         raise GameError("n_paths must be at least 1")
     step_budget = _step_budget(phi, model, sigma_min, sigma_max, max_depth)
-    streams = np.random.SeedSequence(seed).spawn(n_paths)
-    lows = np.empty(n_paths)
-    highs = np.empty(n_paths)
-    n_truncated = 0
-    for i, stream in enumerate(streams):
-        rng = np.random.Generator(np.random.PCG64(stream))
-        result = path_bracket(_walk(phi, model, s0, sigma_min, sigma_max,
-                                    max_depth, step_budget, rng), max_depth)
-        lows[i] = result.value_low
-        highs[i] = result.value_high
-        if not result.terminated:
-            n_truncated += 1
-    if n_paths > 1:
-        std_error = float(np.std(highs, ddof=1) / np.sqrt(n_paths))
-    else:
-        std_error = 0.0
-    return EstimateResult(float(lows.mean()), float(highs.mean()),
-                          std_error, n_truncated)
+    for side, sigma in (("min", sigma_min), ("max", sigma_max)):
+        if not sigma.memoriless:
+            raise GameError(f"estimate plays memoriless strategies only; "
+                            f"the {side} strategy is history-dependent")
+    table = _Table(phi, model, sigma_min, sigma_max)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    sum_low = sum_high = sum_steps = 0.0
+    max_steps = 0
+    endings = np.zeros(4, np.int64)
+    # the high values' count, mean and sum of squared deviations, merged
+    # block by block (Chan, Golub and LeVeque)
+    count, mean, m2 = 0, 0.0, 0.0
+    for first in range(0, n_paths, BLOCK_PATHS):
+        low, high, steps, ending = table.play_block(
+            s0, min(BLOCK_PATHS, n_paths - first), max_depth, step_budget, rng)
+        sum_low += low.sum()
+        sum_high += high.sum()
+        sum_steps += steps.sum()
+        max_steps = max(max_steps, int(steps.max()))
+        endings += np.bincount(ending, minlength=4)
+        block_mean = high.mean()
+        delta = block_mean - mean
+        total = count + high.size
+        mean += delta * high.size / total
+        m2 += ((high - block_mean) ** 2).sum() + delta ** 2 * count * high.size / total
+        count = total
+    std_error = float(np.sqrt(m2 / (n_paths - 1) / n_paths)) if n_paths > 1 else 0.0
+    return EstimateResult(
+        float(sum_low / n_paths), float(sum_high / n_paths), std_error,
+        int(n_paths - endings[_PAYOFF]), int(endings[_MU]), int(endings[_NU]),
+        int(endings[_BUDGET]), float(sum_steps / n_paths), max_steps)
 
 
 def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,

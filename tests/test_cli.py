@@ -250,6 +250,20 @@ class TestSimulate:
         assert code == 0
         assert "truncated 20/20" in out
 
+    def test_json_reports_truncation_causes_and_steps(self, capsys, vardi_files):
+        # each playout: binder, colour, modality, colour re-entered past 1
+        code, out, _ = run(capsys, ["simulate", vardi_files["model"],
+                                    "mu X . <k> X", "--synthesize",
+                                    "--state", "A", "--paths", "20",
+                                    "--seed", "3", "--max-depth", "1", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert {key: payload[key] for key in (
+            "n_truncated", "truncated_mu", "truncated_nu", "truncated_budget",
+            "mean_steps", "max_steps")} == {
+            "n_truncated": 20, "truncated_mu": 20, "truncated_nu": 0,
+            "truncated_budget": 0, "mean_steps": 4.0, "max_steps": 4}
+
 
 class TestCrosscheck:
     def test_passing_run(self, capsys):

@@ -78,6 +78,25 @@ class TestHaltPayoff:
         t = transition([[]], [0.3])
         assert halt_payoff(t, 0) == pytest.approx(0.3, abs=TOL)
 
+    def test_cached_rows_add_edges_in_order(self):
+        # rows of up to 12 edges: numpy's pairwise sum regroups from 8 on
+        rng = np.random.default_rng(5)
+        for trial in range(50):
+            rows = [[(j, p) for j, p in enumerate(rng.dirichlet(np.ones(k)) * m)]
+                    for k, m in zip(rng.integers(1, 13, 13), rng.random(13))]
+            t = transition(rows + [[]], rng.random(14) * 0.5)
+            for s, row in enumerate(t.successors):
+                acc, sums = 0.0, []
+                for _, p in row:
+                    acc += p
+                    sums.append(acc)
+                a, b = t.indptr[s], t.indptr[s + 1]
+                assert t.cumulative[a:b].tolist() == sums
+                residual = 1.0 - acc
+                expected = (0.0 if residual <= EPS_REPR else
+                            min(1.0, max(0.0, t.payoff_weights[s] / residual)))
+                assert halt_payoff(t, s) == t.halt_payoffs[s] == expected
+
     def test_weight_identity(self):
         # halt payoff times halt probability recovers the stored weight
         for trial in range(200):

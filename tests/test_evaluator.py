@@ -244,6 +244,15 @@ class TestStrategySemantics:
         assert value == pytest.approx(3.68, abs=0.01)
         assert np.array_equal(lo, hi)
 
+    def test_choice_masks_of_tables_and_constants(self):
+        tables = [np.array([True, False]), np.array([False, False])]
+        assert np.array_equal(PathStrategy.from_choices(tables).choice_masks(2, 2),
+                              np.array(tables))
+        assert np.array_equal(PathStrategy.constant(False).choice_masks(3, 2),
+                              np.zeros((3, 2), bool))
+        for sigma in (PathStrategy.from_choices([]), PathStrategy.constant(True)):
+            assert sigma.choice_masks(0, 2).shape == (0, 2)
+
     def test_both_sides_none_is_plain_evaluation(self):
         for trial in range(10):
             inst = random_instance([163, trial])

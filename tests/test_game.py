@@ -10,7 +10,7 @@ from qmu.evaluator import (
     evaluate_with_strategies,
 )
 from qmu.formula import (
-    MaxJ, Modal, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
+    Const, MaxJ, Modal, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
 )
 from qmu.game import (
     Colour, GameError, GamePath, TreeBudgetError, estimate, expand_tree,
@@ -27,6 +27,11 @@ def rng_for(seed: int, index: int = 0):
         np.random.PCG64(np.random.SeedSequence(seed).spawn(index + 1)[index]))
 
 
+def estimate_rng(seed: int):
+    """The one generator that ``estimate(..., seed=seed)`` draws from."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
 @pytest.fixture
 def simple():
     space = StateSpace(("u", "w"))
@@ -38,6 +43,18 @@ def simple():
         predicates={"g": predicate([True, False])},
     )
     return Model(space, valuation)
+
+
+@pytest.fixture
+def ping_pong():
+    """A fair coin between two states and a max table under which a
+    memoriless play of ``mu X . nu Y . <k> (Y \\/ X)`` rebinds ``Y`` at each
+    re-entry of ``X``, resetting its colour count: such plays can end by
+    either colour or by the step budget."""
+    k = transition([[(0, 0.5), (1, 0.5)]] * 2)
+    model = Model(StateSpace(("a", "b")), Valuation(transitions={"k": k}))
+    phi = reduce(parse("mu X . nu Y . <k> (Y \\/ X)"), model.valuation)
+    return model, phi, PathStrategy.from_choices([[True, False]])
 
 
 class TestPlay:
@@ -160,7 +177,7 @@ class TestEstimate:
         est = estimate(phi, simple, 0, LEFT, LEFT, n_paths=1, max_depth=3,
                        seed=12)
         direct = play(phi, simple, 0, LEFT, LEFT, max_depth=3,
-                      rng=rng_for(12, 0))
+                      rng=estimate_rng(12))
         assert est.mean_low == direct.value_low
         assert est.mean_high == direct.value_high
         assert est.std_error == 0.0
@@ -181,6 +198,145 @@ class TestEstimate:
         assert est.mean_low - 3.5 * est.std_error <= 0.5
         assert 0.5 <= est.mean_high + 3.5 * est.std_error
         assert est.n_truncated == 0
+
+
+def ending(result) -> str:
+    """How an estimate of one path, or a playout, ended."""
+    if isinstance(result, game.EstimateResult):
+        return ("mu" if result.truncated_mu else "nu" if result.truncated_nu
+                else "budget" if result.truncated_budget else "payoff")
+    if result.terminated:
+        return "payoff"
+    return result.truncating_colour_kind or "budget"
+
+
+class TestBlockEngine:
+    def test_single_path_is_play_with_the_call_generator(self, simple, ping_pong):
+        cases = [(reduce(parse("mu X . e \\/ <k> X"), simple.valuation), simple,
+                  LEFT, RIGHT), (ping_pong[1], ping_pong[0], LEFT, ping_pong[2])]
+        for trial in range(100):
+            inst = random_instance([4242, trial])
+            mins, maxs = choice_sites(inst.phi)
+            n = inst.model.space.size
+            rng = np.random.default_rng(trial)
+            cases.append((inst.phi, inst.model,
+                          PathStrategy.from_choices([rng.random(n) < 0.5
+                                                     for _ in range(mins)]),
+                          PathStrategy.from_choices([rng.random(n) < 0.5
+                                                     for _ in range(maxs)])))
+        seen = set()
+        for phi, model, sigma_min, sigma_max in cases:
+            for seed in range(3):
+                for depth in (1, 3, 12):
+                    est = estimate(phi, model, 0, sigma_min, sigma_max,
+                                   n_paths=1, max_depth=depth, seed=seed)
+                    direct = play(phi, model, 0, sigma_min, sigma_max, depth,
+                                  rng=estimate_rng(seed))
+                    assert (est.mean_low, est.mean_high, est.max_steps,
+                            est.mean_steps, ending(est)) == (
+                        direct.value_low, direct.value_high, direct.steps,
+                        direct.steps, ending(direct)), (phi, seed, depth)
+                    assert est.n_truncated == (not direct.terminated)
+                    how = ending(direct)
+                    if how == "payoff":
+                        path = walk_playout(phi, model, 0, sigma_min, sigma_max,
+                                            depth, rng=estimate_rng(seed))
+                        if isinstance(path.positions[-2][1], Modal):
+                            how = "halt"
+                    seen.add(how)
+        assert seen == {"payoff", "halt", "mu", "nu", "budget"}
+
+    def test_draws_on_a_running_sum_and_in_float_dust(self):
+        # u equal to a running sum takes that edge; u above a total within
+        # float dust of one keeps the last edge instead of halting
+        class Draws:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self, size=None):
+                if size is None:
+                    return self.values.pop(0)
+                taken, self.values = self.values[:size], self.values[size:]
+                return np.array(taken)
+
+        model = Model(StateSpace(("a", "b", "c")), Valuation(
+            expectations={"e": expectation([0.25, 0.5, 0.75])},
+            transitions={"k": transition([[(1, 0.5), (2, 0.5 - 1e-13)],
+                                          [(0, 1.0)], [(0, 1.0)]])}))
+        phi = Modal("k", Const("e"))
+        draws = [0.5, 0.99999999999995, 0.2]
+        table = game._Table(phi, model, LEFT, LEFT)
+        low, high, steps, _ = table.play_block(0, 3, 3, 6, Draws(draws))
+        for i, u in enumerate(draws):
+            direct = play(phi, model, 0, LEFT, LEFT, 3, rng=Draws([u]))
+            assert (low[i], high[i], steps[i]) == (
+                direct.value_low, direct.value_high, direct.steps)
+        assert low.tolist() == [0.5, 0.75, 0.5]
+
+    def test_one_path_blocks_play_in_turn_on_one_generator(self, ping_pong,
+                                                            monkeypatch):
+        model, phi, sigma_max = ping_pong
+        monkeypatch.setattr(game, "BLOCK_PATHS", 1)
+        est = estimate(phi, model, 0, LEFT, sigma_max, n_paths=300,
+                       max_depth=3, seed=21)
+        rng = estimate_rng(21)
+        plays = [play(phi, model, 0, LEFT, sigma_max, 3, rng) for _ in range(300)]
+        highs = np.array([p.value_high for p in plays])
+        endings = [ending(p) for p in plays]
+        assert est.mean_low == pytest.approx(np.mean([p.value_low for p in plays]),
+                                             abs=1e-12)
+        assert est.mean_high == pytest.approx(highs.mean(), abs=1e-12)
+        assert est.std_error == pytest.approx(np.std(highs, ddof=1) / np.sqrt(300),
+                                              rel=1e-9)
+        assert (est.truncated_mu, est.truncated_nu, est.truncated_budget) == (
+            endings.count("mu"), endings.count("nu"), endings.count("budget"))
+        assert est.mean_steps == np.mean([p.steps for p in plays])
+        assert est.max_steps == max(p.steps for p in plays)
+
+    def test_truncation_causes_and_steps(self, ping_pong):
+        model, phi, sigma_max = ping_pong
+        est = estimate(phi, model, 0, LEFT, sigma_max, n_paths=1000,
+                       max_depth=3, seed=1)
+        assert (est.n_truncated, est.truncated_mu, est.truncated_nu,
+                est.truncated_budget) == (1000, 116, 196, 688)
+        assert (est.mean_steps, est.max_steps) == (17.907, 19)
+        # mu truncations score (0, 0), nu (1, 1), the step budget (0, 1)
+        assert est.mean_low == pytest.approx(196 / 1000, abs=1e-12)
+        assert est.mean_high == pytest.approx((196 + 688) / 1000, abs=1e-12)
+
+    def test_history_strategy_rejected_before_any_move(self, vardi):
+        model, phi = vardi
+        calls = []
+        history = PathStrategy(decide=lambda site, path, s: calls.append(s) or True)
+        for sigma_min, sigma_max in ((history, LEFT), (LEFT, history)):
+            with pytest.raises(GameError, match="memoriless"):
+                estimate(phi, model, 0, sigma_min, sigma_max, n_paths=5,
+                         max_depth=5, seed=0)
+        assert calls == []
+
+    def test_tables_it_cannot_build_are_rejected(self, simple):
+        with pytest.raises(GameError, match="assign_sites"):
+            estimate(MaxJ(Const("e"), Const("e")), simple, 0, LEFT, LEFT,
+                     n_paths=5, max_depth=3, seed=0)
+        short = Model(simple.space, Valuation(
+            expectations=simple.valuation.expectations,
+            transitions={"k": transition([[(0, 1.0)]])}))
+        with pytest.raises(GameError, match="has 1 rows, model has 2 states"):
+            estimate(Modal("k", Const("e")), short, 0, LEFT, LEFT, n_paths=5,
+                     max_depth=3, seed=0)
+
+    def test_constant_strategies_play_as_their_tables(self):
+        for trial in range(30):
+            inst = random_instance([808, trial])
+            mins, maxs = choice_sites(inst.phi)
+            n = inst.model.space.size
+            for left in (True, False):
+                constant = PathStrategy.constant(left)
+                tables = [PathStrategy.from_choices([np.full(n, left)] * sites)
+                          for sites in (mins, maxs)]
+                assert estimate(inst.phi, inst.model, 0, constant, constant,
+                                200, 5, seed=trial) == estimate(
+                    inst.phi, inst.model, 0, *tables, 200, 5, seed=trial)
 
 
 class TestExpandTree:
