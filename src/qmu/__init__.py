@@ -9,7 +9,7 @@ brute-force strategy enumeration at desk scale.
 from .core import (
     Diagnostic, Model, StateSpace, Transition, Valuation, expectation,
     halt_payoff, make_discounted, pre_expectation, predicate, transition,
-    validate,
+    transition_from_edges, validate,
 )
 from .evaluator import (
     EvalConfig, EvalReport, PathStrategy, evaluate, evaluate_batch,
@@ -36,8 +36,8 @@ __all__ = [
     "expand_tree", "expectation", "fingerprint", "halt_payoff", "load_strategy",
     "make_discounted", "one_step_advice", "parse", "play", "pre_expectation",
     "predicate", "pretty_print", "random_instance", "reduce", "save_strategy",
-    "specialize", "specialized_model", "synthesize", "transition", "validate",
-    "verify_strategy",
+    "specialize", "specialized_model", "synthesize", "transition",
+    "transition_from_edges", "validate", "verify_strategy",
 ]
 
 __version__ = "0.1.0"

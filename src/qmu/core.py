@@ -126,10 +126,10 @@ class Transition:
     The successors of state ``s`` are the edges ``indptr[s]:indptr[s+1]``,
     with target states ``indices`` and probabilities ``probs``;
     ``weights[s]`` is the expected immediate payoff routed to the absorbing
-    payoff outcome.  :func:`transition` stores only strictly positive
-    probabilities, one edge per target, sorted by target.  The arrays are
-    read-only, and storage grows with the number of edges, not of states
-    squared.
+    payoff outcome.  :func:`transition_from_edges`, which :func:`transition`
+    calls, stores only strictly positive probabilities, one edge per target,
+    sorted by target.  The arrays are read-only, and storage grows with the
+    number of edges, not of states squared.
     """
 
     indptr: np.ndarray
@@ -147,7 +147,7 @@ class Transition:
             object.__setattr__(self, name, arr)
         ptr = self.indptr
         if (len(ptr) != len(self.weights) + 1 or ptr[0] != 0
-                or np.any(np.diff(ptr) < 0)
+                or (ptr[1:] < ptr[:-1]).any()
                 or ptr[-1] != len(self.indices) or len(self.probs) != len(self.indices)):
             raise ModelError("transition arrays are not a consistent CSR form")
 
@@ -212,31 +212,82 @@ def _row_mass(t: Transition) -> np.ndarray:
     return np.bincount(t._sources, weights=t.probs, minlength=t.n_states)
 
 
+def transition_from_edges(counts, targets, probs, weights) -> Transition:
+    """Build a Transition from flat edge arrays, in numpy (COO rows to CSR).
+
+    State ``s`` owns the next ``counts[s]`` entries of ``targets`` and
+    ``probs``.  Zero-probability edges are dropped, each row's edges are
+    sorted by target, and duplicate targets in a row are merged into one
+    edge whose probability adds theirs in order of appearance, so the stored
+    form is canonical.  A negative or non-finite probability or a non-finite
+    weight is a :class:`ModelError`; targets outside the state space are
+    left for :func:`validate` to report.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if (counts.ndim != 1 or probs.ndim != 1 or targets.shape != probs.shape
+            or counts.sum() != len(probs) or counts.min(initial=0) < 0):
+        raise ModelError("edge counts, targets and probabilities do not match")
+    n = len(counts)
+    lowest = probs.min(initial=1.0)
+    if not (lowest >= 0.0 and probs.max(initial=0.0) < np.inf):
+        e = np.flatnonzero(~(probs >= 0.0) | (probs == np.inf))[0]
+        kind = "negative" if probs[e] < 0.0 else "non-finite"
+        raise ModelError(f"{kind} probability {probs.item(e)} "
+                         f"to state {targets.item(e)}")
+    if weights.shape != (n,):
+        raise ModelError("payoff weights must have one entry per state")
+    if not np.isfinite(weights).all():
+        s = np.flatnonzero(~np.isfinite(weights))[0]
+        raise ModelError(f"non-finite payoff weight {weights.item(s)} at state {s}")
+
+    sources = np.repeat(np.arange(n), counts)
+    if lowest == 0.0:
+        keep = probs > 0.0
+        sources, targets, probs = sources[keep], targets[keep], probs[keep]
+        counts = np.bincount(sources, minlength=n)
+    if len(targets) > 1:
+        # one int64 key per edge, increasing in (source, target)
+        low = int(targets.min())
+        span = int(targets.max()) - low + 1
+        if n * span < 2 ** 62:
+            key = sources * span + (targets - low)
+        else:  # targets far out of range: order them by rank instead
+            key = sources * len(targets) + np.unique(targets, return_inverse=True)[1]
+        if not (key[1:] > key[:-1]).all():
+            # stable, and the sources are already in order, so they stay put
+            order = np.argsort(key, kind="stable")
+            key, targets, probs = key[order], targets[order], probs[order]
+            repeated = key[1:] == key[:-1]
+            if repeated.any():
+                first = np.concatenate(([True], ~repeated))
+                probs = np.bincount(np.cumsum(first) - 1, weights=probs)
+                sources, targets = sources[first], targets[first]
+                counts = np.bincount(sources, minlength=n)
+    return Transition(np.concatenate(([0], np.cumsum(counts))), targets, probs,
+                      weights)
+
+
 def transition(rows, weights=None) -> Transition:
     """Build a Transition from per-state ``[(target, prob), ...]`` rows.
 
-    Zero-probability edges are dropped and duplicate targets merged, keeping
-    the stored form canonical.
+    A thin adapter over :func:`transition_from_edges`, which keeps the
+    stored form canonical; ``weights`` defaults to zero.
     """
-    indptr = [0]
-    targets: list[int] = []
-    probs: list[float] = []
+    counts: list[int] = []
+    targets: list = []
+    probs: list = []
     for row in rows:
-        merged: dict[int, float] = {}
+        before = len(targets)
         for target, prob in row:
-            if prob < 0.0:
-                raise ModelError(f"negative probability {prob} to state {target}")
-            if prob > 0.0:
-                merged[int(target)] = merged.get(int(target), 0.0) + float(prob)
-        for target in sorted(merged):
             targets.append(target)
-            probs.append(merged[target])
-        indptr.append(len(targets))
-    n = len(indptr) - 1
-    w = [0.0] * n if weights is None else [float(x) for x in weights]
-    if len(w) != n:
-        raise ModelError("payoff weights must have one entry per state")
-    return Transition(indptr, targets, probs, w)
+            probs.append(prob)
+        counts.append(len(targets) - before)
+    if weights is None:
+        weights = np.zeros(len(counts))
+    return transition_from_edges(counts, targets, probs, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,10 +430,11 @@ def _transition_diagnostics(name: str, t: Transition, n: int) -> list[Diagnostic
 
     per_edge("successor-range", (t.indices < 0) | (t.indices >= n),
              lambda e: f"target index {t.indices.item(e)} out of range")
-    per_edge("probability-positive", t.probs <= 0.0,
+    # written so that NaN fails each test
+    per_edge("probability-positive", ~(t.probs > 0.0),
              lambda e: f"stored probability {t.probs.item(e)} must be > 0")
-    per_state("weight-nonnegative", w < 0.0,
-              lambda s: f"payoff weight {w.item(s)} is negative")
+    per_state("weight-nonnegative", ~(w >= 0.0),
+              lambda s: f"payoff weight {w.item(s)} must be >= 0")
     weighted_total = (np.abs(mass - 1.0) <= EPS_REPR) & (w > EPS_REPR)
     per_state("weight-zero-when-total", weighted_total,
               lambda s: "payoff weight must be zero when successor "
@@ -404,10 +456,10 @@ def validate(model: Model) -> list[Diagnostic]:
             out.append(Diagnostic("expectation-length", name,
                                   message=f"{len(arr)} entries, expected {n}"))
             continue
-        for s, x in enumerate(arr):
-            if not (0.0 <= x <= 1.0):
-                out.append(Diagnostic("expectation-range", name, s,
-                                      f"value {x} outside [0, 1]"))
+        arr = np.asarray(arr)
+        for s in np.flatnonzero(~((arr >= 0.0) & (arr <= 1.0))).tolist():
+            out.append(Diagnostic("expectation-range", name, s,
+                                  f"value {arr[s]} outside [0, 1]"))
     for name, arr in v.predicates.items():
         if len(arr) != n:
             out.append(Diagnostic("predicate-length", name,

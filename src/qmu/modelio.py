@@ -4,15 +4,27 @@ The file mirrors the in-memory structures: state labels, per-transition
 rows of ``{"to": [[index, probability], ...], "payoff_weight": w}``,
 expectation and predicate vectors, and transition-set name lists.
 Probabilities are written as plain decimals, which round-trip exactly.
+
+The loader flattens each transition's rows into edge arrays and builds it
+with :func:`~qmu.core.transition_from_edges`; it makes no per-edge
+tuples.  A file whose sections are not JSON objects, whose rows are not
+objects, whose edges are not ``[target, probability]`` pairs, whose targets
+are not JSON integers, or whose probabilities and weights are not finite
+JSON numbers (``true`` and ``"0.5"`` are neither) is malformed; one that
+parses but breaks an invariant of :func:`~qmu.core.validate` fails
+validation.  Both raise :class:`ModelFileError`.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+
+import numpy as np
 
 from .core import (
-    Model, StateSpace, Transition, Valuation, expectation, predicate,
-    transition, validate,
+    Model, ModelError, StateSpace, Transition, Valuation, expectation,
+    predicate, transition_from_edges, validate,
 )
 
 MODEL_SCHEMA = "qmu-model/1"
@@ -44,6 +56,54 @@ def model_to_dict(model: Model) -> dict:
     }
 
 
+def _section(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ModelFileError(f"malformed model file: {key!r} must be an object")
+    return value
+
+
+def _require(values: list, kinds: set, name: str, rule: str) -> None:
+    """Raise unless every value's type is in ``kinds`` (``bool`` is not ``int``)."""
+    if not set(map(type, values)) <= kinds:
+        bad = next(v for v in values if type(v) not in kinds)
+        raise ModelFileError(
+            f"malformed model file: transition {name!r}: {rule}, got {bad!r}")
+
+
+def _transition_from_rows(name: str, rows) -> Transition:
+    """Build one transition from its file rows, through flat edge arrays."""
+    if not isinstance(rows, list):
+        raise ModelFileError(
+            f"malformed model file: transition {name!r} must be a list of rows")
+    _require(rows, {dict}, name, "rows must be objects")
+    tos = list(map(dict.get, rows, repeat("to"), repeat([])))
+    weights = list(map(dict.get, rows, repeat("payoff_weight"), repeat(0.0)))
+    _require(tos, {list}, name, "each row's \"to\" must be a list of edges")
+    edges = list(chain.from_iterable(tos))
+    try:
+        paired = set(map(len, edges)) <= {2}
+    except TypeError:  # an edge with no length, such as a number
+        paired = False
+    if not paired:
+        raise ModelFileError(f"malformed model file: transition {name!r}: "
+                             "edges must be [target, probability] pairs")
+    flat = list(chain.from_iterable(edges))
+    targets, probs = flat[0::2], flat[1::2]
+    _require(targets, {int}, name, "edge targets must be integers")
+    _require(probs, {int, float}, name, "probabilities must be numbers")
+    _require(weights, {int, float}, name, "payoff weights must be numbers")
+    try:
+        return transition_from_edges(
+            np.fromiter(map(len, tos), dtype=np.int64, count=len(tos)),
+            np.fromiter(targets, dtype=np.int64, count=len(targets)),
+            np.fromiter(probs, dtype=np.float64, count=len(probs)),
+            np.fromiter(weights, dtype=np.float64, count=len(weights)))
+    except ModelError as exc:
+        raise ModelFileError(
+            f"malformed model file: transition {name!r}: {exc}") from exc
+
+
 def model_from_dict(data: dict) -> Model:
     if not isinstance(data, dict):
         raise ModelFileError("model file must be a JSON object")
@@ -51,25 +111,19 @@ def model_from_dict(data: dict) -> Model:
         raise ModelFileError(f"unsupported model schema {data.get('schema')!r}")
     try:
         space = StateSpace(tuple(str(s) for s in data["states"]))
-        transitions = {}
-        for name, rows in data.get("transitions", {}).items():
-            succ_rows = []
-            weights = []
-            for row in rows:
-                succ_rows.append([(int(t), float(p)) for t, p in row.get("to", [])])
-                weights.append(float(row.get("payoff_weight", 0.0)))
-            transitions[name] = transition(succ_rows, weights)
+        transitions = {name: _transition_from_rows(name, rows)
+                       for name, rows in _section(data, "transitions").items()}
         valuation = Valuation(
             expectations={name: expectation(arr, space.size)
-                          for name, arr in data.get("expectations", {}).items()},
+                          for name, arr in _section(data, "expectations").items()},
             transitions=transitions,
             transition_sets={name: tuple(str(m) for m in members)
                              for name, members in
-                             data.get("transition_sets", {}).items()},
+                             _section(data, "transition_sets").items()},
             predicates={name: predicate(arr, space.size)
-                        for name, arr in data.get("predicates", {}).items()},
+                        for name, arr in _section(data, "predicates").items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelFileError):
             raise
         raise ModelFileError(f"malformed model file: {exc}") from exc

@@ -60,6 +60,24 @@ class TestEval:
         code, _, err = run(capsys, ["eval", str(bad), "atB"])
         assert code == 1 and err
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(transitions=[]),
+        lambda d: d["transitions"]["k"].__setitem__(0, [1]),
+        lambda d: d["transitions"]["k"][0].update(payoff_weight=float("nan")),
+        lambda d: d["transitions"]["k"][0]["to"][0].__setitem__(0, 1.7),
+    ], ids=["transitions-not-object", "row-not-object", "nan-weight",
+            "fractional-target"])
+    def test_malformed_model_exits_one(self, capsys, vardi_files, tmp_path, edit):
+        with open(vardi_files["model"]) as fh:
+            data = json.load(fh)
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["eval", str(bad), "atB"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "malformed model file" in err
+
     def test_tolerance_flag_consistency(self, capsys, vardi_files):
         _, coarse, _ = run(capsys, ["eval", vardi_files["model"],
                                     vardi_files["formula"], "--state", "A",

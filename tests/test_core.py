@@ -173,6 +173,32 @@ class TestValidate:
         model = Model(space, Valuation(expectations={"A": np.array([0.5])}))
         assert any(d.rule == "expectation-length" for d in validate(model))
 
+    def test_expectation_range_order_pinned(self):
+        # each expectation's bad entries in state order, NaN included
+        model = Model(StateSpace(("a", "b", "c", "d")), Valuation(expectations={
+            "A": np.array([0.5, np.nan, 1.5, -0.25]),
+            "B": np.array([2.0, 0.0, 1.0, np.nan]),
+            "C": np.array([0.5]),
+            "D": np.array([0.0, 1.0, 0.5, 0.25]),
+        }))
+        assert [(d.rule, d.symbol, d.state, d.message) for d in validate(model)] == [
+            ("expectation-range", "A", 1, "value nan outside [0, 1]"),
+            ("expectation-range", "A", 2, "value 1.5 outside [0, 1]"),
+            ("expectation-range", "A", 3, "value -0.25 outside [0, 1]"),
+            ("expectation-range", "B", 0, "value 2.0 outside [0, 1]"),
+            ("expectation-range", "B", 3, "value nan outside [0, 1]"),
+            ("expectation-length", "C", None, "1 entries, expected 4"),
+        ]
+
+    def test_non_finite_transition_in_memory_caught(self):
+        # a NaN fails every comparison, so the rules are negated tests
+        t = Transition([0, 1, 2], [0, 1], [np.nan, 0.5], [0.0, np.nan])
+        problems = validate(Model(StateSpace(("a", "b")),
+                                  Valuation(transitions={"k": t})))
+        assert [(d.rule, d.state, d.message) for d in problems] == [
+            ("probability-positive", 0, "stored probability nan must be > 0"),
+            ("weight-nonnegative", 1, "payoff weight nan must be >= 0")]
+
     def test_generator_instances_validate(self):
         for trial in range(100):
             inst = random_instance([31, trial])

@@ -1,5 +1,7 @@
 """Model file round trips and schema checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,84 @@ class TestSchema:
         with pytest.raises(ModelFileError):
             model_from_dict({"schema": MODEL_SCHEMA, "states": ["a"],
                              "expectations": {"e": [0.5, 0.5]}})
+
+
+class TestMalformed:
+    """Bad input ends in a ModelFileError, never a traceback or a guess."""
+
+    @pytest.fixture
+    def data(self, vardi):
+        return json.loads(json.dumps(model_to_dict(vardi[0])))
+
+    def rejected(self, data, match):
+        with pytest.raises(ModelFileError, match=match) as excinfo:
+            model_from_dict(data)
+        assert str(excinfo.value).startswith(("malformed model file", "model fails"))
+
+    @pytest.mark.parametrize("section", ["transitions", "expectations",
+                                         "predicates", "transition_sets"])
+    def test_section_not_an_object(self, data, section):
+        data[section] = []
+        self.rejected(data, f"malformed model file: '{section}' must be an object")
+
+    def test_rows_not_a_list(self, data):
+        data["transitions"]["k"] = {"to": []}
+        self.rejected(data, "transition 'k' must be a list of rows")
+
+    def test_row_not_an_object(self, data):
+        data["transitions"]["k"][0] = [1]
+        self.rejected(data, r"transition 'k': rows must be objects, got \[1\]")
+
+    @pytest.mark.parametrize("edge", [[0], [0, 0.5, 1], 7, None])
+    def test_edge_not_a_pair(self, data, edge):
+        data["transitions"]["k"][0]["to"][0] = edge
+        self.rejected(data, r"edges must be \[target, probability\] pairs")
+
+    @pytest.mark.parametrize("to", [7, {"0": 0.5}, "01"])
+    def test_successors_not_a_list(self, data, to):
+        data["transitions"]["k"][0]["to"] = to
+        self.rejected(data, "\"to\" must be a list of edges")
+
+    @pytest.mark.parametrize("target", [1.7, 1.0, True, "1", None])
+    def test_target_not_an_integer(self, data, target):
+        # int() used to turn 1.7 and true into state 1
+        data["transitions"]["k"][0]["to"][0][0] = target
+        self.rejected(data, "edge targets must be integers, got " + repr(target))
+
+    def test_target_beyond_int64(self, data):
+        data["transitions"]["k"][0]["to"][0][0] = 10 ** 30
+        self.rejected(data, "malformed model file")
+
+    def test_target_out_of_range_fails_validation(self, data):
+        data["transitions"]["k"][0]["to"][0][0] = 5
+        self.rejected(data, r"model fails validation: \[successor-range\]")
+
+    @pytest.mark.parametrize("prob", [True, "0.5", None, [0.5]])
+    def test_probability_not_a_number(self, data, prob):
+        data["transitions"]["k"][0]["to"][0][1] = prob
+        self.rejected(data, "probabilities must be numbers")
+
+    @pytest.mark.parametrize("weight", [False, "0.1", None])
+    def test_weight_not_a_number(self, data, weight):
+        data["transitions"]["k"][1]["payoff_weight"] = weight
+        self.rejected(data, "payoff weights must be numbers")
+
+    def test_negative_probability(self, data):
+        data["transitions"]["k"][0]["to"][1][1] = -0.5
+        self.rejected(data, "transition 'k': negative probability -0.5 to state 1")
+
+    @pytest.mark.parametrize("where", ["probability", "payoff_weight"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_in_file(self, tmp_path, data, where, bad):
+        # json reads NaN and Infinity; NaN used to drop its edge or pass
+        # validate, which then printed "nan" values
+        if where == "probability":
+            data["transitions"]["k"][0]["to"][0][1] = "@"
+        else:
+            data["transitions"]["k"][0]["payoff_weight"] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data).replace('"@"', bad))
+        kind = ("negative" if bad == "-Infinity" and where == "probability"
+                else "non-finite")
+        with pytest.raises(ModelFileError, match=f"transition 'k': {kind}"):
+            load_model(path)
