@@ -24,7 +24,7 @@ from .oracle import (
 )
 from .strategy import (
     MemorilessStrategy, load_strategy, one_step_advice, save_strategy,
-    specialize, specialized_model, synthesize, verify_strategy,
+    synthesize, verify_strategy,
 )
 
 __all__ = [
@@ -36,8 +36,8 @@ __all__ = [
     "expand_tree", "expectation", "fingerprint", "halt_payoff", "load_strategy",
     "make_discounted", "one_step_advice", "parse", "play", "pre_expectation",
     "predicate", "pretty_print", "random_instance", "reduce", "save_strategy",
-    "specialize", "specialized_model", "synthesize", "transition",
-    "transition_from_edges", "validate", "verify_strategy",
+    "synthesize", "transition", "transition_from_edges", "validate",
+    "verify_strategy",
 ]
 
 __version__ = "0.1.0"

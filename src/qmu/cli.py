@@ -16,7 +16,7 @@ import sys
 
 from . import examples
 from .core import Model
-from .evaluator import EvalConfig, EvaluationError, evaluate_fix
+from .evaluator import EvalConfig, EvaluationError, NotConvergedError, evaluate_fix
 from .formula import ParseError, ReduceError, parse, reduce
 from .game import estimate
 from .modelio import ModelFileError, load_model, save_model
@@ -30,13 +30,12 @@ EXIT_INPUT = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_PROPERTY_FAILURE = 3
 
-_INPUT_ERRORS = (ParseError, ReduceError, ModelFileError, StrategyError,
-                 EvaluationError, ValueError, OSError)
-
-
 class _InputError(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """Arguments that do not fit together."""
+
+
+_INPUT_ERRORS = (_InputError, ParseError, ReduceError, ModelFileError,
+                 StrategyError, EvaluationError, ValueError, OSError)
 
 
 def _load_formula_arg(source: str, model: Model):
@@ -316,9 +315,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except NotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_NOT_CONVERGED
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -43,7 +43,7 @@ def expectation(values, size: int | None = None) -> np.ndarray:
         raise ModelError(f"expectation must be a vector, got shape {arr.shape}")
     if size is not None and arr.shape[0] != size:
         raise ModelError(f"expectation has {arr.shape[0]} entries, expected {size}")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise ModelError("expectation entries must lie in [0, 1]")
     arr.setflags(write=False)
     return arr
@@ -298,20 +298,6 @@ class Valuation:
     transitions: dict[str, Transition] = field(default_factory=dict)
     transition_sets: dict[str, tuple[str, ...]] = field(default_factory=dict)
     predicates: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def with_predicates(self, extra: dict[str, np.ndarray]) -> "Valuation":
-        """Extended valuation with additional predicate symbols."""
-        clash = set(extra) & set(self.predicates)
-        if clash:
-            raise ModelError(f"predicate symbols already bound: {sorted(clash)}")
-        merged = dict(self.predicates)
-        merged.update(extra)
-        return Valuation(
-            expectations=self.expectations,
-            transitions=self.transitions,
-            transition_sets=self.transition_sets,
-            predicates=merged,
-        )
 
 
 @dataclass(frozen=True, eq=False)

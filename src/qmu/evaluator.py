@@ -12,12 +12,12 @@ binder's variable is computed once per iterate of the binders around it,
 before that binder's loop, instead of on every iterate of the loop.
 
 The strategy-extended semantics resolves junctions by consulting a pair of
-strategy functions instead of taking min/max; with memoriless strategies the
-specialised system is solved exactly, otherwise the formula is unfolded to a
-bounded depth with truncated fixpoints contributing their binder's default
-(0 for ``mu``, 1 for ``nu``).  :func:`evaluate_batch` solves many memoriless
-strategy pairs at once, one row of a ``(B, n)`` expectation per pair, each
-row with its own stopping test.
+strategy functions instead of taking min/max: the plan applies a memoriless
+strategy's choice masks at the junctions, otherwise the formula is unfolded
+to a bounded depth with truncated fixpoints contributing their binder's
+default (0 for ``mu``, 1 for ``nu``).  :func:`evaluate_batch` solves many
+memoriless strategy pairs at once, one row of a ``(B, n)`` expectation per
+pair, each row with its own stopping test.
 """
 
 from __future__ import annotations
@@ -512,9 +512,9 @@ def evaluate_with_strategies(
     """Strategy-extended semantics, as a (lower, upper) pair of expectations.
 
     A ``None`` strategy leaves that player's junctions adversarial (true
-    min/max).  With memoriless (or absent) strategies on both sides the
-    junctions collapse to per-state selections and the specialised system is
-    solved by fixpoint iteration; lower and upper coincide.  Otherwise the
+    min/max).  With memoriless (or absent) strategies on both sides each
+    junction takes the operand its site's choice mask selects, and fixpoint
+    iteration solves the system; lower and upper coincide.  Otherwise the
     formula is unfolded: each binder may be re-entered at most ``depth``
     times per binding, and a truncated ``mu`` (``nu``) contributes 0 (1).
     A memoriless evaluation that hits ``max_iterations`` raises

@@ -25,9 +25,8 @@ from .core import (
     Model, StateSpace, Valuation, expectation, pre_expectation_all, predicate,
     transition,
 )
-from .evaluator import EvalConfig, evaluate
+from .evaluator import EvalConfig, PathStrategy, evaluate, evaluate_with_strategies
 from .formula import Node, parse, reduce
-from .strategy import MemorilessStrategy, specialize, specialized_model
 
 GRID = 11  # v, p (tenths) and c each range over 0..10
 N_FUTURES_STATES = GRID ** 3
@@ -196,7 +195,8 @@ def case_study_tables(cfg: EvalConfig | None = None,
     """Recompute the four case-study tables at p = 0.5, c = 10.
 
     Dollar-valued rows are rescaled by 10 for display and every entry is
-    rounded half-up to two decimals.
+    rounded half-up to two decimals.  A fixed-strategy row that does not
+    converge raises :class:`~qmu.evaluator.NotConvergedError`.
     """
     cfg = cfg or EvalConfig()
     model = model or futures_model()
@@ -204,21 +204,17 @@ def case_study_tables(cfg: EvalConfig | None = None,
     chance = reduce(atleast6_formula(), model.valuation)
 
     optimal = evaluate(game, model, cfg).result
-
-    fixed_max = MemorilessStrategy(
-        max_choices=(model.valuation.predicates["reserveAtCap"],))
-    yield_phi, ext = specialize(game, fixed_max, model.space.size)
-    yield_value = evaluate(yield_phi, specialized_model(model, ext), cfg).result
+    # fixed strategies: the maximiser takes the left 'junct where a predicate holds
+    predicates = model.valuation.predicates
+    reserve_at_cap = PathStrategy.from_choices((predicates["reserveAtCap"],))
+    yield_value, _ = evaluate_with_strategies(game, model, None, reserve_at_cap, cfg)
 
     month = model.valuation.transitions["month"]
     one_month = pre_expectation_all(month, model.valuation.expectations["Sold"])
 
     chance_optimal = evaluate(chance, model, cfg).result
-    fixed_intuitive = MemorilessStrategy(
-        max_choices=(model.valuation.predicates["intuitive"],))
-    chance_phi, chance_ext = specialize(chance, fixed_intuitive, model.space.size)
-    chance_intuitive = evaluate(chance_phi, specialized_model(model, chance_ext),
-                                cfg).result
+    intuitive = PathStrategy.from_choices((predicates["intuitive"],))
+    chance_intuitive, _ = evaluate_with_strategies(chance, model, None, intuitive, cfg)
 
     opt_label, int_label = TABLE_LABELS["probability"]
     return {

@@ -7,12 +7,13 @@ Probabilities are written as plain decimals, which round-trip exactly.
 
 The loader flattens each transition's rows into edge arrays and builds it
 with :func:`~qmu.core.transition_from_edges`; it makes no per-edge
-tuples.  A file whose sections are not JSON objects, whose rows are not
-objects, whose edges are not ``[target, probability]`` pairs, whose targets
-are not JSON integers, or whose probabilities and weights are not finite
-JSON numbers (``true`` and ``"0.5"`` are neither) is malformed; one that
-parses but breaks an invariant of :func:`~qmu.core.validate` fails
-validation.  Both raise :class:`ModelFileError`.
+tuples.  A file is malformed if a section is not a JSON object, a row not
+an object, an edge not a ``[target, probability]`` pair, a target not a JSON
+integer, a probability, weight or expectation entry not a finite JSON number
+(``true`` and ``"0.5"`` are not), a predicate entry not a JSON boolean, or a
+state label or set member not a string; one that parses but breaks an
+invariant of :func:`~qmu.core.validate` fails validation.  Both raise
+:class:`ModelFileError`.
 """
 
 from __future__ import annotations
@@ -63,23 +64,31 @@ def _section(data: dict, key: str) -> dict:
     return value
 
 
-def _require(values: list, kinds: set, name: str, rule: str) -> None:
-    """Raise unless every value's type is in ``kinds`` (``bool`` is not ``int``)."""
+def _require(values, kinds: set, where: str, noun: str, kind: str) -> list:
+    """``values`` if it is a list of types in ``kinds`` (``bool`` is not ``int``)."""
+    if not isinstance(values, list):
+        raise ModelFileError(f"malformed model file: {where} must be a list of {noun}")
     if not set(map(type, values)) <= kinds:
         bad = next(v for v in values if type(v) not in kinds)
         raise ModelFileError(
-            f"malformed model file: transition {name!r}: {rule}, got {bad!r}")
+            f"malformed model file: {where}: {noun} must be {kind}, got {bad!r}")
+    return values
+
+
+def _lists(data: dict, key: str, kinds: set, noun: str, kind: str, build) -> dict:
+    """Section ``key``, every entry checked by :func:`_require` and built."""
+    label = key.rstrip("s").replace("_", " ")
+    return {name: build(_require(values, kinds, f"{label} {name!r}", noun, kind))
+            for name, values in _section(data, key).items()}
 
 
 def _transition_from_rows(name: str, rows) -> Transition:
     """Build one transition from its file rows, through flat edge arrays."""
-    if not isinstance(rows, list):
-        raise ModelFileError(
-            f"malformed model file: transition {name!r} must be a list of rows")
-    _require(rows, {dict}, name, "rows must be objects")
+    where = f"transition {name!r}"
+    _require(rows, {dict}, where, "rows", "objects")
     tos = list(map(dict.get, rows, repeat("to"), repeat([])))
     weights = list(map(dict.get, rows, repeat("payoff_weight"), repeat(0.0)))
-    _require(tos, {list}, name, "each row's \"to\" must be a list of edges")
+    _require(tos, {list}, where, "each row's \"to\"", "a list of edges")
     edges = list(chain.from_iterable(tos))
     try:
         paired = set(map(len, edges)) <= {2}
@@ -90,9 +99,9 @@ def _transition_from_rows(name: str, rows) -> Transition:
                              "edges must be [target, probability] pairs")
     flat = list(chain.from_iterable(edges))
     targets, probs = flat[0::2], flat[1::2]
-    _require(targets, {int}, name, "edge targets must be integers")
-    _require(probs, {int, float}, name, "probabilities must be numbers")
-    _require(weights, {int, float}, name, "payoff weights must be numbers")
+    _require(targets, {int}, where, "edge targets", "integers")
+    _require(probs, {int, float}, where, "probabilities", "numbers")
+    _require(weights, {int, float}, where, "payoff weights", "numbers")
     try:
         return transition_from_edges(
             np.fromiter(map(len, tos), dtype=np.int64, count=len(tos)),
@@ -110,18 +119,18 @@ def model_from_dict(data: dict) -> Model:
     if data.get("schema") != MODEL_SCHEMA:
         raise ModelFileError(f"unsupported model schema {data.get('schema')!r}")
     try:
-        space = StateSpace(tuple(str(s) for s in data["states"]))
+        space = StateSpace(tuple(_require(data["states"], {str}, "states",
+                                          "labels", "strings")))
         transitions = {name: _transition_from_rows(name, rows)
                        for name, rows in _section(data, "transitions").items()}
         valuation = Valuation(
-            expectations={name: expectation(arr, space.size)
-                          for name, arr in _section(data, "expectations").items()},
+            expectations=_lists(data, "expectations", {int, float}, "entries",
+                                "numbers", lambda arr: expectation(arr, space.size)),
             transitions=transitions,
-            transition_sets={name: tuple(str(m) for m in members)
-                             for name, members in
-                             _section(data, "transition_sets").items()},
-            predicates={name: predicate(arr, space.size)
-                        for name, arr in _section(data, "predicates").items()},
+            transition_sets=_lists(data, "transition_sets", {str}, "members",
+                                   "strings", tuple),
+            predicates=_lists(data, "predicates", {bool}, "entries",
+                              "true or false", lambda arr: predicate(arr, space.size)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelFileError):

@@ -1,11 +1,11 @@
-"""Memoriless strategy synthesis, formula specialisation and verification.
+"""Memoriless strategy synthesis, verification and strategy files.
 
 A memoriless strategy is one predicate per choice site: true selects the
 left 'junct in that state.  Synthesis extracts the argmax/argmin choice at
-every site from the converged evaluation; specialisation rewrites chosen
-sites into conditionals over fresh predicate symbols, so the specialised
-formula is evaluated by the ordinary machinery against an extended
-valuation.
+every site from the converged evaluation.  A fixed strategy is applied as
+junction masks: :func:`~qmu.evaluator.evaluate_with_strategies` takes the
+masked 'junct at each of its sites and leaves a side the strategy does not
+cover adversarial.
 """
 
 from __future__ import annotations
@@ -18,21 +18,11 @@ import numpy as np
 from .core import Model, pre_expectation, predicate
 from .evaluator import (
     EvalConfig, NotConvergedError, PathStrategy, converged_walk, evaluate,
+    evaluate_with_strategies,
 )
-from .formula import (
-    Cond, MaxJ, MinJ, Node, choice_sites, fingerprint, map_children,
-)
+from .formula import MaxJ, MinJ, Node, choice_sites, fingerprint
 
 STRATEGY_SCHEMA = "qmu-strategy/1"
-
-
-def min_site_symbol(site: int) -> str:
-    """Fresh predicate symbol :func:`specialize` uses for a min site."""
-    return f"_min{site}"
-
-
-def max_site_symbol(site: int) -> str:
-    return f"_max{site}"
 
 
 class StrategyError(ValueError):
@@ -54,8 +44,8 @@ class MemorilessStrategy:
     min_choices: tuple[np.ndarray, ...] | None = None
     max_choices: tuple[np.ndarray, ...] | None = None
 
-    def check_shape(self, phi: Node, n_states: int | None = None) -> None:
-        """Site counts must match ``phi``; with ``n_states``, predicate lengths too."""
+    def check_shape(self, phi: Node, n_states: int) -> None:
+        """Site counts must match ``phi`` and predicate lengths ``n_states``."""
         mins, maxs = choice_sites(phi)
         for label, choices, count in (("min", self.min_choices, mins),
                                       ("max", self.max_choices, maxs)):
@@ -65,20 +55,22 @@ class MemorilessStrategy:
                 raise StrategyError(
                     f"{label} side has {len(choices)} site predicates, "
                     f"formula has {count} {label} sites")
-            if n_states is None:
-                continue
             for site, arr in enumerate(choices):
                 if len(arr) != n_states:
                     raise StrategyError(
                         f"{label} site {site} predicate has {len(arr)} "
                         f"entries, expected {n_states}")
 
+    def sides(self) -> tuple[PathStrategy | None, PathStrategy | None]:
+        """Both sides as path strategies, ``None`` for a side left open."""
+        return tuple(None if choices is None else PathStrategy.from_choices(choices)
+                     for choices in (self.min_choices, self.max_choices))
+
     def path_strategies(self) -> tuple[PathStrategy, PathStrategy]:
         """Both sides as path strategies; requires full coverage."""
         if self.min_choices is None or self.max_choices is None:
             raise StrategyError("both sides are needed to play the game")
-        return (PathStrategy.from_choices(self.min_choices),
-                PathStrategy.from_choices(self.max_choices))
+        return self.sides()
 
 
 def synthesize(phi: Node, model: Model,
@@ -111,49 +103,20 @@ def synthesize(phi: Node, model: Model,
     return strategy, report.result
 
 
-def specialize(phi: Node, strategy: MemorilessStrategy,
-               n_states: int | None = None) -> tuple[Node, dict[str, np.ndarray]]:
-    """Replace covered choice sites by conditionals over fresh predicates.
-
-    Returns the rewritten formula and the valuation extension mapping the
-    fresh predicate symbols to the strategy's predicates.  A partial
-    strategy (one side ``None``) leaves the other side's junctions in
-    place, to be resolved adversarially by evaluation.
-    """
-    strategy.check_shape(phi, n_states)
-    extension: dict[str, np.ndarray] = {}
-    sides = {MinJ: (strategy.min_choices, min_site_symbol),
-             MaxJ: (strategy.max_choices, max_site_symbol)}
-
-    def go(node: Node) -> Node:
-        choices, symbol_of = sides.get(type(node), (None, None))
-        if choices is None:
-            return map_children(node, go)
-        symbol = symbol_of(node.site)
-        extension[symbol] = predicate(choices[node.site])
-        return Cond(symbol, go(node.left), go(node.right))
-
-    return go(phi), extension
-
-
-def specialized_model(model: Model, extension: dict[str, np.ndarray]) -> Model:
-    """Model with the specialisation predicates bound."""
-    return Model(model.space, model.valuation.with_predicates(extension))
-
-
 def verify_strategy(phi: Node, model: Model, strategy: MemorilessStrategy,
                     cfg: EvalConfig | None = None) -> float:
-    """Sup-norm gap between the specialised and the original value.
+    """Sup-norm gap between the value under the strategy, a side it leaves
+    open staying adversarial, and the game value.
 
     For a synthesised strategy this stays within a small multiple of the
     iteration tolerance; a visibly positive residual means the strategy is
     suboptimal somewhere.
     """
     cfg = cfg or EvalConfig()
-    spec_phi, extension = specialize(phi, strategy, model.space.size)
+    strategy.check_shape(phi, model.space.size)
     base = evaluate(phi, model, cfg).result
-    specialised = evaluate(spec_phi, specialized_model(model, extension), cfg).result
-    return float(np.max(np.abs(specialised - base)))
+    fixed, _ = evaluate_with_strategies(phi, model, *strategy.sides(), cfg)
+    return float(np.max(np.abs(fixed - base)))
 
 
 def one_step_advice(model: Model, value: np.ndarray, s: int, *,

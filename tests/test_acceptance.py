@@ -20,10 +20,7 @@ from qmu.game import estimate, expand_tree
 from qmu.oracle import (
     InstanceBounds, brute_minimax, random_instance, random_probabilistic_body,
 )
-from qmu.strategy import (
-    MemorilessStrategy, specialize, specialized_model, synthesize,
-    verify_strategy,
-)
+from qmu.strategy import MemorilessStrategy, synthesize, verify_strategy
 
 TOL = 1e-6
 
@@ -71,8 +68,7 @@ def test_fixed_strategy_yield_table(futures):
     model, game = futures
     fixed_max = MemorilessStrategy(
         max_choices=(model.valuation.predicates["reserveAtCap"],))
-    phi2, ext = specialize(game, fixed_max, model.space.size)
-    values = evaluate(phi2, specialized_model(model, ext)).result
+    values, _ = evaluate_with_strategies(game, model, *fixed_max.sides())
     row = [10 * float(values[futures_index(v, 5, 10)]) for v in range(11)]
     expected = [3.68, 3.79, 3.97, 4.17, 4.29, 4.17, 4.16, 4.65, 5.61, 6.78, 9.50]
     gap = max(abs(a - b) for a, b in zip(row, expected))
@@ -96,8 +92,7 @@ def test_reach_probability_tables(futures):
     optimal = evaluate(chance, model).result
     fixed = MemorilessStrategy(
         max_choices=(model.valuation.predicates["intuitive"],))
-    phi2, ext = specialize(chance, fixed, model.space.size)
-    intuitive = evaluate(phi2, specialized_model(model, ext)).result
+    intuitive, _ = evaluate_with_strategies(chance, model, *fixed.sides())
     opt_row = [float(optimal[futures_index(v, 5, 10)]) for v in range(11)]
     int_row = [float(intuitive[futures_index(v, 5, 10)]) for v in range(11)]
     opt_expected = [0.25, 0.29, 0.34, 0.41, 0.46, 0.50, 0.56, 1.00, 1.00, 1.00, 1.00]
@@ -113,11 +108,8 @@ def test_two_state_example(vardi):
     model, phi = vardi
     value = evaluate(phi, model).result
     strategy, _ = synthesize(phi, model)
-    committed, ext = specialize(
-        phi, MemorilessStrategy(max_choices=strategy.max_choices),
-        model.space.size)
-    committed_value = evaluate(committed,
-                               specialized_model(model, ext)).result
+    committed_value, _ = evaluate_with_strategies(
+        phi, model, *MemorilessStrategy(max_choices=strategy.max_choices).sides())
     ok = (np.abs(value - 0.5).max() <= TOL
           and np.array_equal(strategy.max_choices[0],
                              model.valuation.predicates["atA"])

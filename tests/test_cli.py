@@ -128,8 +128,23 @@ class TestSynthesize:
         data = json.loads(out_file.read_text())
         assert data["min_choices"] == {} and data["max_choices"] == {}
 
+    def test_non_convergence_exits_two(self, capsys, vardi_files):
+        code, out, err = run(capsys, ["synthesize", vardi_files["model"],
+                                      vardi_files["formula"], "--max-iters", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "did not converge" in err
+
 
 class TestSimulate:
+    def test_non_convergence_exits_two(self, capsys, vardi_files):
+        code, out, err = run(capsys, ["simulate", vardi_files["model"],
+                                      vardi_files["formula"], "--synthesize",
+                                      "--state", "A", "--max-iters", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "did not converge" in err
+
     def test_deterministic_output(self, capsys, vardi_files, tmp_path):
         strategy = tmp_path / "s.json"
         run(capsys, ["synthesize", vardi_files["model"],
@@ -347,3 +362,15 @@ class TestExample:
     def test_tables_only_for_futures(self, capsys):
         code, _, err = run(capsys, ["example", "vardi", "--table", "optimal"])
         assert code == 1
+
+    def test_table_non_convergence_exits_two(self, capsys, monkeypatch):
+        # the command has no iteration cap option, so the cap is lowered
+        # where it builds its configuration
+        import qmu.cli
+        from qmu.evaluator import EvalConfig
+        monkeypatch.setattr(qmu.cli, "EvalConfig",
+                            lambda tolerance: EvalConfig(tolerance, 1))
+        code, out, err = run(capsys, ["example", "futures", "--table", "yield"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "did not converge" in err

@@ -173,6 +173,11 @@ class TestValidate:
         model = Model(space, Valuation(expectations={"A": np.array([0.5])}))
         assert any(d.rule == "expectation-length" for d in validate(model))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_expectation_rejects_non_finite_in_memory(self, bad):
+        with pytest.raises(ModelError, match=r"\[0, 1\]"):
+            expectation([bad, 0.5])
+
     def test_expectation_range_order_pinned(self):
         # each expectation's bad entries in state order, NaN included
         model = Model(StateSpace(("a", "b", "c", "d")), Valuation(expectations={
@@ -279,3 +284,9 @@ class TestSparseStorage:
                              text=True, check=True, timeout=60,
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "[]"
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in qmu.__all__ if not hasattr(qmu, name)]
+    assert not missing
+    assert len(set(qmu.__all__)) == len(qmu.__all__)

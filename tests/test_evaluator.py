@@ -7,14 +7,15 @@ from qmu.core import Model, StateSpace, Valuation, expectation, predicate, trans
 from qmu.evaluator import (
     DivergenceError, EvalConfig, FixNotSupportedError,
     NondeterministicFixBodyError, NotConvergedError, PathStrategy,
-    UnresolvedSymbolError,
+    UnresolvedSymbolError, _masked, _run,
     evaluate, evaluate_batch, evaluate_fix, evaluate_with_strategies,
 )
 from qmu.formula import (
     Fix, MaxJ, MinJ, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
 )
 from qmu.oracle import random_instance, random_probabilistic_body
-from qmu.strategy import MemorilessStrategy, specialize, specialized_model
+from qmu.strategy import MemorilessStrategy, synthesize
+from specialize_reference import specialize, specialized_model
 
 TOL = 1e-9
 
@@ -177,6 +178,21 @@ class TestEvaluateFix:
 
 
 class TestStrategySemantics:
+    @staticmethod
+    def masked_and_rewritten(phi, model, strategy):
+        """The reports of the strategy applied as junction masks and by the
+        rewrite reference, after checking that the masked report's values
+        are those of :func:`evaluate_with_strategies`."""
+        n = model.space.size
+        sigma_min, sigma_max = strategy.sides()
+        masked = _run(phi, model, None, "reject", _masked(*(
+            None if choices is None else np.array(choices, dtype=bool)
+            for choices in (strategy.min_choices, strategy.max_choices))))
+        lo, hi = evaluate_with_strategies(phi, model, sigma_min, sigma_max)
+        assert np.array_equal(lo, masked.result) and np.array_equal(lo, hi)
+        phi2, ext = specialize(phi, strategy, n)
+        return masked, evaluate(phi2, specialized_model(model, ext))
+
     def test_memoriless_matches_specialised_evaluation(self):
         for trial in range(40):
             inst = random_instance([151, trial])
@@ -186,13 +202,30 @@ class TestStrategySemantics:
             strategy = MemorilessStrategy(
                 min_choices=tuple(rng.random(n) < 0.5 for _ in range(mins)),
                 max_choices=tuple(rng.random(n) < 0.5 for _ in range(maxs)))
-            sigma_min, sigma_max = strategy.path_strategies()
-            lo, hi = evaluate_with_strategies(inst.phi, inst.model,
-                                              sigma_min, sigma_max)
-            phi2, ext = specialize(inst.phi, strategy, n)
-            direct = evaluate(phi2, specialized_model(inst.model, ext)).result
-            assert np.abs(lo - direct).max() <= 10 * TOL
-            assert np.array_equal(lo, hi)
+            for side in (strategy,
+                         MemorilessStrategy(min_choices=strategy.min_choices),
+                         MemorilessStrategy(max_choices=strategy.max_choices)):
+                masked, rewritten = self.masked_and_rewritten(
+                    inst.phi, inst.model, side)
+                assert masked == rewritten
+
+    def test_futures_fixed_strategies_match_rewrite(self, futures,
+                                                    futures_strategy):
+        from qmu.examples import atleast6_formula
+        model, game = futures
+        chance = reduce(atleast6_formula(), model.valuation)
+        strategy, _ = futures_strategy
+        predicates = model.valuation.predicates
+        cases = [(game, strategy),
+                 (game, MemorilessStrategy(max_choices=strategy.max_choices)),
+                 (game, MemorilessStrategy(min_choices=strategy.min_choices)),
+                 (game, MemorilessStrategy(
+                     max_choices=(predicates["reserveAtCap"],))),
+                 (chance, MemorilessStrategy(max_choices=(predicates["intuitive"],))),
+                 (chance, synthesize(chance, model)[0])]
+        for phi, side in cases:
+            masked, rewritten = self.masked_and_rewritten(phi, model, side)
+            assert masked == rewritten and masked.converged
 
     def test_batch_rows_are_single_pair_evaluations(self):
         for trial in range(40):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from qmu.core import EPS_REPR, pre_expectation, validate
-from qmu.evaluator import evaluate
+from qmu.evaluator import (
+    EvalConfig, NotConvergedError, evaluate, evaluate_with_strategies,
+)
 from qmu.examples import (
-    atleast6_formula, futures_index, futures_label, case_study_tables,
-    round_half_up,
+    TABLE_LABELS, _profile, atleast6_formula, futures_index, futures_label,
+    case_study_tables, round_half_up,
 )
 from qmu.formula import choice_sites, parse, reduce
-from qmu.strategy import MemorilessStrategy, specialize, specialized_model
+from qmu.strategy import MemorilessStrategy
+from specialize_reference import specialize, specialized_model
 
 
 class TestFuturesModel:
@@ -77,8 +80,7 @@ class TestVardi:
         model, phi = vardi
         strategy = MemorilessStrategy(
             max_choices=(model.valuation.predicates["atA"],))
-        phi2, ext = specialize(phi, strategy, model.space.size)
-        result = evaluate(phi2, specialized_model(model, ext)).result
+        result, _ = evaluate_with_strategies(phi, model, *strategy.sides())
         assert np.allclose(result, 0.5, atol=1e-6)
 
     def test_decide_after_stepping_variant_is_one(self, vardi):
@@ -119,3 +121,23 @@ class TestTables:
     def test_rounding_is_half_up(self):
         assert round_half_up(4.155) == 4.16
         assert round_half_up(4.154) == 4.15
+
+    def test_fixed_strategy_rows_equal_the_rewrite(self, futures, tables):
+        model, game = futures
+        chance = reduce(atleast6_formula(), model.valuation)
+
+        def rewritten(phi, name):
+            strategy = MemorilessStrategy(
+                max_choices=(model.valuation.predicates[name],))
+            phi2, ext = specialize(phi, strategy, model.space.size)
+            return evaluate(phi2, specialized_model(model, ext)).result
+
+        assert tables["yield"].rows == {
+            TABLE_LABELS["yield"]: _profile(rewritten(game, "reserveAtCap"), 10.0)}
+        assert tables["probability"].rows[TABLE_LABELS["probability"][1]] == (
+            _profile(rewritten(chance, "intuitive"), 1.0))
+
+    def test_not_converged_raises(self, futures):
+        model, _ = futures
+        with pytest.raises(NotConvergedError):
+            case_study_tables(EvalConfig(max_iterations=1), model)

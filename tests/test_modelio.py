@@ -1,6 +1,7 @@
 """Model file round trips and schema checks."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,40 @@ class TestMalformed:
     def test_weight_not_a_number(self, data, weight):
         data["transitions"]["k"][1]["payoff_weight"] = weight
         self.rejected(data, "payoff weights must be numbers")
+
+    @pytest.mark.parametrize("entry", ["0.5", True, None, [0.5]])
+    def test_expectation_entry_not_a_number(self, data, entry):
+        data["expectations"]["atB"][1] = entry
+        self.rejected(data, "expectation 'atB': entries must be numbers, got "
+                      + re.escape(repr(entry)))
+
+    @pytest.mark.parametrize("entry", ["no", None, 1, 0.0])
+    def test_predicate_entry_not_a_boolean(self, data, entry):
+        data["predicates"]["atA"][1] = entry
+        self.rejected(data, "predicate 'atA': entries must be true or false, got "
+                      + re.escape(repr(entry)))
+
+    @pytest.mark.parametrize("label", [2, None, True, ["B"]])
+    def test_state_label_not_a_string(self, data, label):
+        data["states"][1] = label
+        self.rejected(data, "states: labels must be strings, got "
+                      + re.escape(repr(label)))
+
+    @pytest.mark.parametrize("member", [0, None, ["k"]])
+    def test_set_member_not_a_string(self, data, member):
+        data["transition_sets"]["k"] = [member]
+        self.rejected(data, "transition set 'k': members must be strings, got "
+                      + re.escape(repr(member)))
+
+    @pytest.mark.parametrize("where,edit", [
+        ("states", lambda d: d.update(states="AB")),
+        ("expectation 'atB'", lambda d: d["expectations"].update(atB=0.5)),
+        ("predicate 'atA'", lambda d: d["predicates"].update(atA="true")),
+        ("transition set 'k'", lambda d: d["transition_sets"].update(k="k")),
+    ], ids=["states", "expectation", "predicate", "transition-set"])
+    def test_entries_not_a_list(self, data, where, edit):
+        edit(data)
+        self.rejected(data, f"malformed model file: {where} must be a list of ")
 
     def test_negative_probability(self, data):
         data["transitions"]["k"][0]["to"][1][1] = -0.5

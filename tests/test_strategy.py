@@ -1,18 +1,28 @@
-"""Strategy synthesis, specialisation, verification and advice."""
+"""Strategy synthesis, verification and advice, and the rewrite reference."""
 
 import numpy as np
 import pytest
 
 from qmu.core import Model, StateSpace, Valuation, expectation
-from qmu.evaluator import evaluate
+from qmu.evaluator import (
+    EvalConfig, NotConvergedError, evaluate, evaluate_with_strategies,
+)
 from qmu.examples import futures_index
 from qmu.formula import Cond, Modal, Mu, Var, alpha_equal, parse, reduce
 from qmu.oracle import random_instance
 from qmu.strategy import (
     FingerprintMismatchError, MemorilessStrategy, StrategyError,
-    load_strategy, one_step_advice, save_strategy, specialize,
-    specialized_model, synthesize, verify_strategy,
+    load_strategy, one_step_advice, save_strategy, synthesize, verify_strategy,
 )
+from specialize_reference import specialize, specialized_model
+
+
+def rewrite_residual(phi, model, strategy):
+    """The verify residual with the strategy applied by the formula rewrite."""
+    phi2, ext = specialize(phi, strategy, model.space.size)
+    base = evaluate(phi, model).result
+    fixed = evaluate(phi2, specialized_model(model, ext)).result
+    return float(np.max(np.abs(fixed - base)))
 
 
 class TestSynthesize:
@@ -69,6 +79,8 @@ class TestSynthesize:
 
 
 class TestSpecialize:
+    """The formula rewrite kept in ``specialize_reference``."""
+
     def test_vardi_committed_formula_shape(self, vardi):
         model, phi = vardi
         strategy = MemorilessStrategy(
@@ -85,8 +97,8 @@ class TestSpecialize:
         assert np.allclose(value, 0.5, atol=1e-9)
 
     def test_empty_strategy_leaves_formula_alone(self, vardi):
-        _, phi = vardi
-        phi2, ext = specialize(phi, MemorilessStrategy())
+        model, phi = vardi
+        phi2, ext = specialize(phi, MemorilessStrategy(), model.space.size)
         assert alpha_equal(phi2, phi)
         assert ext == {}
 
@@ -96,17 +108,22 @@ class TestSpecialize:
         with pytest.raises(StrategyError):
             specialize(phi, bad, model.space.size)
 
-    def test_check_shape_lengths_only_with_state_count(self, vardi):
+    def test_check_shape_counts_sites_and_entries(self, vardi):
         model, phi = vardi
+        n = model.space.size
+        MemorilessStrategy(max_choices=(np.array([True, False]),)).check_shape(phi, n)
         short = MemorilessStrategy(max_choices=(np.array([True]),))
-        short.check_shape(phi)
         with pytest.raises(StrategyError, match="entries"):
-            short.check_shape(phi, model.space.size)
+            short.check_shape(phi, n)
+        with pytest.raises(StrategyError, match="entries"):
+            verify_strategy(phi, model, short)
         two_sites = MemorilessStrategy(max_choices=(np.array([True, False]),) * 2)
         with pytest.raises(StrategyError, match="sites"):
-            two_sites.check_shape(phi)
+            two_sites.check_shape(phi, n)
         with pytest.raises(StrategyError, match="sites"):
-            specialize(phi, two_sites)
+            specialize(phi, two_sites, n)
+        with pytest.raises(StrategyError, match="sites"):
+            verify_strategy(phi, model, two_sites)
 
     def test_neutral_extension_does_not_move_values(self, vardi):
         model, phi = vardi
@@ -137,8 +154,7 @@ class TestVerify:
         always_wait = MemorilessStrategy(max_choices=(np.zeros(n, bool),))
         residual = verify_strategy(game, model, always_wait)
         assert residual >= 0.05
-        phi2, ext = specialize(game, always_wait, n)
-        wait_value = evaluate(phi2, specialized_model(model, ext)).result
+        wait_value, _ = evaluate_with_strategies(game, model, *always_wait.sides())
         i = futures_index(10, 5, 10)
         gap = futures_report.result[i] - wait_value[i]
         # never reserving never sells: the whole 0.95 is forfeited at v=10
@@ -149,6 +165,38 @@ class TestVerify:
             inst = random_instance([271, trial])
             strategy, _ = synthesize(inst.phi, inst.model)
             assert verify_strategy(inst.phi, inst.model, strategy) <= 1e-8
+
+    def test_residuals_equal_the_rewrite(self, futures, futures_strategy):
+        model, game = futures
+        strategy, _ = futures_strategy
+        n = model.space.size
+        cases = [(game, model, side) for side in (
+            strategy,
+            MemorilessStrategy(max_choices=strategy.max_choices),
+            MemorilessStrategy(min_choices=strategy.min_choices),
+            MemorilessStrategy(max_choices=(np.zeros(n, bool),)),
+            MemorilessStrategy(
+                max_choices=(model.valuation.predicates["reserveAtCap"],)))]
+        for trial in range(40):
+            inst = random_instance([271, trial])
+            full, _ = synthesize(inst.phi, inst.model)
+            rng = np.random.default_rng(trial)
+            n = inst.model.space.size
+            drawn = MemorilessStrategy(
+                min_choices=tuple(rng.random(n) < 0.5 for _ in full.min_choices),
+                max_choices=tuple(rng.random(n) < 0.5 for _ in full.max_choices))
+            cases += [(inst.phi, inst.model, side) for side in (
+                full, drawn, MemorilessStrategy(min_choices=drawn.min_choices),
+                MemorilessStrategy(max_choices=drawn.max_choices))]
+        for phi, m, side in cases:
+            assert verify_strategy(phi, m, side) == rewrite_residual(phi, m, side)
+
+    def test_not_converged_raises(self, vardi):
+        model, phi = vardi
+        strategy = MemorilessStrategy(
+            max_choices=(model.valuation.predicates["atA"],))
+        with pytest.raises(NotConvergedError):
+            verify_strategy(phi, model, strategy, EvalConfig(max_iterations=1))
 
 
 class TestOneStepAdvice:
