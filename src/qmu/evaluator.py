@@ -17,7 +17,10 @@ strategy's choice masks at the junctions, otherwise the formula is unfolded
 to a bounded depth with truncated fixpoints contributing their binder's
 default (0 for ``mu``, 1 for ``nu``).  :func:`evaluate_batch` solves many
 memoriless strategy pairs at once, one row of a ``(B, n)`` expectation per
-pair, each row with its own stopping test.
+pair, each row with its own stopping test.  Once at most half of a batched
+loop's rows are still iterating, the loop goes on with those rows only; the
+stopped rows keep their values, and their last steps still count towards
+the loop's reported residual, that of its slowest row.
 """
 
 from __future__ import annotations
@@ -93,8 +96,8 @@ class FixpointStats:
     ``solves`` counts its solves and ``total_iterations`` sums the
     iterations of all of them; ``converged`` holds only if every solve
     converged.  In a batched evaluation ``iterations`` and ``residual`` are
-    those of the slowest row, and ``converged`` holds only if every row
-    converged.
+    those of the slowest row, rows that stopped early and left the batch
+    included, and ``converged`` holds only if every row converged.
     """
 
     binder: str
@@ -179,23 +182,36 @@ def _pointwise(node: Node, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.minimum(left, right)
 
 
-def _masked(min_masks, max_masks):
+class _Masked:
     """Junction rule taking the left 'junct where a site's mask holds.
 
-    A side whose masks are ``None`` stays adversarial.
+    A side whose masks are ``None`` stays adversarial.  Batched masks have
+    shape ``(sites, B, n)``; :meth:`narrow` keeps some of the ``B`` rows.
     """
-    def choose(node, left, right):
-        masks = max_masks if isinstance(node, MaxJ) else min_masks
+
+    def __init__(self, min_masks, max_masks):
+        self.min_masks = min_masks
+        self.max_masks = max_masks
+
+    def __call__(self, node, left, right):
+        masks = self.max_masks if isinstance(node, MaxJ) else self.min_masks
         if masks is None:
             return _pointwise(node, left, right)
         return np.where(masks[node.site], left, right)
-    return choose
+
+    def narrow(self, rows: np.ndarray) -> "_Masked":
+        return _Masked(*(None if masks is None else masks[:, rows]
+                         for masks in (self.min_masks, self.max_masks)))
 
 
 #: Plan step kinds.  A step is a tuple whose first item is its kind; loops
 #: are bracketed by an ``_ENTER`` and a ``_TEST`` step that share a
 #: :class:`_Loop`.
 _PRODUCT, _JUNCTION, _COND, _ENTER, _TEST = range(5)
+
+#: A batched loop goes on with its live rows only once at most this share of
+#: its rows is live.
+_COMPACT_SHARE = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +221,9 @@ class _Loop:
     ``drop_body`` says that the test is the only reader of the body's
     register.  ``length`` counts the body steps between the loop's
     ``_ENTER`` and ``_TEST``, so the test jumps back by that much.
+    ``reads`` holds the registers, other than constants and the loop's own,
+    that its body (inner loops included) or its test reads but does not
+    write: those a batched loop narrows with its rows.
     """
 
     var: str
@@ -214,6 +233,63 @@ class _Loop:
     seed: float
     forced: bool
     length: int
+    reads: tuple[int, ...]
+
+
+class _Frame:
+    """A running loop: the enclosing loop's live rows, each row's last step,
+    the iteration count and, for a forced ``fix(x)``, its residual window.
+
+    Once the loop has narrowed, ``rows`` maps its rows to those it was
+    entered with, ``full`` holds the iterate at that width, ``saved`` the
+    registers and ``choose`` the junction rule it narrowed, and ``stopped``
+    the largest last step of the rows it dropped.
+    """
+
+    def __init__(self, outer: np.ndarray, window: deque | None):
+        self.outer = outer
+        # rows idle in the enclosing loop read a last step of 0
+        self.last = np.where(outer, np.inf, 0.0)
+        self.iterations = 0
+        self.window = window
+        self.rows: np.ndarray | None = None
+        self.full = None
+        self.saved: list = []
+        self.choose = None
+        self.stopped = -np.inf
+
+    def residual(self) -> float:
+        """The slowest row's last step, dropped rows included.  A NaN step
+        stops the loop at once, so only ``self.last`` can hold one."""
+        return max(float(self.last.max()), self.stopped)
+
+    def narrow(self, loop: _Loop, regs: list, live: np.ndarray, choose):
+        """Go on with the live rows only; returns their junction rule."""
+        keep = np.flatnonzero(live)
+        cur = regs[loop.register]
+        if self.rows is None:
+            self.rows, self.full, self.choose = keep, cur, choose
+            self.saved = [(r, regs[r]) for r in loop.reads if np.ndim(regs[r]) > 1]
+        else:
+            self.full[self.rows] = cur
+            self.rows = self.rows[keep]
+        self.stopped = float(np.max(self.last[~live], initial=self.stopped))
+        self.last = self.last[keep]
+        regs[loop.register] = cur[keep]
+        for r, _ in self.saved:
+            regs[r] = regs[r][keep]
+        return choose.narrow(keep)
+
+    def widen(self, loop: _Loop, regs: list, choose):
+        """Scatter the iterate back to the width the loop was entered with
+        and restore what it narrowed; returns the junction rule."""
+        if self.rows is None:
+            return choose
+        self.full[self.rows] = regs[loop.register]
+        regs[loop.register] = self.full
+        for r, value in self.saved:
+            regs[r] = value
+        return self.choose
 
 
 class _Plan:
@@ -288,7 +364,8 @@ class _Plan:
                 _, bits, result = operands[0]
                 loop = _Loop(node.var, register, regs[0],
                              result and bool(bits >> depth & 1), seed,
-                             id(node) in forced, len(body))
+                             id(node) in forced, len(body),
+                             self._outside_reads(body, register, regs[0]))
                 steps = [(_ENTER, loop), *body, (_TEST, loop)]
                 binders.append(node.var)
             else:
@@ -316,25 +393,43 @@ class _Plan:
         self.registers.append(value)
         return len(self.registers) - 1
 
+    def _outside_reads(self, body: list, register: int,
+                       result: int) -> tuple[int, ...]:
+        """Registers other than constants that a loop reads but does not
+        write: those its ``body`` steps read and its test's ``result``,
+        the loop's own ``register`` excepted."""
+        reads = {result}
+        written = {register}
+        for step in body:
+            if step[0] == _ENTER:
+                reads.update(step[1].reads)
+                written.add(step[1].register)
+            elif step[0] != _TEST:
+                # a step's operand registers: one for a product, two otherwise
+                reads.update(step[3:5])
+                written.add(step[1])
+        return tuple(sorted(r for r in reads - written
+                            if self.registers[r] is None))
+
     def run(self, cfg: EvalConfig, choose, batch: int | None) -> EvalReport:
         """Execute the steps with junction rule ``choose``.
 
         ``choose(node, left, right)`` resolves each min/max node from its
         operand expectations.  With ``batch`` set, every iterate is
         ``(batch, n)``, one row per strategy pair; constants and predicates
-        stay ``(n,)`` and broadcast.
+        stay ``(n,)`` and broadcast.  A batched loop whose live rows fall to
+        :data:`_COMPACT_SHARE` of its width or fewer goes on with those rows
+        only, through ``choose.narrow(rows)``; every row's arithmetic is
+        elementwise, so a row's values do not depend on the width.
         """
-        shape = (self.n,) if batch is None else (batch, self.n)
         tol = cfg.tolerance
         regs = list(self.registers)
         steps = self.steps
         # Rows still iterating in the innermost running loop, one flag per
         # row (a 0-d flag unbatched); a loop starts from its enclosing
         # loop's live rows.
-        live = np.ones(shape[:-1], dtype=bool)
-        # per running loop: enclosing live rows, each row's last step,
-        # iterations and, for a forced fix(x), its residual window
-        frames: list[list] = []
+        live = np.ones(() if batch is None else (batch,), dtype=bool)
+        frames: list[_Frame] = []
         stats: dict[str, FixpointStats] = {}
         pc = 0
         end = len(steps)
@@ -353,11 +448,10 @@ class _Plan:
                     regs[step[5]] = None
             elif kind == _ENTER:
                 loop = step[1]
-                regs[loop.register] = np.full(shape, loop.seed)
-                # rows idle in the enclosing loop read a last step of 0
+                regs[loop.register] = np.full((*live.shape, self.n), loop.seed)
                 window = (deque(maxlen=_DIVERGENCE_WINDOW + 1) if loop.forced
                           else None)
-                frames.append([live, np.where(live, np.inf, 0.0), 0, window])
+                frames.append(_Frame(live, window))
                 live = live.copy()
             else:
                 loop = step[1]
@@ -369,13 +463,13 @@ class _Plan:
                 # A row stops after its own first step within tolerance,
                 # where evaluating it alone would stop, and keeps that value.
                 change = np.abs(new - cur).max(axis=-1)
-                cur = regs[loop.register] = np.where(live[..., None], new, cur)
-                frame[1] = np.where(live, change, frame[1])
+                regs[loop.register] = np.where(live[..., None], new, cur)
+                frame.last = np.where(live, change, frame.last)
                 live &= change > tol
-                frame[2] += 1
-                residual = float(frame[1].max())
+                frame.iterations += 1
+                residual = frame.residual()
                 if residual > tol:
-                    window = frame[3]
+                    window = frame.window
                     if window is not None:
                         window.append(residual)
                         if (len(window) == _DIVERGENCE_WINDOW + 1
@@ -385,21 +479,28 @@ class _Plan:
                                 f"fix({loop.seed}) iteration for {loop.var!r} "
                                 "shows non-decreasing residual over "
                                 f"{_DIVERGENCE_WINDOW} iterates")
-                    if frame[2] < cfg.max_iterations:
+                    if frame.iterations < cfg.max_iterations:
+                        if (batch is not None and np.count_nonzero(live)
+                                <= _COMPACT_SHARE * live.size):
+                            choose = frame.narrow(loop, regs, live, choose)
+                            live = live[live]
                         pc -= loop.length
                         continue
                 frames.pop()
-                live = frame[0]
+                choose = frame.widen(loop, regs, choose)
+                live = frame.outer
                 prev = stats.get(loop.var)
                 stats[loop.var] = FixpointStats(
                     binder=loop.var,
-                    iterations=frame[2],
+                    iterations=frame.iterations,
                     residual=residual,
                     converged=residual <= tol and (prev.converged if prev else True),
                     solves=(prev.solves if prev else 0) + 1,
-                    total_iterations=(prev.total_iterations if prev else 0) + frame[2],
+                    total_iterations=((prev.total_iterations if prev else 0)
+                                      + frame.iterations),
                 )
             pc += 1
+        shape = (self.n,) if batch is None else (batch, self.n)
         result = np.clip(np.broadcast_to(regs[self.out], shape), 0.0, 1.0)
         result.setflags(write=False)
         fixpoints = {var: stats[var] for var in self.binders}
@@ -485,8 +586,10 @@ def evaluate_batch(phi: Node, model: Model, min_masks: np.ndarray,
     that min site, true where it takes the left 'junct.  The result has
     shape ``(B, n)``.  Each row iterates every binder with its own stopping
     test, so row ``b`` is bit-identical to evaluating the formula with pair
-    ``b``'s choices alone.  The report's ``converged`` holds only if every
-    row converged.
+    ``b``'s choices alone.  Rows that have stopped leave a loop once at most
+    half of its rows are live; each binder's ``iterations`` and ``residual``
+    are still those of its slowest row, those that left included.  The
+    report's ``converged`` holds only if every row converged.
     """
     min_masks = np.asarray(min_masks, dtype=bool)
     max_masks = np.asarray(max_masks, dtype=bool)
@@ -498,7 +601,7 @@ def evaluate_batch(phi: Node, model: Model, min_masks: np.ndarray,
         raise ValueError(
             f"masks of shapes {min_masks.shape} and {max_masks.shape} do not fit "
             f"{mins} min and {maxs} max sites over {n} states")
-    return _run(phi, model, cfg, "reject", _masked(min_masks, max_masks), batch)
+    return _run(phi, model, cfg, "reject", _Masked(min_masks, max_masks), batch)
 
 
 def evaluate_with_strategies(
@@ -528,7 +631,7 @@ def evaluate_with_strategies(
     if all(sigma is None or sigma.memoriless for _, sigma, _ in sides):
         masks = [None if sigma is None else sigma.choice_masks(sites, n)
                  for _, sigma, sites in sides]
-        report = _run(phi, model, cfg, "reject", _masked(*masks))
+        report = _run(phi, model, cfg, "reject", _Masked(*masks))
         if not report.converged:
             raise NotConvergedError("strategy evaluation did not converge")
         return report.result.copy(), report.result.copy()

@@ -10,10 +10,11 @@ with :func:`~qmu.core.transition_from_edges`; it makes no per-edge
 tuples.  A file is malformed if a section is not a JSON object, a row not
 an object, an edge not a ``[target, probability]`` pair, a target not a JSON
 integer, a probability, weight or expectation entry not a finite JSON number
-(``true`` and ``"0.5"`` are not), a predicate entry not a JSON boolean, or a
-state label or set member not a string; one that parses but breaks an
-invariant of :func:`~qmu.core.validate` fails validation.  Both raise
-:class:`ModelFileError`.
+(``true`` and ``"0.5"`` are not), an expectation entry outside [0, 1] (the
+message names the expectation and the first such state), a predicate entry
+not a JSON boolean, or a state label or set member not a string; one that
+parses but breaks an invariant of :func:`~qmu.core.validate` fails
+validation.  Both raise :class:`ModelFileError`.
 """
 
 from __future__ import annotations
@@ -76,10 +77,26 @@ def _require(values, kinds: set, where: str, noun: str, kind: str) -> list:
 
 
 def _lists(data: dict, key: str, kinds: set, noun: str, kind: str, build) -> dict:
-    """Section ``key``, every entry checked by :func:`_require` and built."""
+    """Section ``key``, every entry checked by :func:`_require` and built
+    by ``build(where, values)``."""
     label = key.rstrip("s").replace("_", " ")
-    return {name: build(_require(values, kinds, f"{label} {name!r}", noun, kind))
-            for name, values in _section(data, key).items()}
+    built = {}
+    for name, values in _section(data, key).items():
+        where = f"{label} {name!r}"
+        built[name] = build(where, _require(values, kinds, where, noun, kind))
+    return built
+
+
+def _expectation(where: str, values: list, size: int):
+    """An expectation whose first entry outside [0, 1], NaN included, is
+    named with its state."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~((arr >= 0.0) & (arr <= 1.0)))
+    if bad.size:
+        s = int(bad[0])
+        raise ModelFileError(f"malformed model file: {where}, state {s}: "
+                             f"entry {arr[s]} outside [0, 1]")
+    return expectation(arr, size)
 
 
 def _transition_from_rows(name: str, rows) -> Transition:
@@ -125,12 +142,13 @@ def model_from_dict(data: dict) -> Model:
                        for name, rows in _section(data, "transitions").items()}
         valuation = Valuation(
             expectations=_lists(data, "expectations", {int, float}, "entries",
-                                "numbers", lambda arr: expectation(arr, space.size)),
+                                "numbers", lambda where, arr: _expectation(
+                                    where, arr, space.size)),
             transitions=transitions,
             transition_sets=_lists(data, "transition_sets", {str}, "members",
-                                   "strings", tuple),
-            predicates=_lists(data, "predicates", {bool}, "entries",
-                              "true or false", lambda arr: predicate(arr, space.size)),
+                                   "strings", lambda where, members: tuple(members)),
+            predicates=_lists(data, "predicates", {bool}, "entries", "true or false",
+                              lambda where, arr: predicate(arr, space.size)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelFileError):

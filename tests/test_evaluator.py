@@ -7,7 +7,7 @@ from qmu.core import Model, StateSpace, Valuation, expectation, predicate, trans
 from qmu.evaluator import (
     DivergenceError, EvalConfig, FixNotSupportedError,
     NondeterministicFixBodyError, NotConvergedError, PathStrategy,
-    UnresolvedSymbolError, _masked, _run,
+    UnresolvedSymbolError, _Masked, _run,
     evaluate, evaluate_batch, evaluate_fix, evaluate_with_strategies,
 )
 from qmu.formula import (
@@ -185,7 +185,7 @@ class TestStrategySemantics:
         are those of :func:`evaluate_with_strategies`."""
         n = model.space.size
         sigma_min, sigma_max = strategy.sides()
-        masked = _run(phi, model, None, "reject", _masked(*(
+        masked = _run(phi, model, None, "reject", _Masked(*(
             None if choices is None else np.array(choices, dtype=bool)
             for choices in (strategy.min_choices, strategy.max_choices))))
         lo, hi = evaluate_with_strategies(phi, model, sigma_min, sigma_max)

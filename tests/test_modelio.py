@@ -138,6 +138,18 @@ class TestMalformed:
         self.rejected(data, "expectation 'atB': entries must be numbers, got "
                       + re.escape(repr(entry)))
 
+    @pytest.mark.parametrize("entry,shown", [("NaN", "nan"), ("1.5", "1.5"),
+                                             ("-0.25", "-0.25")])
+    def test_expectation_entry_out_of_range(self, tmp_path, data, entry, shown):
+        data["expectations"]["atB"][1] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data).replace('"@"', entry))
+        with pytest.raises(ModelFileError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == (
+            "malformed model file: expectation 'atB', state 1: "
+            f"entry {shown} outside [0, 1]")
+
     @pytest.mark.parametrize("entry", ["no", None, 1, 0.0])
     def test_predicate_entry_not_a_boolean(self, data, entry):
         data["predicates"]["atA"][1] = entry

@@ -16,17 +16,19 @@ import numpy as np
 import pytest
 
 import qmu.evaluator
+import qmu.oracle
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate, transition
 from qmu.evaluator import (
-    DivergenceError, EvalConfig, EvalReport, FixpointStats, _check_entry,
-    _masked, _pointwise, evaluate, evaluate_batch, evaluate_fix,
+    _ENTER, _TEST, DivergenceError, EvalConfig, EvalReport, FixpointStats,
+    _check_entry, _Frame, _Masked, _Plan, _pointwise, evaluate, evaluate_batch,
+    evaluate_fix,
 )
 from qmu.examples import case_study_tables
 from qmu.formula import (
     Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Nu, Var, children, choice_sites,
     free_variables, parse, pretty_print, reduce,
 )
-from qmu.oracle import random_formula, random_instance
+from qmu.oracle import _TEMPLATES, brute_minimax, random_formula, random_instance
 from qmu.strategy import synthesize, verify_strategy
 
 NEST = "nu Y . mu X . (atLeast6 /\\ <month> Y) \\/ <month> X"
@@ -227,7 +229,7 @@ class TestMatchesTheRecursiveWalk:
         min_masks = rng.random((1, 9, n)) < 0.5
         max_masks = rng.random((1, 9, n)) < 0.5
         assert_same(evaluate_batch(inst.phi, inst.model, min_masks, max_masks),
-                    walk(inst.phi, inst.model, choose=_masked(min_masks, max_masks),
+                    walk(inst.phi, inst.model, choose=_Masked(min_masks, max_masks),
                          batch=9))
 
     def test_batched_closed_inner_binder_reports_its_slowest_row(self):
@@ -244,7 +246,7 @@ class TestMatchesTheRecursiveWalk:
             min_masks = rng.random((1, 6, n)) < 0.5
             max_masks = rng.random((2, 6, n)) < 0.5
             batch = evaluate_batch(phi, model, min_masks, max_masks)
-            reference = walk(phi, model, choose=_masked(min_masks, max_masks),
+            reference = walk(phi, model, choose=_Masked(min_masks, max_masks),
                              batch=6)
             assert np.array_equal(batch.result, reference.result)
             assert batch.fixpoints["Y"] == reference.fixpoints["Y"]
@@ -280,6 +282,172 @@ class TestMatchesTheRecursiveWalk:
                            Modal("k", Var("X")), 0))
         plan = evaluate(phi, model)
         assert np.array_equal(plan.result, walk(phi, model).result)
+
+
+def enclosing_loops(phi, model):
+    """Each binder's enclosing loop in the compiled plan, None at the top."""
+    enclosing, running = {}, []
+    for step in _Plan(phi, model, frozenset()).steps:
+        if step[0] == _ENTER:
+            enclosing[step[1].var] = running[-1] if running else None
+            running.append(step[1].var)
+        elif step[0] == _TEST:
+            running.pop()
+    return enclosing
+
+
+def assert_rows_alone(phi, model, min_masks, max_masks, batch):
+    """Each row of ``batch`` is its strategy pair's value solved alone, and
+    each binder reports the slowest row of its last solve: the rows that
+    ran every enclosing loop's last solve longest."""
+    rows = [evaluate_batch(phi, model, min_masks[:, [b]], max_masks[:, [b]])
+            for b in range(min_masks.shape[1])]
+    for b, row in enumerate(rows):
+        assert np.array_equal(batch.result[b], row.result[0]), b
+    enclosing = enclosing_loops(phi, model)
+
+    def last_solve(var):
+        outer = enclosing[var]
+        if outer is None:
+            return range(len(rows))
+        members = last_solve(outer)
+        longest = max(rows[b].fixpoints[outer].iterations for b in members)
+        return [b for b in members if rows[b].fixpoints[outer].iterations == longest]
+
+    for var, got in batch.fixpoints.items():
+        members = last_solve(var)
+        assert got.iterations == max(rows[b].fixpoints[var].iterations
+                                     for b in members), var
+        assert got.residual == max(rows[b].fixpoints[var].residual
+                                   for b in members), var
+        assert got.converged == all(row.fixpoints[var].converged for row in rows)
+
+
+@pytest.fixture
+def uncompacted(monkeypatch):
+    """Solve batched loops over all their rows, as before compaction."""
+    def solve(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(qmu.evaluator, "_COMPACT_SHARE", 0.0)
+            return fn(*args)
+    return solve
+
+
+class TestCompaction:
+    """A batched loop goes on with its live rows only once at most half of
+    them are live; no value or statistic may change."""
+
+    def test_crosscheck_batches(self, monkeypatch, uncompacted):
+        batches = []
+        batched = qmu.oracle.evaluate_batch
+
+        def captured(phi, model, min_masks, max_masks, cfg=None):
+            report = batched(phi, model, min_masks, max_masks, cfg)
+            batches.append((phi, model, min_masks, max_masks, report))
+            return report
+
+        monkeypatch.setattr(qmu.oracle, "evaluate_batch", captured)
+        for block in range(9):
+            assert qmu.oracle.crosscheck(10, block).ok
+        monkeypatch.undo()
+        assert len(batches) == 90
+        for phi, model, min_masks, max_masks, report in batches:
+            assert report == uncompacted(evaluate_batch, phi, model,
+                                         min_masks, max_masks)
+            width = min_masks.shape[1]
+            if width <= 64:
+                assert_rows_alone(phi, model, min_masks, max_masks, report)
+            else:
+                for b in range(0, width, width // 16):
+                    alone = evaluate_batch(phi, model, min_masks[:, [b]],
+                                           max_masks[:, [b]])
+                    assert np.array_equal(report.result[b], alone.result[0])
+
+    def test_nests_under_random_masks(self, monkeypatch, uncompacted):
+        # (binder, whether it narrowed for the first time after entering
+        # with rows idle in its enclosing loop)
+        narrowed = []
+        narrow = _Frame.narrow
+
+        def spy(frame, loop, regs, live, choose):
+            narrowed.append((loop.var, frame.rows is None
+                             and not frame.outer.all()))
+            return narrow(frame, loop, regs, live, choose)
+
+        monkeypatch.setattr(_Frame, "narrow", spy)
+        alternating = [text for text, *_, alt in _TEMPLATES if alt]
+        texts = {text: [] for text in alternating}
+        cases = []
+        for i in range(60):
+            inst = random_instance([3, i])
+            if inst.template in texts:
+                texts[inst.template].append(inst)
+            if i < 5:
+                cases.append((inst.model, "mu Y . <t0> Y \\/ "
+                              "(a0 /\\ (mu X . a1 \\/ <t1> X))"))
+                cases.append((inst.model, "nu Y . mu X . (a0 /\\ <t0> Y) "
+                              "\\/ (a1 /\\ <t1> X)"))
+        for text in alternating:
+            assert texts[text], text
+            cases.extend((inst.model, inst.phi) for inst in texts[text][:3])
+        for i, (model, phi) in enumerate(cases):
+            if isinstance(phi, str):
+                phi = reduce(parse(phi), model.valuation)
+            mins, maxs = choice_sites(phi)
+            rng = np.random.default_rng(i)
+            n = model.space.size
+            min_masks = rng.random((mins, 37, n)) < 0.5
+            max_masks = rng.random((maxs, 37, n)) < 0.5
+            report = evaluate_batch(phi, model, min_masks, max_masks)
+            assert report == uncompacted(evaluate_batch, phi, model,
+                                         min_masks, max_masks)
+            assert_rows_alone(phi, model, min_masks, max_masks, report)
+        names = {var for var, _ in narrowed}
+        assert {"X", "Y"} <= names
+        # an inner loop entered with rows already idle narrowed too
+        assert any(idle for _, idle in narrowed)
+
+    def test_loop_whose_test_reads_a_register_from_outside(self, uncompacted):
+        # X's body does not mention X, so its test reads the hoisted
+        # junction; rows taking the zero everywhere stop after one step
+        model = Model(StateSpace(("u", "w")), Valuation(
+            expectations={"zero": expectation([0.0, 0.0])},
+            transitions={"k": transition([[(1, 0.5)], [(0, 0.5)]])}))
+        phi = reduce(parse("nu Y . mu X . zero /\\ <k> Y"), model.valuation)
+        min_masks = np.ones((1, 9, 2), dtype=bool)
+        min_masks[0, ::3] = False
+        max_masks = np.ones((0, 9, 2), dtype=bool)
+        report = evaluate_batch(phi, model, min_masks, max_masks)
+        assert report == uncompacted(evaluate_batch, phi, model,
+                                     min_masks, max_masks)
+        assert_rows_alone(phi, model, min_masks, max_masks, report)
+
+    def test_fewer_rows_reach_the_products(self, monkeypatch, uncompacted):
+        rows = [0]
+        product = qmu.evaluator.pre_expectation_all
+
+        def counted(t, post):
+            if post.ndim == 2:
+                rows[0] += post.shape[0]
+            return product(t, post)
+
+        monkeypatch.setattr(qmu.evaluator, "pre_expectation_all", counted)
+        inst = random_instance([2, 5])
+        full = uncompacted(brute_minimax, inst)
+        assert rows[0] == 557_056
+        rows[0] = 0
+        result = brute_minimax(inst)
+        assert rows[0] <= 0.3 * 557_056
+        assert np.array_equal(result.table, full.table)
+        assert np.array_equal(result.minimax, full.minimax)
+        assert np.array_equal(result.maximin, full.maximin)
+        for got, want in ((result.min_witness.min_choices,
+                           full.min_witness.min_choices),
+                          (result.max_witness.max_choices,
+                           full.max_witness.max_choices)):
+            assert np.array_equal(got, want)
+        assert (result.min_witness_gap, result.max_witness_gap) == (
+            full.min_witness_gap, full.max_witness_gap)
 
 
 def _formula_model(seed):
