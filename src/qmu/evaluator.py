@@ -17,10 +17,9 @@ strategy's choice masks at the junctions, otherwise the formula is unfolded
 to a bounded depth with truncated fixpoints contributing their binder's
 default (0 for ``mu``, 1 for ``nu``).  :func:`evaluate_batch` solves many
 memoriless strategy pairs at once, one row of a ``(B, n)`` expectation per
-pair, each row with its own stopping test.  Once at most half of a batched
-loop's rows are still iterating, the loop goes on with those rows only; the
-stopped rows keep their values, and their last steps still count towards
-the loop's reported residual, that of its slowest row.
+pair, each row with its own stopping test.  A row leaves its loop at the
+iterate where it stops and keeps that value; its last step still counts
+towards the loop's reported residual, that of its slowest row.
 """
 
 from __future__ import annotations
@@ -82,8 +81,8 @@ class EvalConfig:
     max_iterations: int = 1_000_000
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < 1.0:
+            raise ValueError("tolerance must lie strictly between 0 and 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -96,8 +95,9 @@ class FixpointStats:
     ``solves`` counts its solves and ``total_iterations`` sums the
     iterations of all of them; ``converged`` holds only if every solve
     converged.  In a batched evaluation ``iterations`` and ``residual`` are
-    those of the slowest row, rows that stopped early and left the batch
-    included, and ``converged`` holds only if every row converged.
+    those of the slowest row, rows that left their loop at the iterate
+    where they stopped included, and ``converged`` holds only if every row
+    converged.
     """
 
     binder: str
@@ -209,10 +209,6 @@ class _Masked:
 #: :class:`_Loop`.
 _PRODUCT, _JUNCTION, _COND, _ENTER, _TEST = range(5)
 
-#: A batched loop goes on with its live rows only once at most this share of
-#: its rows is live.
-_COMPACT_SHARE = 0.5
-
 
 @dataclass(frozen=True, eq=False)
 class _Loop:
@@ -237,19 +233,17 @@ class _Loop:
 
 
 class _Frame:
-    """A running loop: the enclosing loop's live rows, each row's last step,
-    the iteration count and, for a forced ``fix(x)``, its residual window.
+    """A running loop: the width it was entered with, the iteration count
+    and, for a forced ``fix(x)``, its residual window.
 
-    Once the loop has narrowed, ``rows`` maps its rows to those it was
-    entered with, ``full`` holds the iterate at that width, ``saved`` the
-    registers and ``choose`` the junction rule it narrowed, and ``stopped``
-    the largest last step of the rows it dropped.
+    Once rows have left it, ``rows`` maps its rows to those it was entered
+    with, ``full`` holds the iterate at that width, ``saved`` the registers
+    and ``choose`` the junction rule it narrowed, and ``stopped`` the
+    largest last step of the rows that left.
     """
 
-    def __init__(self, outer: np.ndarray, window: deque | None):
-        self.outer = outer
-        # rows idle in the enclosing loop read a last step of 0
-        self.last = np.where(outer, np.inf, 0.0)
+    def __init__(self, width: tuple, window: deque | None):
+        self.width = width
         self.iterations = 0
         self.window = window
         self.rows: np.ndarray | None = None
@@ -258,14 +252,10 @@ class _Frame:
         self.choose = None
         self.stopped = -np.inf
 
-    def residual(self) -> float:
-        """The slowest row's last step, dropped rows included.  A NaN step
-        stops the loop at once, so only ``self.last`` can hold one."""
-        return max(float(self.last.max()), self.stopped)
-
-    def narrow(self, loop: _Loop, regs: list, live: np.ndarray, choose):
-        """Go on with the live rows only; returns their junction rule."""
-        keep = np.flatnonzero(live)
+    def narrow(self, loop: _Loop, regs: list, change: np.ndarray,
+               going: np.ndarray, choose):
+        """Go on with the rows still going; returns their junction rule."""
+        keep = np.flatnonzero(going)
         cur = regs[loop.register]
         if self.rows is None:
             self.rows, self.full, self.choose = keep, cur, choose
@@ -273,8 +263,7 @@ class _Frame:
         else:
             self.full[self.rows] = cur
             self.rows = self.rows[keep]
-        self.stopped = float(np.max(self.last[~live], initial=self.stopped))
-        self.last = self.last[keep]
+        self.stopped = float(np.max(change[~going], initial=self.stopped))
         regs[loop.register] = cur[keep]
         for r, _ in self.saved:
             regs[r] = regs[r][keep]
@@ -417,18 +406,17 @@ class _Plan:
         ``choose(node, left, right)`` resolves each min/max node from its
         operand expectations.  With ``batch`` set, every iterate is
         ``(batch, n)``, one row per strategy pair; constants and predicates
-        stay ``(n,)`` and broadcast.  A batched loop whose live rows fall to
-        :data:`_COMPACT_SHARE` of its width or fewer goes on with those rows
-        only, through ``choose.narrow(rows)``; every row's arithmetic is
+        stay ``(n,)`` and broadcast.  Every row of a running loop is still
+        iterating: at the iterate where a row stops, the loop goes on without
+        it, through ``choose.narrow(rows)``.  Every row's arithmetic is
         elementwise, so a row's values do not depend on the width.
         """
         tol = cfg.tolerance
         regs = list(self.registers)
         steps = self.steps
-        # Rows still iterating in the innermost running loop, one flag per
-        # row (a 0-d flag unbatched); a loop starts from its enclosing
-        # loop's live rows.
-        live = np.ones(() if batch is None else (batch,), dtype=bool)
+        # The rows of the innermost running loop, all still iterating: no
+        # rows unbatched, a loop starts with its enclosing loop's rows.
+        width = () if batch is None else (batch,)
         frames: list[_Frame] = []
         stats: dict[str, FixpointStats] = {}
         pc = 0
@@ -448,26 +436,24 @@ class _Plan:
                     regs[step[5]] = None
             elif kind == _ENTER:
                 loop = step[1]
-                regs[loop.register] = np.full((*live.shape, self.n), loop.seed)
+                regs[loop.register] = np.full((*width, self.n), loop.seed)
                 window = (deque(maxlen=_DIVERGENCE_WINDOW + 1) if loop.forced
                           else None)
-                frames.append(_Frame(live, window))
-                live = live.copy()
+                frames.append(_Frame(width, window))
             else:
                 loop = step[1]
                 frame = frames[-1]
-                cur = regs[loop.register]
                 new = np.clip(regs[loop.body], 0.0, 1.0)
                 if loop.drop_body:
                     regs[loop.body] = None
                 # A row stops after its own first step within tolerance,
                 # where evaluating it alone would stop, and keeps that value.
-                change = np.abs(new - cur).max(axis=-1)
-                regs[loop.register] = np.where(live[..., None], new, cur)
-                frame.last = np.where(live, change, frame.last)
-                live &= change > tol
+                # A NaN step stops the loop at once, so ``frame.stopped``
+                # never holds one.
+                change = np.abs(new - regs[loop.register]).max(axis=-1)
+                regs[loop.register] = new
                 frame.iterations += 1
-                residual = frame.residual()
+                residual = max(float(change.max()), frame.stopped)
                 if residual > tol:
                     window = frame.window
                     if window is not None:
@@ -480,15 +466,16 @@ class _Plan:
                                 "shows non-decreasing residual over "
                                 f"{_DIVERGENCE_WINDOW} iterates")
                     if frame.iterations < cfg.max_iterations:
-                        if (batch is not None and np.count_nonzero(live)
-                                <= _COMPACT_SHARE * live.size):
-                            choose = frame.narrow(loop, regs, live, choose)
-                            live = live[live]
+                        going = change > tol
+                        if not going.all():
+                            choose = frame.narrow(loop, regs, change, going,
+                                                  choose)
+                            width = (np.count_nonzero(going),)
                         pc -= loop.length
                         continue
                 frames.pop()
                 choose = frame.widen(loop, regs, choose)
-                live = frame.outer
+                width = frame.width
                 prev = stats.get(loop.var)
                 stats[loop.var] = FixpointStats(
                     binder=loop.var,
@@ -586,10 +573,10 @@ def evaluate_batch(phi: Node, model: Model, min_masks: np.ndarray,
     that min site, true where it takes the left 'junct.  The result has
     shape ``(B, n)``.  Each row iterates every binder with its own stopping
     test, so row ``b`` is bit-identical to evaluating the formula with pair
-    ``b``'s choices alone.  Rows that have stopped leave a loop once at most
-    half of its rows are live; each binder's ``iterations`` and ``residual``
-    are still those of its slowest row, those that left included.  The
-    report's ``converged`` holds only if every row converged.
+    ``b``'s choices alone.  A row leaves a loop at the iterate where it
+    stops; each binder's ``iterations`` and ``residual`` are still those of
+    its slowest row, those that left included.  The report's ``converged``
+    holds only if every row converged.
     """
     min_masks = np.asarray(min_masks, dtype=bool)
     max_masks = np.asarray(max_masks, dtype=bool)

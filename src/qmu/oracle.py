@@ -58,8 +58,14 @@ class InstanceBounds:
     def __post_init__(self):
         if self.max_states < 1 or self.max_states > 4:
             raise ValueError("max_states must be between 1 and 4")
+        for name in ("max_min_sites", "max_max_sites", "max_binders",
+                     "max_strategy_bits"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative")
         if self.max_strategy_bits > MAX_STRATEGY_BITS:
             raise ValueError(f"max_strategy_bits cannot exceed {MAX_STRATEGY_BITS}")
+        if not 0.0 <= self.max_continue_mass <= 1.0:
+            raise ValueError("max_continue_mass must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,6 +397,8 @@ def crosscheck(count: int, seed: int, bounds: InstanceBounds | None = None,
     failure the instance is dumped (model file plus formula text) for replay
     when ``dump_dir`` is given.
     """
+    if count < 0:
+        raise ValueError("count cannot be negative")
     evaluate_fn = evaluate_fn or evaluate
     cfg = cfg or EvalConfig()
     failures: list[CheckFailure] = []

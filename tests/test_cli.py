@@ -94,6 +94,12 @@ class TestEval:
                                   vardi_files["formula"], "--max-iters", "1"])
         assert code == 2
 
+    def test_infinite_tolerance_exits_one(self, capsys, vardi_files):
+        code, out, err = run(capsys, ["eval", vardi_files["model"],
+                                      "mu X . atB \\/ <k> X", "--tol", "inf"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_fix_formula_evaluates(self, capsys, vardi_files):
         code, out, _ = run(capsys, ["eval", vardi_files["model"],
                                     "fix(0.25) X . <k> X", "--state", "B"])
@@ -328,6 +334,15 @@ class TestCrosscheck:
         code, out, _ = run(capsys, ["crosscheck", "--count", "0", "--seed", "1"])
         assert code == 0
         assert "checked 0 instances" in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--count", "-5"],
+        ["--max-min-sites", "-1", "--max-max-sites", "-1"],
+    ], ids=["negative-count", "negative-sites"])
+    def test_bounds_that_check_nothing_exit_one(self, capsys, flags):
+        code, out, err = run(capsys, ["crosscheck", "--count", "3", *flags])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestExample:

@@ -345,8 +345,11 @@ class TestStrategySemantics:
 
 class TestConfig:
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            EvalConfig(tolerance=0.0)
+        # no step between expectations in [0, 1] exceeds 1, so a tolerance
+        # of 1 or more would call any first iterate converged
+        for tol in (0.0, -1e-9, 1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                EvalConfig(tolerance=tol)
         with pytest.raises(ValueError):
             EvalConfig(max_iterations=0)
 

@@ -102,6 +102,15 @@ class TestRandomInstance:
         flags = [random_instance([55, i]).alternating for i in range(60)]
         assert any(flags)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_min_sites", -1), ("max_max_sites", -1), ("max_binders", -1),
+        ("max_strategy_bits", -1), ("max_continue_mass", -0.5),
+        ("max_continue_mass", 1.5), ("max_continue_mass", float("nan")),
+    ])
+    def test_rejects_bounds_that_check_nothing(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            InstanceBounds(**{field: value})
+
     def test_continue_mass_cap(self):
         bounds = InstanceBounds(max_continue_mass=0.25)
         for trial in range(50):
@@ -223,6 +232,10 @@ class TestCrosscheck:
     def test_count_zero_passes(self):
         report = crosscheck(0, seed=1)
         assert report.ok and report.checked == 0
+
+    def test_negative_count_is_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            crosscheck(-5, seed=1)
 
     def test_unconverged_brute_force_is_reported_as_such(self):
         report = crosscheck(5, 0, cfg=EvalConfig(max_iterations=2))

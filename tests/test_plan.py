@@ -296,12 +296,34 @@ def enclosing_loops(phi, model):
     return enclosing
 
 
-def assert_rows_alone(phi, model, min_masks, max_masks, batch):
-    """Each row of ``batch`` is its strategy pair's value solved alone, and
-    each binder reports the slowest row of its last solve: the rows that
-    ran every enclosing loop's last solve longest."""
-    rows = [evaluate_batch(phi, model, min_masks[:, [b]], max_masks[:, [b]])
-            for b in range(min_masks.shape[1])]
+def count_rows(patch):
+    """Count from now on the rows fed to batched (2-D) products."""
+    rows = [0]
+    product = qmu.evaluator.pre_expectation_all
+
+    def counted(t, post):
+        if post.ndim == 2:
+            rows[0] += post.shape[0]
+        return product(t, post)
+
+    patch.setattr(qmu.evaluator, "pre_expectation_all", counted)
+    return rows
+
+
+def assert_rows_alone(phi, model, min_masks, max_masks):
+    """Solve the batch of pairs and return its report.
+
+    Each row is its strategy pair's value solved alone, the batch feeds the
+    batched products exactly the rows its pairs feed solved alone, and each
+    binder reports the slowest row of its last solve: the rows that ran
+    every enclosing loop's last solve longest."""
+    with pytest.MonkeyPatch.context() as patch:
+        fed = count_rows(patch)
+        batch = evaluate_batch(phi, model, min_masks, max_masks)
+        in_batch, fed[0] = fed[0], 0
+        rows = [evaluate_batch(phi, model, min_masks[:, [b]], max_masks[:, [b]])
+                for b in range(min_masks.shape[1])]
+        assert in_batch == fed[0]
     for b, row in enumerate(rows):
         assert np.array_equal(batch.result[b], row.result[0]), b
     enclosing = enclosing_loops(phi, model)
@@ -321,23 +343,32 @@ def assert_rows_alone(phi, model, min_masks, max_masks, batch):
         assert got.residual == max(rows[b].fixpoints[var].residual
                                    for b in members), var
         assert got.converged == all(row.fixpoints[var].converged for row in rows)
+    return batch
 
 
-@pytest.fixture
-def uncompacted(monkeypatch):
-    """Solve batched loops over all their rows, as before compaction."""
-    def solve(fn, *args):
-        with monkeypatch.context() as patch:
-            patch.setattr(qmu.evaluator, "_COMPACT_SHARE", 0.0)
-            return fn(*args)
-    return solve
+def walk_batch(phi, model, min_masks, max_masks, cfg=None):
+    """The batch solved by the recursive walk, which never narrows."""
+    return walk(phi, model, cfg, choose=_Masked(min_masks, max_masks),
+                batch=min_masks.shape[1])
+
+
+def assert_walk_agrees(phi, model, min_masks, max_masks, report):
+    """``report`` has the walk's values, ``converged`` and statistics of the
+    binders it solves as often as the walk does."""
+    reference = walk_batch(phi, model, min_masks, max_masks)
+    assert np.array_equal(report.result, reference.result)
+    assert report.converged == reference.converged
+    hoisted = hoisted_binders(phi)
+    for var, ref in reference.fixpoints.items():
+        if var not in hoisted:
+            assert report.fixpoints[var] == ref, var
 
 
 class TestCompaction:
-    """A batched loop goes on with its live rows only once at most half of
-    them are live; no value or statistic may change."""
+    """A row leaves a batched loop at the iterate where it stops; no value
+    or statistic may change."""
 
-    def test_crosscheck_batches(self, monkeypatch, uncompacted):
+    def test_crosscheck_batches(self, monkeypatch):
         batches = []
         batched = qmu.oracle.evaluate_batch
 
@@ -352,27 +383,24 @@ class TestCompaction:
         monkeypatch.undo()
         assert len(batches) == 90
         for phi, model, min_masks, max_masks, report in batches:
-            assert report == uncompacted(evaluate_batch, phi, model,
-                                         min_masks, max_masks)
+            assert_walk_agrees(phi, model, min_masks, max_masks, report)
             width = min_masks.shape[1]
             if width <= 64:
-                assert_rows_alone(phi, model, min_masks, max_masks, report)
+                assert report == assert_rows_alone(phi, model, min_masks,
+                                                   max_masks)
             else:
                 for b in range(0, width, width // 16):
                     alone = evaluate_batch(phi, model, min_masks[:, [b]],
                                            max_masks[:, [b]])
                     assert np.array_equal(report.result[b], alone.result[0])
 
-    def test_nests_under_random_masks(self, monkeypatch, uncompacted):
-        # (binder, whether it narrowed for the first time after entering
-        # with rows idle in its enclosing loop)
-        narrowed = []
+    def test_nests_under_random_masks(self, monkeypatch):
+        narrowed = set()
         narrow = _Frame.narrow
 
-        def spy(frame, loop, regs, live, choose):
-            narrowed.append((loop.var, frame.rows is None
-                             and not frame.outer.all()))
-            return narrow(frame, loop, regs, live, choose)
+        def spy(frame, loop, *args):
+            narrowed.add(loop.var)
+            return narrow(frame, loop, *args)
 
         monkeypatch.setattr(_Frame, "narrow", spy)
         alternating = [text for text, *_, alt in _TEMPLATES if alt]
@@ -398,16 +426,12 @@ class TestCompaction:
             n = model.space.size
             min_masks = rng.random((mins, 37, n)) < 0.5
             max_masks = rng.random((maxs, 37, n)) < 0.5
-            report = evaluate_batch(phi, model, min_masks, max_masks)
-            assert report == uncompacted(evaluate_batch, phi, model,
-                                         min_masks, max_masks)
-            assert_rows_alone(phi, model, min_masks, max_masks, report)
-        names = {var for var, _ in narrowed}
-        assert {"X", "Y"} <= names
-        # an inner loop entered with rows already idle narrowed too
-        assert any(idle for _, idle in narrowed)
+            report = assert_rows_alone(phi, model, min_masks, max_masks)
+            assert_walk_agrees(phi, model, min_masks, max_masks, report)
+        # both the inner and the outer loops dropped stopped rows
+        assert {"X", "Y"} <= narrowed
 
-    def test_loop_whose_test_reads_a_register_from_outside(self, uncompacted):
+    def test_loop_whose_test_reads_a_register_from_outside(self):
         # X's body does not mention X, so its test reads the hoisted
         # junction; rows taking the zero everywhere stop after one step
         model = Model(StateSpace(("u", "w")), Valuation(
@@ -417,27 +441,19 @@ class TestCompaction:
         min_masks = np.ones((1, 9, 2), dtype=bool)
         min_masks[0, ::3] = False
         max_masks = np.ones((0, 9, 2), dtype=bool)
-        report = evaluate_batch(phi, model, min_masks, max_masks)
-        assert report == uncompacted(evaluate_batch, phi, model,
-                                     min_masks, max_masks)
-        assert_rows_alone(phi, model, min_masks, max_masks, report)
+        report = assert_rows_alone(phi, model, min_masks, max_masks)
+        assert_walk_agrees(phi, model, min_masks, max_masks, report)
 
-    def test_fewer_rows_reach_the_products(self, monkeypatch, uncompacted):
-        rows = [0]
-        product = qmu.evaluator.pre_expectation_all
-
-        def counted(t, post):
-            if post.ndim == 2:
-                rows[0] += post.shape[0]
-            return product(t, post)
-
-        monkeypatch.setattr(qmu.evaluator, "pre_expectation_all", counted)
+    def test_fewer_rows_reach_the_products(self, monkeypatch):
         inst = random_instance([2, 5])
-        full = uncompacted(brute_minimax, inst)
-        assert rows[0] == 557_056
-        rows[0] = 0
+        monkeypatch.setattr(qmu.oracle, "evaluate_batch", walk_batch)
+        walked = count_rows(monkeypatch)
+        full = brute_minimax(inst)
+        monkeypatch.undo()
+        rows = count_rows(monkeypatch)
         result = brute_minimax(inst)
-        assert rows[0] <= 0.3 * 557_056
+        # the rows its 4,096 pairs feed the products solved one at a time
+        assert rows[0] == 113_152 < walked[0]
         assert np.array_equal(result.table, full.table)
         assert np.array_equal(result.minimax, full.minimax)
         assert np.array_equal(result.maximin, full.maximin)
