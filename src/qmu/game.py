@@ -10,21 +10,23 @@ and 1 for ``nu``, as if the path had continued forever.  A secondary step
 budget of ``max_depth * formula_size`` catches non-colour growth, with the
 uninformative bracket (0, 1).
 
-``estimate`` plays many paths under memoriless strategies together, as
-arrays, by the same rules.  ``expand_tree`` computes the same truncated
-value exactly, by expanding the whole probabilistic tree and weighting
-payoffs by path probability instead of sampling.
+Every playout runs on one compiled position table: ``play`` plays one path,
+asking a history-dependent strategy with the path so far, and ``estimate``
+plays many paths under memoriless strategies together, as arrays.
+``expand_tree`` computes the same truncated value exactly, by expanding the
+whole probabilistic tree and weighting payoffs by path probability.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import EPS_REPR, Model, halt_payoff
+from .core import EPS_REPR, Model
 from .evaluator import PathStrategy, UnresolvedSymbolError
 from .formula import (
     Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
@@ -39,35 +41,6 @@ class GameError(ValueError):
 
 class TreeBudgetError(GameError):
     """Exact tree expansion exceeded its node cap."""
-
-
-@dataclass(frozen=True)
-class Colour:
-    """Fresh token bound when a fixpoint unfolds; identifies the recursion.
-
-    The creation index is the path length at binding time, which makes every
-    colour of a playout distinct.
-    """
-
-    binder: str
-    kind: str  # "mu" | "nu"
-    created_at: int
-
-
-@dataclass
-class GamePath:
-    """Recorded positions of one playout plus per-colour occurrence counts.
-
-    Positions are ``("node", formula, state)``, ``("colour", Colour, state)``
-    or a final ``("payoff", y)``.
-    """
-
-    positions: list
-    colour_counts: dict[Colour, int]
-
-    @property
-    def steps(self) -> int:
-        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -100,117 +73,25 @@ class EstimateResult(NamedTuple):
     max_steps: int
 
 
-def path_bracket(path: GamePath, max_depth: int) -> PlayoutResult:
-    """Value bracket of a recorded path, per its stopping reason.
-
-    Insensitive to any finite colour-free prefix: only the terminal payoff
-    or the over-limit colour matters.
-    """
-    steps = path.steps
-    last = path.positions[-1] if path.positions else None
-    if last is not None and last[0] == "payoff":
-        y = float(last[1])
-        return PlayoutResult(y, y, True, steps, None)
-    for colour, count in path.colour_counts.items():
-        if count > max_depth:
-            default = 0.0 if colour.kind == "mu" else 1.0
-            return PlayoutResult(default, default, False, steps, colour.kind)
-    return PlayoutResult(0.0, 1.0, False, steps, None)
-
-
-def walk_playout(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
-                 sigma_max: PathStrategy, max_depth: int, rng) -> GamePath:
-    """Play one game, recording the full position sequence."""
-    step_budget = _step_budget(phi, model, sigma_min, sigma_max, max_depth)
-    v = model.valuation
-    positions: list = []
-    view: list = []  # what strategies may inspect: (node-or-binder-name, state)
-    counts: dict[Colour, int] = {}
-    env: dict[str, Colour] = {}
-    bodies: dict[Colour, Node] = {}
-
-    def as_colour(node: Node, s: int):
-        """Resolve variables to their colour before taking up a position."""
-        if isinstance(node, Var):
-            return ("colour", env[node.name], s)
-        return ("node", node, s)
-
-    current = as_colour(phi, s0)
-    while True:
-        positions.append(current)
-        if current[0] == "payoff":
-            break
-        kind, label, s = current
-        view.append((label.binder if kind == "colour" else label, s))
-        if kind == "colour":
-            colour = label
-            counts[colour] = counts.get(colour, 0) + 1
-            if counts[colour] > max_depth:
-                break
-            if len(positions) > step_budget:
-                break
-            current = as_colour(bodies[colour], s)
-            continue
-        if len(positions) > step_budget:
-            break
-        node = label
-        if isinstance(node, Const):
-            current = ("payoff", float(v.expectations[node.name][s]))
-        elif isinstance(node, Modal):
-            t = v.transitions[node.transition]
-            u = rng.random()
-            acc = 0.0
-            chosen = None
-            row = t.successors[s]
-            for target, prob in row:
-                acc += prob
-                if u <= acc:
-                    chosen = target
-                    break
-            if chosen is None:
-                if 1.0 - acc <= EPS_REPR and row:
-                    # float dust: the distribution is total, keep last edge
-                    chosen = row[-1][0]
-                else:
-                    current = ("payoff", halt_payoff(t, s))
-                    continue
-            current = as_colour(node.body, chosen)
-        elif isinstance(node, MaxJ):
-            take_left = sigma_max.decide(node.site, view, s)
-            current = as_colour(node.left if take_left else node.right, s)
-        elif isinstance(node, MinJ):
-            take_left = sigma_min.decide(node.site, view, s)
-            current = as_colour(node.left if take_left else node.right, s)
-        elif isinstance(node, Cond):
-            branch = (node.then_branch if v.predicates[node.predicate][s]
-                      else node.else_branch)
-            current = as_colour(branch, s)
-        elif isinstance(node, (Mu, Nu)):
-            colour = Colour(node.var, "mu" if isinstance(node, Mu) else "nu",
-                            created_at=len(positions))
-            env[node.var] = colour
-            bodies[colour] = node.body
-            current = ("colour", colour, s)
-        else:
-            raise GameError(f"cannot play node {node!r}")
-
-    return GamePath(positions=positions, colour_counts=counts)
-
-
-def _step_budget(phi: Node, model: Model, sigma_min: PathStrategy,
+def _step_budget(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
                  sigma_max: PathStrategy, max_depth: int) -> int:
     """Check the playout arguments and return the playout step budget."""
     if max_depth < 1:
         raise GameError("max_depth must be at least 1")
-    _check_playable(phi, model, sigma_min, sigma_max)
+    _check_playable(phi, model, s0, sigma_min, sigma_max)
     return max_depth * formula_size(phi)
 
 
 def play(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
          sigma_max: PathStrategy, max_depth: int, rng) -> PlayoutResult:
-    """One playout; sampling uses only the supplied generator."""
-    path = walk_playout(phi, model, s0, sigma_min, sigma_max, max_depth, rng)
-    return path_bracket(path, max_depth)
+    """One playout: a one-path run of a position table compiled per call.
+    Sampling uses only the supplied generator."""
+    step_budget = _step_budget(phi, model, s0, sigma_min, sigma_max, max_depth)
+    low, high, steps, ending = _Table(phi, model, sigma_min, sigma_max).play_block(
+        s0, 1, max_depth, step_budget, rng)
+    how = int(ending[0])
+    return PlayoutResult(float(low[0]), float(high[0]), how == _PAYOFF,
+                         int(steps[0]), {_MU: "mu", _NU: "nu"}.get(how))
 
 
 #: Paths that :func:`estimate` plays together, one block after another.  A
@@ -224,7 +105,7 @@ _PAYOFF, _MU, _NU, _BUDGET = range(4)
 
 
 class _Table:
-    """A formula and memoriless strategies compiled into a position table.
+    """A formula and two strategies compiled into a position table.
 
     Every subformula object is a position (the root is position 0), and
     every binder has a second one, its colour position, taken right after
@@ -234,7 +115,8 @@ class _Table:
     - ``_BRANCH`` (a junction or a conditional) goes to ``first`` (left,
       then) where row ``operand`` of ``choices`` holds at the state, else to
       ``second``; the rows are the min sites', the max sites' and the
-      predicates';
+      predicates'.  A history-dependent side's rows are ``asks`` keys
+      instead, and its strategy decides each visit;
     - ``_CONST`` pays ``values[operand, s]``;
     - ``_MODAL`` samples transition ``operand`` and goes to ``first``;
     - ``_BIND`` binds variable slot ``operand`` to itself and goes to
@@ -244,9 +126,11 @@ class _Table:
       binder's body.
 
     Each variable name has one slot, which holds the binder that last bound
-    the name, as in :func:`walk_playout`: the variable's lexical binder,
-    since :func:`~qmu.formula.parse` makes binder names unique.  The table
-    is built from :func:`~qmu.formula.subformulae`, without recursion.
+    the name: the variable's lexical binder, since
+    :func:`~qmu.formula.parse` makes binder names unique.  A position's
+    ``labels`` entry is what a history-dependent strategy sees of it: the
+    subformula, or the binder's name at a colour position.  The table is
+    built from :func:`~qmu.formula.subformulae`, without recursion.
     """
 
     def __init__(self, phi: Node, model: Model, sigma_min: PathStrategy,
@@ -307,12 +191,18 @@ class _Table:
                 self.rule[colour] = _COLOUR
                 self.operand[colour] = slot
                 colour += 1
+        self.labels = ([node.name if isinstance(node, Var) else node for node in nodes]
+                       + [node.var for node in nodes if isinstance(node, (Mu, Nu))])
         self.n_slots = len(slots)
         self.n_states = n
         self.values = np.array([v.expectations[name] for name in consts],
                                dtype=np.float64).reshape(len(consts), n)
+        sides = ((0, mins, sigma_min), (mins, maxs, sigma_max))
+        self.asks = {base + site: (site, sigma) for base, sites, sigma in sides
+                     if not sigma.memoriless for site in range(sites)}
         self.choices = np.concatenate(
-            [sigma_min.choice_masks(mins, n), sigma_max.choice_masks(maxs, n)]
+            [sigma.choice_masks(sites, n) if sigma.memoriless
+             else np.zeros((sites, n), bool) for _, sites, sigma in sides]
             + [np.asarray(v.predicates[name], dtype=bool).reshape(1, n)
                for name in predicates])
         # The transitions' CSR forms, concatenated: transition j's row s is
@@ -334,12 +224,13 @@ class _Table:
 
     def play_block(self, s0: int, size: int, max_depth: int, step_budget: int,
                    rng) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Play ``size`` paths from ``s0`` together, by :func:`walk_playout`'s
-        rules; return each path's low and high value, steps and ending.
+        """Play ``size`` paths from ``s0`` together; return each path's low
+        and high value, steps and ending.
 
         Each round advances every live path by one position.  The paths at a
         modality in a round take the round's draws from ``rng`` in path
-        order.
+        order.  A history-dependent side is asked ``decide(site, view, s)``
+        with the path's view, one ``(label, state)`` entry per round so far.
         """
         low = np.zeros(size)
         high = np.zeros(size)
@@ -351,6 +242,7 @@ class _Table:
         bound = np.zeros((size, self.n_slots), np.intp)  # binder per slot
         visits = np.zeros((size, self.n_slots), np.int64)  # of its colour
         step = 0
+        views = [[] for _ in range(size)] if self.asks else None
 
         def finish(i, lo, hi, how, length):
             paths = live[i]
@@ -362,6 +254,9 @@ class _Table:
             step += 1
             done = np.zeros(live.size, bool)
             rule = self.rule[node]
+            if views is not None:
+                for path, p, s in zip(live.tolist(), node.tolist(), state.tolist()):
+                    views[path].append((self.labels[p], s))
             i = np.flatnonzero(rule == _COLOUR)
             if i.size:
                 slot = self.operand[node[i]]
@@ -379,6 +274,12 @@ class _Table:
             if i.size:
                 p = node[i]
                 left = self.choices[self.operand[p], state[i]]
+                if self.asks:
+                    for j, row in enumerate(self.operand[p].tolist()):
+                        if row in self.asks:
+                            site, sigma = self.asks[row]
+                            left[j] = bool(sigma.decide(site, views[live[i[j]]],
+                                                        int(state[i[j]])))
                 node[i] = np.where(left, self.first[p], self.second[p])
             i = np.flatnonzero(rule == _CONST)
             if i.size:
@@ -442,8 +343,8 @@ def estimate(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     """Monte-Carlo value estimate over playouts under memoriless strategies.
 
     By the paper's corollary memoriless strategies suffice for the value, so
-    no path needs its history and all of them are played together, by
-    :func:`walk_playout`'s rules, in blocks of :data:`BLOCK_PATHS`.  The
+    no path needs its history and all of them are played together on
+    :func:`play`'s position table, in blocks of :data:`BLOCK_PATHS`.  The
     draws come from one generator, ``Generator(PCG64(SeedSequence(seed)))``:
     the blocks take them in path order, and within a block each round's
     paths at a modality take the next draws in path order.  The result is a
@@ -454,7 +355,7 @@ def estimate(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     """
     if n_paths < 1:
         raise GameError("n_paths must be at least 1")
-    step_budget = _step_budget(phi, model, sigma_min, sigma_max, max_depth)
+    step_budget = _step_budget(phi, model, s0, sigma_min, sigma_max, max_depth)
     for side, sigma in (("min", sigma_min), ("max", sigma_max)):
         if not sigma.memoriless:
             raise GameError(f"estimate plays memoriless strategies only; "
@@ -495,11 +396,11 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
 
     Expands the probabilistic tree (probability-one edges for all
     non-modality rules) and sums payoff values weighted by path probability.
-    Colour re-entry is bounded exactly as in :func:`play`: a budget entry
-    maps a variable name to its remaining re-entries and the id of the
-    binder in scope, so binders that share a name stay apart.  Strategies
-    see the position sequence of a playout: each node, with a binder-name
-    position at every binder entry and in place of every variable.  Raises
+    Re-entries of a colour are bounded as on the playouts' position table:
+    a budget entry maps a variable name to its remaining re-entries and the
+    id of the binder in scope, so binders that share a name stay apart.
+    Strategies see the view :func:`play` gives them: each node, with a
+    binder-name position at every binder entry and for every variable.  Raises
     :class:`TreeBudgetError` when more than ``node_cap`` tree nodes would be
     built.
 
@@ -510,7 +411,7 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     """
     if depth < 0:
         raise GameError("depth must be non-negative")
-    _check_playable(phi, model, sigma_min, sigma_max)
+    _check_playable(phi, model, s0, sigma_min, sigma_max)
     v = model.valuation
     binders: dict[int, Node] = {}
     memo = {} if sigma_min.memoriless and sigma_max.memoriless else None
@@ -578,10 +479,11 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     return value, value
 
 
-def _check_playable(phi: Node, model: Model, sigma_min: PathStrategy,
+def _check_playable(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
                     sigma_max: PathStrategy) -> None:
-    """Reject, before any move, a formula the game rules cannot play, or
-    strategy tables that are not one per site with one entry per state.
+    """Reject, before any move, a start state outside the model, a formula
+    the game rules cannot play, or strategy tables that are not one per site
+    with one entry per state.
 
     Unbound names raise :class:`UnresolvedSymbolError`, as in the evaluator.
     """
@@ -595,6 +497,8 @@ def _check_playable(phi: Node, model: Model, sigma_min: PathStrategy,
         raise UnresolvedSymbolError(*missing)
     if contains_fix(phi):
         raise GameError("the game rules do not cover fix(x) binders")
+    if not isinstance(s0, Integral) or not 0 <= s0 < model.space.size:
+        raise GameError(f"start state {s0} is not in range({model.space.size})")
     mins, maxs = choice_sites(phi)
     sigma_min.check_tables("min", mins, model.space.size, GameError)
     sigma_max.check_tables("max", maxs, model.space.size, GameError)

@@ -12,11 +12,10 @@ from qmu.evaluator import (
 from qmu.formula import (
     Const, MaxJ, Modal, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
 )
-from qmu.game import (
-    Colour, GameError, GamePath, TreeBudgetError, estimate, expand_tree,
-    path_bracket, play, walk_playout,
-)
+from qmu.examples import VARDI_TEXT
+from qmu.game import GameError, TreeBudgetError, estimate, expand_tree, play
 from qmu.oracle import random_instance
+from playout_reference import Colour, GamePath, path_bracket, walk_playout
 
 LEFT = PathStrategy.constant(True)
 RIGHT = PathStrategy.constant(False)
@@ -124,6 +123,51 @@ class TestPlay:
         payoffs = [i for i, pos in enumerate(path.positions)
                    if pos[0] == "payoff"]
         assert payoffs in ([], [len(path.positions) - 1])
+
+    def test_play_is_the_reference_walk(self, ping_pong):
+        # memoriless sides read from tables; a history side decides by its
+        # table, flipped every fourth position, and records what it is asked
+        def sides(tables, history, calls):
+            def recording(table):
+                def decide(site, path, s):
+                    calls.append((site, s, list(path)))
+                    return bool(table[site][s]) != (len(path) % 4 == 0)
+                return PathStrategy(decide=decide)
+            return [recording(t) if h else PathStrategy.from_choices(t)
+                    for t, h in zip(tables, history)]
+
+        model, phi, sigma_max = ping_pong
+        cases = [(phi, model, ([], sigma_max.tables))]
+        for trial in range(40):
+            inst = random_instance([5150, trial])
+            mins, maxs = choice_sites(inst.phi)
+            n = inst.model.space.size
+            rng = np.random.default_rng(trial)
+            cases.append((inst.phi, inst.model,
+                          tuple([rng.random(n) < 0.5 for _ in range(sites)]
+                                for sites in (mins, maxs))))
+        seen, asked = set(), 0
+        for k, (phi, model, tables) in enumerate(cases):
+            s0 = k % model.space.size
+            for history in ((False, False), (True, False), (False, True),
+                            (True, True)):
+                for seed in range(3):
+                    for depth in (1, 3, 12):
+                        calls, reference_calls = [], []
+                        result = play(phi, model, s0, *sides(tables, history, calls),
+                                      depth, rng=estimate_rng(seed))
+                        path = walk_playout(
+                            phi, model, s0, *sides(tables, history, reference_calls),
+                            depth, rng=estimate_rng(seed))
+                        assert result == path_bracket(path, depth), (k, seed, depth)
+                        assert calls == reference_calls, (k, seed, depth)
+                        asked += len(calls)
+                        how = ending(result)
+                        if how == "payoff" and isinstance(path.positions[-2][1], Modal):
+                            how = "halt"
+                        seen.add(how)
+        assert seen == {"payoff", "halt", "mu", "nu", "budget"}
+        assert asked > 1000
 
     def test_sampling_only_from_supplied_stream(self, simple):
         phi = reduce(parse("<k> e"), simple.valuation)
@@ -459,6 +503,15 @@ class TestExpandTree:
 
 UNBOUND_IN_VARDI = ["if nope then atB else <k> atB", "mu X . <k> nope \\/ <k> X"]
 
+#: What every entry point must reject before any move in the vardi game (two
+#: states): formulae with an unbound name, and start states outside the
+#: model, each with the error it must raise.
+NOT_PLAYABLE_IN_VARDI = (
+    [pytest.param(text, 0, UnresolvedSymbolError, "nope", id=text)
+     for text in UNBOUND_IN_VARDI]
+    + [pytest.param(VARDI_TEXT, s0, GameError, f"start state {s0} is not",
+                    id=f"s0={s0}") for s0 in (-1, 2, 1.5)])
+
 #: Max-side tables that do not fit the vardi game (one max site, two
 #: states), with the error each must raise.
 TABLES_NOT_FOR_VARDI = [
@@ -503,13 +556,14 @@ class TestEntryCheck:
         with pytest.raises(GameError, match=match):
             expand_tree(phi, model, 0, LEFT, sigma_max, depth=5)
 
-    @pytest.mark.parametrize("text", UNBOUND_IN_VARDI)
-    def test_unbound_symbol_raises_before_any_move(self, vardi, text):
+    @pytest.mark.parametrize("text, s0, error, match", NOT_PLAYABLE_IN_VARDI)
+    def test_unbound_symbol_raises_before_any_move(self, vardi, text, s0, error,
+                                                    match):
         model, _ = vardi
         phi = reduce(parse(text), model.valuation)
-        with pytest.raises(UnresolvedSymbolError, match="nope"):
-            play(phi, model, 0, LEFT, LEFT, max_depth=5, rng=rng_for(9))
-        with pytest.raises(UnresolvedSymbolError, match="nope"):
-            estimate(phi, model, 0, LEFT, LEFT, n_paths=5, max_depth=5, seed=9)
-        with pytest.raises(UnresolvedSymbolError, match="nope"):
-            expand_tree(phi, model, 0, LEFT, LEFT, depth=5)
+        with pytest.raises(error, match=match):
+            play(phi, model, s0, LEFT, LEFT, max_depth=5, rng=rng_for(9))
+        with pytest.raises(error, match=match):
+            estimate(phi, model, s0, LEFT, LEFT, n_paths=5, max_depth=5, seed=9)
+        with pytest.raises(error, match=match):
+            expand_tree(phi, model, s0, LEFT, LEFT, depth=5)
