@@ -9,8 +9,8 @@ so it can be read directly off the transition.
 
 Transitions are stored sparse, as compressed sparse rows (one target and one
 probability per edge), so memory and the cost of a pre-expectation grow with
-the number of edges, not with the square of the number of states.  Per-state
-rows are read through views built from those arrays on access.
+the number of edges, not with the square of the number of states.  A single
+state's row is read straight off those arrays.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -18,7 +18,6 @@ threads.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,9 +26,6 @@ import numpy as np
 #: Representation slack for probability-sum checks.  Entries such as 1/3 are
 #: not exactly representable in binary, so sums are checked up to this much.
 EPS_REPR = 1e-12
-
-#: Per-state successor list: ((target index, probability), ...).
-Successors = tuple[tuple[int, float], ...]
 
 
 class ModelError(ValueError):
@@ -87,43 +83,11 @@ class StateSpace:
             raise ModelError(f"unknown state label {label!r}") from None
 
 
-class StateView(Sequence):
-    """Read-only sequence of per-state items computed from arrays on access.
-
-    Holds no copy of the data: each item is built when it is read.  Compares
-    equal to any sequence with equal items.
-    """
-
-    __slots__ = ("_item", "_len")
-
-    def __init__(self, item, length: int):
-        self._item = item
-        self._len = length
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, s: int):
-        if s < 0:
-            s += self._len
-        if not 0 <= s < self._len:
-            raise IndexError(f"state index {s} out of range")
-        return self._item(s)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"StateView({list(self)!r})"
-
-
 @dataclass(frozen=True, eq=False)
 class Transition:
     """A probabilistic transition in compressed sparse row (CSR) form.
 
-    The successors of state ``s`` are the edges ``indptr[s]:indptr[s+1]``,
+    The edges out of state ``s`` are ``indptr[s]:indptr[s+1]``,
     with target states ``indices`` and probabilities ``probs``;
     ``weights[s]`` is the expected immediate payoff routed to the absorbing
     payoff outcome.  :func:`transition_from_edges`, which :func:`transition`
@@ -161,19 +125,10 @@ class Transition:
     def n_states(self) -> int:
         return len(self.weights)
 
-    def _row(self, s: int) -> Successors:
+    def row(self, s: int) -> tuple[list[int], list[float]]:
+        """Targets and probabilities of the edges of ``s``, as Python lists."""
         a, b = self.indptr[s], self.indptr[s + 1]
-        return tuple(zip(self.indices[a:b].tolist(), self.probs[a:b].tolist()))
-
-    @cached_property
-    def successors(self) -> StateView:
-        """Per-state view: ``successors[s]`` is ``((target, prob), ...)``."""
-        return StateView(self._row, self.n_states)
-
-    @cached_property
-    def payoff_weights(self) -> StateView:
-        """Per-state view of ``weights`` as Python floats."""
-        return StateView(self.weights.item, self.n_states)
+        return self.indices[a:b].tolist(), self.probs[a:b].tolist()
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -335,8 +290,8 @@ def pre_expectation(t: Transition, s: int, post: np.ndarray) -> float:
     """
     if not 0 <= s < t.n_states:
         raise IndexError(f"state index {s} out of range")
-    total = t.payoff_weights[s]
-    for target, prob in t.successors[s]:
+    total = t.weights.item(s)
+    for target, prob in zip(*t.row(s)):
         total += prob * float(post[target])
     return total
 
@@ -369,32 +324,6 @@ def halt_payoff(t: Transition, s: int) -> float:
     if not 0 <= s < t.n_states:
         raise IndexError(f"state index {s} out of range")
     return t.halt_payoffs.item(s)
-
-
-def make_discounted(t: Transition, alpha: float, keep_deficit: bool) -> Transition:
-    """Discount a normal transition by scaling every successor by ``alpha``.
-
-    Requires a "normal" transition (probabilities summing to one, weight
-    zero).  The freed probability mass routes to the payoff outcome with
-    expected payoff 0 (``keep_deficit`` false) or ``1 - alpha`` (true).
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ModelError(f"discount factor must lie in [0, 1], got {alpha}")
-    mass = _row_mass(t)
-    abnormal = np.flatnonzero((np.abs(mass - 1.0) > EPS_REPR) | (t.weights > EPS_REPR))
-    if abnormal.size:
-        s = int(abnormal[0])
-        raise ModelError(
-            f"make_discounted requires a normal transition; state {s} has "
-            f"probability sum {mass.item(s)} and weight {t.weights.item(s)}"
-        )
-    n = t.n_states
-    probs = alpha * t.probs
-    keep = probs > 0.0
-    counts = np.bincount(t._sources[keep], minlength=n)
-    weight = (1.0 - alpha) if keep_deficit else 0.0
-    return Transition(np.concatenate(([0], np.cumsum(counts))), t.indices[keep],
-                      probs[keep], np.full(n, weight))
 
 
 def _transition_diagnostics(name: str, t: Transition, n: int) -> list[Diagnostic]:

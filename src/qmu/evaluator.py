@@ -598,15 +598,16 @@ def evaluate_with_strategies(
     sigma_max: PathStrategy | None,
     cfg: EvalConfig | None = None,
     depth: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Strategy-extended semantics, as a (lower, upper) pair of expectations.
+) -> np.ndarray:
+    """Strategy-extended semantics: the expectation of ``phi`` when each
+    player follows its strategy.
 
     A ``None`` strategy leaves that player's junctions adversarial (true
     min/max).  With memoriless (or absent) strategies on both sides each
     junction takes the operand its site's choice mask selects, and fixpoint
-    iteration solves the system; lower and upper coincide.  Otherwise the
-    formula is unfolded: each binder may be re-entered at most ``depth``
-    times per binding, and a truncated ``mu`` (``nu``) contributes 0 (1).
+    iteration solves the system.  Otherwise the formula is unfolded: each
+    binder may be re-entered at most ``depth`` times per binding, and a
+    truncated ``mu`` (``nu``) contributes 0 (1).
     A memoriless evaluation that hits ``max_iterations`` raises
     :class:`NotConvergedError`.
     """
@@ -621,7 +622,7 @@ def evaluate_with_strategies(
         report = _run(phi, model, cfg, "reject", _Masked(*masks))
         if not report.converged:
             raise NotConvergedError("strategy evaluation did not converge")
-        return report.result.copy(), report.result.copy()
+        return report.result.copy()
     _check_entry(phi, model, "reject")
     if depth is None:
         raise TypeError("history-dependent strategies require an unfolding depth")
@@ -635,8 +636,7 @@ def evaluate_with_strategies(
             values[s0] = _unfold(phi, model, s0, sigma_min, sigma_max, depth)
     finally:
         sys.setrecursionlimit(limit)
-    values = np.clip(values, 0.0, 1.0)
-    return values.copy(), values.copy()
+    return np.clip(values, 0.0, 1.0)
 
 
 def _unfold(phi: Node, model: Model, s0: int, sigma_min: PathStrategy | None,
@@ -667,8 +667,8 @@ def _unfold(phi: Node, model: Model, s0: int, sigma_min: PathStrategy | None,
                 return go(bodies[node.name], s, inner, defaults, bodies)
             if isinstance(node, Modal):
                 t = v.transitions[node.transition]
-                total = t.payoff_weights[s]
-                for target, prob in t.successors[s]:
+                total = t.weights.item(s)
+                for target, prob in zip(*t.row(s)):
                     total += prob * go(node.body, target, budgets, defaults, bodies)
                 return total
             if isinstance(node, MaxJ):

@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    Model, StateSpace, Valuation, expectation, pre_expectation_all, predicate,
-    transition,
+    Model, StateSpace, Valuation, expectation, pre_expectation,
+    pre_expectation_all, predicate, transition,
 )
 from .evaluator import EvalConfig, PathStrategy, evaluate, evaluate_with_strategies
 from .formula import Node, parse, reduce
@@ -207,14 +207,14 @@ def case_study_tables(cfg: EvalConfig | None = None,
     # fixed strategies: the maximiser takes the left 'junct where a predicate holds
     predicates = model.valuation.predicates
     reserve_at_cap = PathStrategy.from_choices((predicates["reserveAtCap"],))
-    yield_value, _ = evaluate_with_strategies(game, model, None, reserve_at_cap, cfg)
+    yield_value = evaluate_with_strategies(game, model, None, reserve_at_cap, cfg)
 
     month = model.valuation.transitions["month"]
     one_month = pre_expectation_all(month, model.valuation.expectations["Sold"])
 
     chance_optimal = evaluate(chance, model, cfg).result
     intuitive = PathStrategy.from_choices((predicates["intuitive"],))
-    chance_intuitive, _ = evaluate_with_strategies(chance, model, None, intuitive, cfg)
+    chance_intuitive = evaluate_with_strategies(chance, model, None, intuitive, cfg)
 
     opt_label, int_label = TABLE_LABELS["probability"]
     return {
@@ -226,3 +226,14 @@ def case_study_tables(cfg: EvalConfig | None = None,
                              {opt_label: _profile(chance_optimal, 1.0),
                               int_label: _profile(chance_intuitive, 1.0)}),
     }
+
+
+def one_step_advice(model: Model, value: np.ndarray, s: int, *,
+                    transition_symbol: str = "month",
+                    payoff_symbol: str = "Sold",
+                    tolerance: float = 1e-9) -> bool:
+    """Commit now just when one step of waiting cannot be expected to beat
+    the value of the whole game played from here."""
+    t = model.valuation.transitions[transition_symbol]
+    sold = model.valuation.expectations[payoff_symbol]
+    return pre_expectation(t, s, sold) >= float(value[s]) - tolerance

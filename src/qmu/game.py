@@ -391,7 +391,7 @@ def estimate(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
 
 def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
                 sigma_max: PathStrategy, depth: int,
-                node_cap: int = 2_000_000) -> tuple[float, float]:
+                node_cap: int = 2_000_000) -> float:
     """Exact expected value of the depth-truncated game from ``s0``.
 
     Expands the probabilistic tree (probability-one edges for all
@@ -442,8 +442,8 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
                                tuple(sorted(entry.items())))
             elif isinstance(node, Modal):
                 t = v.transitions[node.transition]
-                value = t.payoff_weights[s]
-                for target, prob in t.successors[s]:
+                value = t.weights.item(s)
+                for target, prob in zip(*t.row(s)):
                     value += prob * go(node.body, target, budgets)
             elif isinstance(node, MaxJ):
                 take_left = sigma_max.decide(node.site, view, s)
@@ -476,7 +476,7 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
         value = go(phi, s0, ())
     finally:
         sys.setrecursionlimit(limit)
-    return value, value
+    return value
 
 
 def _check_playable(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,

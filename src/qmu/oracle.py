@@ -19,8 +19,7 @@ import numpy as np
 from .core import Model, StateSpace, Valuation, expectation, predicate, transition
 from .evaluator import EvalConfig, NotConvergedError, evaluate, evaluate_batch
 from .formula import (
-    Angelic, Cond, Const, Demonic, Fix, MaxJ, MinJ, Mu, Node, Nu, Var,
-    assign_sites, choice_sites, parse, pretty_print, reduce,
+    Node, assign_sites, choice_sites, parse, pretty_print, reduce,
 )
 from .strategy import MemorilessStrategy
 
@@ -208,79 +207,6 @@ def random_instance(seed, bounds: InstanceBounds | None = None) -> TinyInstance:
                         template=text_tmpl)
 
 
-def random_probabilistic_body(seed, bounds: InstanceBounds | None = None
-                              ) -> tuple[Model, str, Node]:
-    """A junction-free open body over a fresh model, for fix comparisons."""
-    bounds = bounds or InstanceBounds()
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, bounds.max_states + 1))
-    space = StateSpace(tuple(f"s{i}" for i in range(n)))
-    valuation = Valuation(
-        expectations={"a0": expectation(rng.random(n)),
-                      "a1": expectation(rng.random(n))},
-        transitions={"t0": _random_transition(rng, n, bounds.max_continue_mass, False),
-                     "t1": _random_transition(rng, n, bounds.max_continue_mass, False)},
-        transition_sets={},
-        predicates={"g0": predicate(rng.random(n) < 0.5)},
-    )
-    picks = {"a": "a0", "b": "a1",
-             "k": ("t0", "t1")[int(rng.integers(0, 2))],
-             "k2": ("t0", "t1")[int(rng.integers(0, 2))],
-             "g": "g0"}
-    body_tmpl = _PROBABILISTIC_BODIES[int(rng.integers(0, len(_PROBABILISTIC_BODIES)))]
-    body = _parse_open(body_tmpl.format(**picks), "W0", valuation)
-    return Model(space, valuation), "W0", body
-
-
-def random_formula(seed, max_depth: int = 5) -> Node:
-    """A free-form closed parse-level AST, for printer/parser round trips.
-
-    Uses only node kinds the parser can produce (set modalities rather than
-    bare transition modalities, which only arise through reduction).
-    """
-    rng = np.random.default_rng(seed)
-    consts = ("c0", "c1", "c2")
-    sets_ = ("K0", "K1", "t0")
-    preds = ("g0", "g1")
-    binder_pool = ("X", "Y", "Z")
-
-    def gen(depth: int, scope: tuple[str, ...]) -> Node:
-        leafy = depth <= 0
-        kinds = ["const", "angelic", "demonic", "minj", "maxj",
-                 "cond", "mu", "nu", "fix"]
-        if scope:
-            kinds.append("var")
-        if leafy:
-            kinds = ["const", "var"] if scope else ["const"]
-        kind = kinds[int(rng.integers(0, len(kinds)))]
-        if kind == "const":
-            return Const(consts[int(rng.integers(0, len(consts)))])
-        if kind == "var":
-            return Var(scope[int(rng.integers(0, len(scope)))])
-        if kind == "angelic":
-            return Angelic(sets_[int(rng.integers(0, len(sets_)))],
-                           gen(depth - 1, scope))
-        if kind == "demonic":
-            return Demonic(sets_[int(rng.integers(0, len(sets_)))],
-                           gen(depth - 1, scope))
-        if kind == "minj":
-            return MinJ(gen(depth - 1, scope), gen(depth - 1, scope))
-        if kind == "maxj":
-            return MaxJ(gen(depth - 1, scope), gen(depth - 1, scope))
-        if kind == "cond":
-            return Cond(preds[int(rng.integers(0, 2))],
-                        gen(depth - 1, scope), gen(depth - 1, scope))
-        var = binder_pool[int(rng.integers(0, len(binder_pool)))]
-        body = gen(depth - 1, scope + (var,))
-        if kind == "mu":
-            return Mu(var, body)
-        if kind == "nu":
-            return Nu(var, body)
-        return Fix(float(np.round(rng.random(), 6)), var, body)
-
-    return assign_sites(gen(max_depth, ()))
-
-
 # --- Brute-force minimax ----------------------------------------------------
 
 def _tuple_choices(index, n_sites: int, n_states: int) -> np.ndarray:
@@ -395,10 +321,13 @@ def crosscheck(count: int, seed: int, bounds: InstanceBounds | None = None,
     the real evaluator.  An instance whose brute force or evaluation does
     not converge fails with a message saying so, not with a value gap.  On
     failure the instance is dumped (model file plus formula text) for replay
-    when ``dump_dir`` is given.
+    when ``dump_dir`` is given.  ``tolerance`` must be finite and positive:
+    a NaN one would pass every instance and a negative one fail every one.
     """
     if count < 0:
         raise ValueError("count cannot be negative")
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     evaluate_fn = evaluate_fn or evaluate
     cfg = cfg or EvalConfig()
     failures: list[CheckFailure] = []

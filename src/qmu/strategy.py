@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Model, pre_expectation, predicate
+from .core import Model, predicate
 from .evaluator import (
     EvalConfig, NotConvergedError, PathStrategy, converged_walk, evaluate,
     evaluate_with_strategies,
@@ -46,20 +46,10 @@ class MemorilessStrategy:
 
     def check_shape(self, phi: Node, n_states: int) -> None:
         """Site counts must match ``phi`` and predicate lengths ``n_states``."""
-        mins, maxs = choice_sites(phi)
-        for label, choices, count in (("min", self.min_choices, mins),
-                                      ("max", self.max_choices, maxs)):
-            if choices is None:
-                continue
-            if len(choices) != count:
-                raise StrategyError(
-                    f"{label} side has {len(choices)} site predicates, "
-                    f"formula has {count} {label} sites")
-            for site, arr in enumerate(choices):
-                if len(arr) != n_states:
-                    raise StrategyError(
-                        f"{label} site {site} predicate has {len(arr)} "
-                        f"entries, expected {n_states}")
+        for side, sigma, sites in zip(("min", "max"), self.sides(),
+                                      choice_sites(phi)):
+            if sigma is not None:
+                sigma.check_tables(side, sites, n_states, StrategyError)
 
     def sides(self) -> tuple[PathStrategy | None, PathStrategy | None]:
         """Both sides as path strategies, ``None`` for a side left open."""
@@ -115,19 +105,8 @@ def verify_strategy(phi: Node, model: Model, strategy: MemorilessStrategy,
     cfg = cfg or EvalConfig()
     strategy.check_shape(phi, model.space.size)
     base = evaluate(phi, model, cfg).result
-    fixed, _ = evaluate_with_strategies(phi, model, *strategy.sides(), cfg)
+    fixed = evaluate_with_strategies(phi, model, *strategy.sides(), cfg)
     return float(np.max(np.abs(fixed - base)))
-
-
-def one_step_advice(model: Model, value: np.ndarray, s: int, *,
-                    transition_symbol: str = "month",
-                    payoff_symbol: str = "Sold",
-                    tolerance: float = 1e-9) -> bool:
-    """Commit now just when one step of waiting cannot be expected to beat
-    the value of the whole game played from here."""
-    t = model.valuation.transitions[transition_symbol]
-    sold = model.valuation.expectations[payoff_symbol]
-    return pre_expectation(t, s, sold) >= float(value[s]) - tolerance
 
 
 # --- Strategy files ---------------------------------------------------------

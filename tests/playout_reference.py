@@ -106,16 +106,16 @@ def walk_playout(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
             u = rng.random()
             acc = 0.0
             chosen = None
-            row = t.successors[s]
-            for target, prob in row:
+            targets, probs = t.row(s)
+            for target, prob in zip(targets, probs):
                 acc += prob
                 if u <= acc:
                     chosen = target
                     break
             if chosen is None:
-                if 1.0 - acc <= EPS_REPR and row:
+                if 1.0 - acc <= EPS_REPR and targets:
                     # float dust: the distribution is total, keep last edge
-                    chosen = row[-1][0]
+                    chosen = targets[-1]
                 else:
                     current = ("payoff", halt_payoff(t, s))
                     continue

@@ -221,7 +221,7 @@ class TestSimulate:
                                       "--state", "C", "--paths", "10"])
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "expected 3" in err
+        assert "model has 3 states" in err
 
     def test_strategy_for_more_states_exits_one(self, capsys, vardi_files,
                                                 tmp_path):
@@ -237,7 +237,7 @@ class TestSimulate:
                                       "--state", "A", "--paths", "10"])
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "expected 2" in err
+        assert "model has 2 states" in err
 
     def test_strategy_file_not_an_object_exits_one(self, capsys, vardi_files,
                                                    tmp_path):

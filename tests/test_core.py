@@ -10,7 +10,7 @@ import pytest
 import qmu
 from qmu.core import (
     EPS_REPR, Model, ModelError, StateSpace, Transition, Valuation,
-    expectation, halt_payoff, make_discounted, pre_expectation,
+    expectation, halt_payoff, pre_expectation,
     pre_expectation_all, predicate, transition, validate,
 )
 from qmu.oracle import random_instance
@@ -85,16 +85,16 @@ class TestHaltPayoff:
             rows = [[(j, p) for j, p in enumerate(rng.dirichlet(np.ones(k)) * m)]
                     for k, m in zip(rng.integers(1, 13, 13), rng.random(13))]
             t = transition(rows + [[]], rng.random(14) * 0.5)
-            for s, row in enumerate(t.successors):
+            for s in range(t.n_states):
                 acc, sums = 0.0, []
-                for _, p in row:
+                for p in t.row(s)[1]:
                     acc += p
                     sums.append(acc)
                 a, b = t.indptr[s], t.indptr[s + 1]
                 assert t.cumulative[a:b].tolist() == sums
                 residual = 1.0 - acc
                 expected = (0.0 if residual <= EPS_REPR else
-                            min(1.0, max(0.0, t.payoff_weights[s] / residual)))
+                            min(1.0, max(0.0, t.weights.item(s) / residual)))
                 assert halt_payoff(t, s) == t.halt_payoffs[s] == expected
 
     def test_weight_identity(self):
@@ -103,37 +103,10 @@ class TestHaltPayoff:
             inst = random_instance([23, trial])
             t = inst.model.valuation.transitions["t1"]
             for s in range(t.n_states):
-                mass = sum(p for _, p in t.successors[s])
+                mass = sum(t.row(s)[1])
                 if mass < 1.0 - EPS_REPR:
                     recovered = halt_payoff(t, s) * (1.0 - mass)
-                    assert recovered == pytest.approx(t.payoff_weights[s], abs=TOL)
-
-
-class TestMakeDiscounted:
-    def test_identity_at_one(self):
-        t = transition([[(0, 0.5), (1, 0.5)], [(0, 1.0)]])
-        assert make_discounted(t, 1.0, keep_deficit=False) == t
-
-    def test_full_discount_keep(self):
-        t = transition([[(0, 0.5), (1, 0.5)], [(0, 1.0)]])
-        d = make_discounted(t, 0.0, keep_deficit=True)
-        assert d.successors == ((), ())
-        assert d.payoff_weights == (1.0, 1.0)
-
-    def test_partial_discount(self):
-        t = transition([[(0, 0.5), (1, 0.5)], [(1, 1.0)]])
-        d = make_discounted(t, 0.8, keep_deficit=False)
-        assert d.successors[0] == ((0, 0.4), (1, 0.4))
-        assert d.payoff_weights == (0.0, 0.0)
-        keep = make_discounted(t, 0.8, keep_deficit=True)
-        assert keep.payoff_weights[0] == pytest.approx(0.2, abs=TOL)
-        assert not validate(Model(StateSpace(("a", "b")),
-                                  Valuation(transitions={"k": keep})))
-
-    def test_rejects_subnormal_input(self):
-        t = transition([[(0, 0.5)]], [0.2])
-        with pytest.raises(ModelError):
-            make_discounted(t, 0.5, keep_deficit=False)
+                    assert recovered == pytest.approx(t.weights.item(s), abs=TOL)
 
 
 class TestValidate:
@@ -213,7 +186,7 @@ class TestValidate:
 class TestCanonicalStorage:
     def test_zero_edges_dropped_and_merged(self):
         t = transition([[(1, 0.0), (0, 0.25), (0, 0.25)], []], [0.0, 0.0])
-        assert t.successors[0] == ((0, 0.5),)
+        assert t.row(0) == ([0], [0.5])
 
     def test_predicate_roundtrip(self):
         arr = predicate([True, False, True])
@@ -253,13 +226,12 @@ class TestSparseStorage:
         t = transition([[(2, 0.25), (0, 0.5)], [], [(1, 1.0)]], [0.25, 0.5, 0.0])
         assert t.indptr.tolist() == [0, 2, 2, 3]
         assert t.indices.tolist() == [0, 2, 1]
-        assert t.successors == ((((0, 0.5), (2, 0.25)), (), ((1, 1.0),)))
-        assert t.successors[-1] == ((1, 1.0),)
-        assert t.payoff_weights == (0.25, 0.5, 0.0)
+        assert [t.row(s) for s in range(3)] == [([0, 2], [0.5, 0.25]), ([], []),
+                                                ([1], [1.0])]
         for arr in (t.indptr, t.indices, t.probs, t.weights):
             assert not arr.flags.writeable
         with pytest.raises(IndexError):
-            t.successors[3]
+            t.row(3)
 
     def test_inconsistent_arrays_rejected(self):
         with pytest.raises(ModelError):

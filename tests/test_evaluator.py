@@ -13,8 +13,9 @@ from qmu.evaluator import (
 from qmu.formula import (
     Fix, MaxJ, MinJ, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
 )
-from qmu.oracle import random_instance, random_probabilistic_body
+from qmu.oracle import random_instance
 from qmu.strategy import MemorilessStrategy, synthesize
+from generators import random_probabilistic_body
 from specialize_reference import specialize, specialized_model
 
 TOL = 1e-9
@@ -70,6 +71,28 @@ class TestFixpoints:
     def test_set_modalities_rejected(self, two_state):
         with pytest.raises(Exception):
             evaluate(parse("<k> e"), two_state)  # unreduced set modality
+
+    @pytest.mark.xfail(strict=True, reason="step-residual stop; ROADMAP direction 2")
+    def test_slow_one_state_chain_reaches_its_fixpoint(self):
+        # stays put with probability p, pays w: the least fixpoint is w / (1 - p)
+        t = transition([[(0, 1.0 - 1e-10)]], [1e-10])
+        model = Model(StateSpace(("s",)), Valuation(transitions={"k": t}))
+        report = evaluate(reduce(parse("mu X . <k> X"), model.valuation), model)
+        exact = t.weights[0] / (1.0 - t.probs[0])
+        assert abs(report.result[0] - exact) <= EvalConfig().tolerance
+
+    @pytest.mark.xfail(strict=True, reason="step-residual stop; ROADMAP direction 2")
+    def test_fair_gamblers_ruin_reaches_its_fixpoint(self):
+        # a fair walk on 0..N absorbed at both ends wins from i with chance i/N
+        n = 100
+        rows = [[]] + [[(i - 1, 0.5), (i + 1, 0.5)] for i in range(1, n)] + [[]]
+        model = Model(StateSpace(tuple(f"s{i}" for i in range(n + 1))), Valuation(
+            expectations={"win": expectation(np.arange(n + 1) == n)},
+            transitions={"step": transition(rows)}))
+        phi = reduce(parse("mu X . win \\/ <step> X"), model.valuation)
+        report = evaluate(phi, model)
+        gap = np.abs(report.result - np.arange(n + 1) / n).max()
+        assert gap <= EvalConfig().tolerance
 
 
 class TestJunctionLaws:
@@ -188,8 +211,8 @@ class TestStrategySemantics:
         masked = _run(phi, model, None, "reject", _Masked(*(
             None if choices is None else np.array(choices, dtype=bool)
             for choices in (strategy.min_choices, strategy.max_choices))))
-        lo, hi = evaluate_with_strategies(phi, model, sigma_min, sigma_max)
-        assert np.array_equal(lo, masked.result) and np.array_equal(lo, hi)
+        values = evaluate_with_strategies(phi, model, sigma_min, sigma_max)
+        assert np.array_equal(values, masked.result)
         phi2, ext = specialize(phi, strategy, n)
         return masked, evaluate(phi2, specialized_model(model, ext))
 
@@ -272,10 +295,9 @@ class TestStrategySemantics:
         model, game = futures
         sigma_max = PathStrategy.from_choices(
             [model.valuation.predicates["reserveAtCap"]])
-        lo, hi = evaluate_with_strategies(game, model, None, sigma_max)
-        value = 10 * float(lo[futures_index(0, 5, 10)])
+        values = evaluate_with_strategies(game, model, None, sigma_max)
+        value = 10 * float(values[futures_index(0, 5, 10)])
         assert value == pytest.approx(3.68, abs=0.01)
-        assert np.array_equal(lo, hi)
 
     def test_choice_masks_of_tables_and_constants(self):
         tables = [np.array([True, False]), np.array([False, False])]
@@ -289,16 +311,16 @@ class TestStrategySemantics:
     def test_both_sides_none_is_plain_evaluation(self):
         for trial in range(10):
             inst = random_instance([163, trial])
-            lo, _ = evaluate_with_strategies(inst.phi, inst.model, None, None)
-            assert np.array_equal(lo, evaluate(inst.phi, inst.model).result)
+            values = evaluate_with_strategies(inst.phi, inst.model, None, None)
+            assert np.array_equal(values, evaluate(inst.phi, inst.model).result)
 
     def test_constant_left_on_junction_free_formula(self, two_state):
         phi = reduce(parse("mu X . if g then e else <k> X"), two_state.valuation)
-        lo, hi = evaluate_with_strategies(phi, two_state,
+        values = evaluate_with_strategies(phi, two_state,
                                           PathStrategy.constant(True),
                                           PathStrategy.constant(True))
         base = evaluate(phi, two_state).result
-        assert np.abs(lo - base).max() <= 10 * TOL
+        assert np.abs(values - base).max() <= 10 * TOL
 
     def test_memoriless_non_convergence_raises(self, futures, futures_strategy):
         model, game = futures
@@ -318,29 +340,18 @@ class TestStrategySemantics:
 
     def test_depth_zero_truncation_defaults(self, two_state):
         history = PathStrategy(decide=lambda site, path, s: len(path) % 2 == 0)
-        mu_lo, mu_hi = evaluate_with_strategies(
+        mu_values = evaluate_with_strategies(
             Mu("X", Var("X")), two_state, history, history, depth=0)
-        assert np.array_equal(mu_lo, np.zeros(2))
-        assert np.array_equal(mu_hi, np.zeros(2))
-        nu_lo, nu_hi = evaluate_with_strategies(
+        assert np.array_equal(mu_values, np.zeros(2))
+        nu_values = evaluate_with_strategies(
             Nu("X", Var("X")), two_state, history, history, depth=0)
-        assert np.array_equal(nu_lo, np.ones(2))
-        assert np.array_equal(nu_hi, np.ones(2))
+        assert np.array_equal(nu_values, np.ones(2))
 
     def test_history_strategies_need_a_depth(self, two_state):
         history = PathStrategy(decide=lambda site, path, s: True)
         phi = reduce(parse("e \\/ <k> e"), two_state.valuation)
         with pytest.raises(TypeError):
             evaluate_with_strategies(phi, two_state, history, history)
-
-    def test_lower_never_exceeds_upper(self):
-        history = PathStrategy(
-            decide=lambda site, path, s: (len(path) + s) % 3 == 0)
-        for trial in range(20):
-            inst = random_instance([177, trial])
-            lo, hi = evaluate_with_strategies(inst.phi, inst.model,
-                                              history, history, depth=6)
-            assert (lo <= hi + TOL).all()
 
 
 class TestConfig:

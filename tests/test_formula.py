@@ -12,7 +12,7 @@ from qmu.formula import (
     is_reduced, junction_free, map_children, parse, pretty_print, reduce,
     subformulae, unbound_symbol,
 )
-from qmu.oracle import random_formula
+from generators import random_formula
 
 
 class TestParse:

@@ -124,9 +124,10 @@ class TestPlay:
                    if pos[0] == "payoff"]
         assert payoffs in ([], [len(path.positions) - 1])
 
-    def test_play_is_the_reference_walk(self, ping_pong):
+    def test_play_is_the_reference_walk(self, simple, ping_pong):
         # memoriless sides read from tables; a history side decides by its
-        # table, flipped every fourth position, and records what it is asked
+        # table, flipped every fourth position, and records what it is asked;
+        # with both sides memoriless, a one-path estimate is the same play
         def sides(tables, history, calls):
             def recording(table):
                 def decide(site, path, s):
@@ -137,8 +138,10 @@ class TestPlay:
                     for t, h in zip(tables, history)]
 
         model, phi, sigma_max = ping_pong
-        cases = [(phi, model, ([], sigma_max.tables))]
-        for trial in range(40):
+        cases = [(phi, model, ([], sigma_max.tables)),
+                 (reduce(parse("mu X . e \\/ <k> X"), simple.valuation), simple,
+                  ([], [[False, False]]))]
+        for trial in range(100):
             inst = random_instance([5150, trial])
             mins, maxs = choice_sites(inst.phi)
             n = inst.model.space.size
@@ -154,19 +157,31 @@ class TestPlay:
                 for seed in range(3):
                     for depth in (1, 3, 12):
                         calls, reference_calls = [], []
-                        result = play(phi, model, s0, *sides(tables, history, calls),
-                                      depth, rng=estimate_rng(seed))
+                        sigmas = sides(tables, history, calls)
+                        result = play(phi, model, s0, *sigmas, depth,
+                                      rng=estimate_rng(seed))
                         path = walk_playout(
                             phi, model, s0, *sides(tables, history, reference_calls),
                             depth, rng=estimate_rng(seed))
                         assert result == path_bracket(path, depth), (k, seed, depth)
                         assert calls == reference_calls, (k, seed, depth)
                         asked += len(calls)
+                        if not any(history):
+                            est = estimate(phi, model, s0, *sigmas, n_paths=1,
+                                           max_depth=depth, seed=seed)
+                            assert (est.mean_low, est.mean_high, est.max_steps,
+                                    est.mean_steps, ending(est),
+                                    est.n_truncated) == (
+                                result.value_low, result.value_high,
+                                result.steps, result.steps, ending(result),
+                                not result.terminated), (k, seed, depth)
                         how = ending(result)
                         if how == "payoff" and isinstance(path.positions[-2][1], Modal):
                             how = "halt"
-                        seen.add(how)
-        assert seen == {"payoff", "halt", "mu", "nu", "budget"}
+                        seen.add((how, any(history)))
+        # the one-path estimates alone see every ending
+        assert {how for how, mixed in seen if not mixed} == {
+            "payoff", "halt", "mu", "nu", "budget"}
         assert asked > 1000
 
     def test_sampling_only_from_supplied_stream(self, simple):
@@ -255,41 +270,6 @@ def ending(result) -> str:
 
 
 class TestBlockEngine:
-    def test_single_path_is_play_with_the_call_generator(self, simple, ping_pong):
-        cases = [(reduce(parse("mu X . e \\/ <k> X"), simple.valuation), simple,
-                  LEFT, RIGHT), (ping_pong[1], ping_pong[0], LEFT, ping_pong[2])]
-        for trial in range(100):
-            inst = random_instance([4242, trial])
-            mins, maxs = choice_sites(inst.phi)
-            n = inst.model.space.size
-            rng = np.random.default_rng(trial)
-            cases.append((inst.phi, inst.model,
-                          PathStrategy.from_choices([rng.random(n) < 0.5
-                                                     for _ in range(mins)]),
-                          PathStrategy.from_choices([rng.random(n) < 0.5
-                                                     for _ in range(maxs)])))
-        seen = set()
-        for phi, model, sigma_min, sigma_max in cases:
-            for seed in range(3):
-                for depth in (1, 3, 12):
-                    est = estimate(phi, model, 0, sigma_min, sigma_max,
-                                   n_paths=1, max_depth=depth, seed=seed)
-                    direct = play(phi, model, 0, sigma_min, sigma_max, depth,
-                                  rng=estimate_rng(seed))
-                    assert (est.mean_low, est.mean_high, est.max_steps,
-                            est.mean_steps, ending(est)) == (
-                        direct.value_low, direct.value_high, direct.steps,
-                        direct.steps, ending(direct)), (phi, seed, depth)
-                    assert est.n_truncated == (not direct.terminated)
-                    how = ending(direct)
-                    if how == "payoff":
-                        path = walk_playout(phi, model, 0, sigma_min, sigma_max,
-                                            depth, rng=estimate_rng(seed))
-                        if isinstance(path.positions[-2][1], Modal):
-                            how = "halt"
-                    seen.add(how)
-        assert seen == {"payoff", "halt", "mu", "nu", "budget"}
-
     def test_draws_on_a_running_sum_and_in_float_dust(self):
         # u equal to a running sum takes that edge; u above a total within
         # float dust of one keeps the last edge instead of halting
@@ -391,22 +371,8 @@ class TestExpandTree:
             expectations={"A": expectation([0.0, 0.3, 0.9])},
             transitions={"t": t}, transition_sets={}, predicates={}))
         phi = reduce(parse("<t> A"), model.valuation)
-        lo, hi = expand_tree(phi, model, 0, LEFT, LEFT, depth=4)
-        assert lo == hi == pytest.approx(0.4 + 0.25 * 0.3 + 0.25 * 0.9,
-                                         abs=1e-12)
-
-    def test_colour_free_formula_has_tight_bracket(self, simple):
-        phi = reduce(parse("<k> (e \\/ <k> e)"), simple.valuation)
-        lo, hi = expand_tree(phi, simple, 0, LEFT, LEFT, depth=50)
-        assert lo == hi
-
-    def test_bracket_width_never_grows_with_depth(self, simple):
-        phi = reduce(parse("mu X . e \\/ <k> X"), simple.valuation)
-        widths = []
-        for depth in (1, 2, 4, 8, 16):
-            lo, hi = expand_tree(phi, simple, 0, LEFT, RIGHT, depth=depth)
-            widths.append(hi - lo)
-        assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
+        assert expand_tree(phi, model, 0, LEFT, LEFT, depth=4) == pytest.approx(
+            0.4 + 0.25 * 0.3 + 0.25 * 0.9, abs=1e-12)
 
     def test_converges_to_strategy_evaluator(self):
         # memoriless pairs: deep tree values approach the fixpoint values
@@ -421,13 +387,13 @@ class TestExpandTree:
                 min_choices=tuple(rng.random(n) < 0.5 for _ in range(mins)),
                 max_choices=tuple(rng.random(n) < 0.5 for _ in range(maxs)))
             sigma_min, sigma_max = strat.path_strategies()
-            lo_vec, _ = evaluate_with_strategies(inst.phi, inst.model,
-                                                 sigma_min, sigma_max)
+            values = evaluate_with_strategies(inst.phi, inst.model,
+                                              sigma_min, sigma_max)
             gaps = []
             for depth in (8, 16, 32):
-                lo, hi = expand_tree(inst.phi, inst.model, 0, sigma_min,
-                                     sigma_max, depth=depth)
-                gaps.append(abs(lo - lo_vec[0]))
+                value = expand_tree(inst.phi, inst.model, 0, sigma_min,
+                                    sigma_max, depth=depth)
+                gaps.append(abs(value - values[0]))
             assert gaps[-1] <= 1e-6 or gaps[-1] <= gaps[0] + 1e-12
 
     def test_history_strategies_match_unfolding_exactly(self, vardi):
@@ -437,12 +403,10 @@ class TestExpandTree:
             return (len(path) * 7 + s) % 3 != 1
 
         hist = PathStrategy(decide=wiggle)
-        lo_vec, hi_vec = evaluate_with_strategies(phi, model, hist, hist,
-                                                  depth=9)
+        values = evaluate_with_strategies(phi, model, hist, hist, depth=9)
         for s0 in range(model.space.size):
-            lo, hi = expand_tree(phi, model, s0, hist, hist, depth=9)
-            assert lo == pytest.approx(float(lo_vec[s0]), abs=1e-9)
-            assert hi == pytest.approx(float(hi_vec[s0]), abs=1e-9)
+            value = expand_tree(phi, model, s0, hist, hist, depth=9)
+            assert value == pytest.approx(float(values[s0]), abs=1e-9)
 
     def test_binders_sharing_a_name_stay_apart(self, vardi):
         # built directly: the parser would rename the second binder
@@ -451,9 +415,8 @@ class TestExpandTree:
         phi = assign_sites(MaxJ(Mu("X", loop), Nu("X", loop)))
         history = PathStrategy(decide=lambda site, path, s: True)
         for sigma, expected in ((LEFT, 0.0), (RIGHT, 1.0)):
-            assert expand_tree(phi, model, 0, LEFT, sigma, depth=6) == (
-                expected, expected)
-        assert expand_tree(phi, model, 0, history, history, depth=6) == (0.0, 0.0)
+            assert expand_tree(phi, model, 0, LEFT, sigma, depth=6) == expected
+        assert expand_tree(phi, model, 0, history, history, depth=6) == 0.0
 
     def test_shared_subtrees_change_no_value(self):
         # the same choice tables, typed once as memoriless (subtrees shared)
@@ -557,8 +520,8 @@ class TestEntryCheck:
             expand_tree(phi, model, 0, LEFT, sigma_max, depth=5)
 
     @pytest.mark.parametrize("text, s0, error, match", NOT_PLAYABLE_IN_VARDI)
-    def test_unbound_symbol_raises_before_any_move(self, vardi, text, s0, error,
-                                                    match):
+    def test_unbound_symbol_or_bad_start_raises_before_any_move(
+            self, vardi, text, s0, error, match):
         model, _ = vardi
         phi = reduce(parse(text), model.valuation)
         with pytest.raises(error, match=match):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qmu.core import validate
-from qmu.evaluator import EvalConfig, NotConvergedError, evaluate
+from qmu.evaluator import EvalConfig, EvalReport, NotConvergedError, evaluate
 from qmu.formula import MaxJ, MinJ, Mu, Nu, alpha_equal, choice_sites, parse, reduce
 from qmu.modelio import load_model
 from qmu.oracle import (
@@ -117,7 +117,7 @@ class TestRandomInstance:
             inst = random_instance([777, trial], bounds)
             for t in inst.model.valuation.transitions.values():
                 for s in range(t.n_states):
-                    assert sum(p for _, p in t.successors[s]) <= 0.25 + 1e-12
+                    assert sum(t.row(s)[1]) <= 0.25 + 1e-12
 
 
 class TestBruteMinimax:
@@ -236,6 +236,19 @@ class TestCrosscheck:
     def test_negative_count_is_rejected(self):
         with pytest.raises(ValueError, match="count"):
             crosscheck(-5, seed=1)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_meaningless_tolerance_is_rejected(self, tolerance):
+        # a NaN tolerance passed every instance, even under this evaluator
+        calls = []
+
+        def half(phi, model, cfg=None):
+            calls.append(phi)
+            return EvalReport(np.full(model.space.size, 0.5), {}, True)
+
+        with pytest.raises(ValueError, match="tolerance"):
+            crosscheck(20, seed=2, evaluate_fn=half, tolerance=tolerance)
+        assert calls == []
 
     def test_unconverged_brute_force_is_reported_as_such(self):
         report = crosscheck(5, 0, cfg=EvalConfig(max_iterations=2))

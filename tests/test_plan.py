@@ -28,8 +28,9 @@ from qmu.formula import (
     Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Nu, Var, children, choice_sites,
     free_variables, parse, pretty_print, reduce,
 )
-from qmu.oracle import _TEMPLATES, brute_minimax, random_formula, random_instance
+from qmu.oracle import _TEMPLATES, brute_minimax, random_instance
 from qmu.strategy import synthesize, verify_strategy
+from generators import random_formula
 
 NEST = "nu Y . mu X . (atLeast6 /\\ <month> Y) \\/ <month> X"
 
