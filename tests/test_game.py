@@ -124,10 +124,9 @@ class TestPlay:
                    if pos[0] == "payoff"]
         assert payoffs in ([], [len(path.positions) - 1])
 
-    def test_play_is_the_reference_walk(self, simple, ping_pong):
+    def test_play_is_the_reference_walk(self, ping_pong):
         # memoriless sides read from tables; a history side decides by its
-        # table, flipped every fourth position, and records what it is asked;
-        # with both sides memoriless, a one-path estimate is the same play
+        # table, flipped every fourth position, and records what it is asked
         def sides(tables, history, calls):
             def recording(table):
                 def decide(site, path, s):
@@ -138,10 +137,8 @@ class TestPlay:
                     for t, h in zip(tables, history)]
 
         model, phi, sigma_max = ping_pong
-        cases = [(phi, model, ([], sigma_max.tables)),
-                 (reduce(parse("mu X . e \\/ <k> X"), simple.valuation), simple,
-                  ([], [[False, False]]))]
-        for trial in range(100):
+        cases = [(phi, model, ([], sigma_max.tables))]
+        for trial in range(40):
             inst = random_instance([5150, trial])
             mins, maxs = choice_sites(inst.phi)
             n = inst.model.space.size
@@ -157,31 +154,19 @@ class TestPlay:
                 for seed in range(3):
                     for depth in (1, 3, 12):
                         calls, reference_calls = [], []
-                        sigmas = sides(tables, history, calls)
-                        result = play(phi, model, s0, *sigmas, depth,
-                                      rng=estimate_rng(seed))
+                        result = play(phi, model, s0, *sides(tables, history, calls),
+                                      depth, rng=estimate_rng(seed))
                         path = walk_playout(
                             phi, model, s0, *sides(tables, history, reference_calls),
                             depth, rng=estimate_rng(seed))
                         assert result == path_bracket(path, depth), (k, seed, depth)
                         assert calls == reference_calls, (k, seed, depth)
                         asked += len(calls)
-                        if not any(history):
-                            est = estimate(phi, model, s0, *sigmas, n_paths=1,
-                                           max_depth=depth, seed=seed)
-                            assert (est.mean_low, est.mean_high, est.max_steps,
-                                    est.mean_steps, ending(est),
-                                    est.n_truncated) == (
-                                result.value_low, result.value_high,
-                                result.steps, result.steps, ending(result),
-                                not result.terminated), (k, seed, depth)
                         how = ending(result)
                         if how == "payoff" and isinstance(path.positions[-2][1], Modal):
                             how = "halt"
-                        seen.add((how, any(history)))
-        # the one-path estimates alone see every ending
-        assert {how for how, mixed in seen if not mixed} == {
-            "payoff", "halt", "mu", "nu", "budget"}
+                        seen.add(how)
+        assert seen == {"payoff", "halt", "mu", "nu", "budget"}
         assert asked > 1000
 
     def test_sampling_only_from_supplied_stream(self, simple):
@@ -270,6 +255,41 @@ def ending(result) -> str:
 
 
 class TestBlockEngine:
+    def test_single_path_is_play_with_the_call_generator(self, simple, ping_pong):
+        cases = [(reduce(parse("mu X . e \\/ <k> X"), simple.valuation), simple,
+                  LEFT, RIGHT), (ping_pong[1], ping_pong[0], LEFT, ping_pong[2])]
+        for trial in range(100):
+            inst = random_instance([4242, trial])
+            mins, maxs = choice_sites(inst.phi)
+            n = inst.model.space.size
+            rng = np.random.default_rng(trial)
+            cases.append((inst.phi, inst.model,
+                          PathStrategy.from_choices([rng.random(n) < 0.5
+                                                     for _ in range(mins)]),
+                          PathStrategy.from_choices([rng.random(n) < 0.5
+                                                     for _ in range(maxs)])))
+        seen = set()
+        for phi, model, sigma_min, sigma_max in cases:
+            for seed in range(3):
+                for depth in (1, 3, 12):
+                    est = estimate(phi, model, 0, sigma_min, sigma_max,
+                                   n_paths=1, max_depth=depth, seed=seed)
+                    direct = play(phi, model, 0, sigma_min, sigma_max, depth,
+                                  rng=estimate_rng(seed))
+                    assert (est.mean_low, est.mean_high, est.max_steps,
+                            est.mean_steps, ending(est)) == (
+                        direct.value_low, direct.value_high, direct.steps,
+                        direct.steps, ending(direct)), (phi, seed, depth)
+                    assert est.n_truncated == (not direct.terminated)
+                    how = ending(direct)
+                    if how == "payoff":
+                        path = walk_playout(phi, model, 0, sigma_min, sigma_max,
+                                            depth, rng=estimate_rng(seed))
+                        if isinstance(path.positions[-2][1], Modal):
+                            how = "halt"
+                    seen.add(how)
+        assert seen == {"payoff", "halt", "mu", "nu", "budget"}
+
     def test_draws_on_a_running_sum_and_in_float_dust(self):
         # u equal to a running sum takes that edge; u above a total within
         # float dust of one keeps the last edge instead of halting
