@@ -10,7 +10,11 @@ so it can be read directly off the transition.
 Transitions are stored sparse, as compressed sparse rows (one target and one
 probability per edge), so memory and the cost of a pre-expectation grow with
 the number of edges, not with the square of the number of states.  A single
-state's row is read straight off those arrays.
+state's row is read straight off those arrays.  The vectorised
+pre-expectation reads a second, lazily built layout of the same edges: a
+padded table holding every state's first K edges, plus a short list of the
+edges past slot K (the ELL plus COO, or "hybrid", layout of Bell and
+Garland, SC 2009).
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -93,7 +97,9 @@ class Transition:
     payoff outcome.  :func:`transition_from_edges`, which :func:`transition`
     calls, stores only strictly positive probabilities, one edge per target,
     sorted by target.  The arrays are read-only, and storage grows with the
-    number of edges, not of states squared.
+    number of edges, not of states squared.  :attr:`_slots` lays the same
+    edges out for :func:`pre_expectation_all`, in at most four cells per
+    edge.
     """
 
     indptr: np.ndarray
@@ -160,6 +166,38 @@ class Transition:
         src = np.repeat(np.arange(self.n_states), np.diff(self.indptr))
         src.setflags(write=False)
         return src
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray,
+                              tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The edges as a slot table ``(idx, pr, tail)``, read-only.
+
+        ``idx[k, s]`` and ``pr[k, s]`` are the target and probability of the
+        k-th edge of ``s``, for k below K = ``len(idx)``; a state with fewer
+        edges reads state 0 with probability 0 in the slots it leaves empty.
+        ``tail`` holds the edges past slot K as ``(sources, targets,
+        probs)``, in edge order.  K minimises ``K * n + 4 * len(tail)``, so
+        one row of high degree goes to the tail instead of widening every
+        state's column, and the table never has more than four cells per
+        edge: K = 0 would cost that much.
+        """
+        n = self.n_states
+        src = self._sources
+        # rows_past[k]: states with more than k edges, for k up to the
+        # highest degree; the sum of rows_past[k:] is the tail past slot k
+        rows_past = n - np.cumsum(np.bincount(np.diff(self.indptr), minlength=1))
+        tail_sizes = np.cumsum(rows_past[::-1])[::-1]
+        K = int(np.argmin(np.arange(len(rows_past)) * n + 4 * tail_sizes))
+        slot = np.arange(len(src)) - self.indptr[src]
+        inside = slot < K
+        idx = np.zeros((K, n), dtype=np.intp)
+        pr = np.zeros((K, n))
+        idx[slot[inside], src[inside]] = self.indices[inside]
+        pr[slot[inside], src[inside]] = self.probs[inside]
+        tail = (src[~inside], self.indices[~inside], self.probs[~inside])
+        for arr in (idx, pr, *tail):
+            arr.setflags(write=False)
+        return idx, pr, tail
 
 
 def _row_mass(t: Transition) -> np.ndarray:
@@ -299,18 +337,31 @@ def pre_expectation(t: Transition, s: int, post: np.ndarray) -> float:
 def pre_expectation_all(t: Transition, post: np.ndarray) -> np.ndarray:
     """Vectorised :func:`pre_expectation` over every state, in O(edges).
 
-    ``post`` is one expectation of shape ``(n,)`` or a batch of shape
-    ``(B, n)``, one expectation per row.  Each output cell sums its edges in
-    edge order either way, so every row of a batched product is bit-identical
-    to the product of that row alone.
+    ``post`` is one finite expectation of shape ``(n,)`` or a batch of shape
+    ``(B, n)``, one expectation per row.  The product gathers ``post`` through
+    the slot table :attr:`Transition._slots` and adds the tail edges with
+    ``np.add.at``.  Each output cell starts from 0.0, adds its edges' terms
+    one by one in edge order and then its weight; an empty slot adds
+    ``0 * post[0]``, a zero for finite ``post``, which changes no sum.  So
+    every row of a batched product is bit-identical to the product of that
+    row alone.
     """
+    idx, pr, (sources, targets, probs) = t._slots
     if post.ndim == 1:
-        return np.bincount(t._sources, weights=t.probs * post[t.indices],
-                           minlength=t.n_states) + t.weights
-    batch, n = post.shape[0], t.n_states
-    rows = t._sources + n * np.arange(batch)[:, None]
-    return np.bincount(rows.ravel(), weights=(t.probs * post[:, t.indices]).ravel(),
-                       minlength=batch * n).reshape(batch, n) + t.weights
+        terms = post.take(idx)
+        terms *= pr
+        out = np.add.reduce(terms, axis=0)
+    else:
+        # one pass per slot: a (B, K, n) gather outgrows the cache for wide B
+        out = np.zeros(post.shape)
+        for k in range(len(idx)):
+            terms = post.take(idx[k], axis=1)
+            terms *= pr[k]
+            out += terms
+    if len(sources):
+        np.add.at(out, (..., sources), probs * post[..., targets])
+    out += t.weights
+    return out
 
 
 def halt_payoff(t: Transition, s: int) -> float:

@@ -151,14 +151,16 @@ class PathStrategy:
     def check_tables(self, side: str, n_sites: int, n_states: int,
                      error: type) -> None:
         """Raise ``error`` unless there is one table per site and every
-        table has one entry per state."""
+        table is a vector with one entry per state."""
         if self.tables is not None and len(self.tables) != n_sites:
             raise error(f"{side} strategy has {len(self.tables)} site tables, "
                         f"formula has {n_sites} {side} sites")
         for site, table in enumerate(self.tables or ()):
-            if len(table) != n_states:
+            shape = np.shape(table)
+            if shape != (n_states,):
+                size = f"{shape[0]} entries" if len(shape) == 1 else f"shape {shape}"
                 raise error(f"{side} strategy table for site {site} has "
-                            f"{len(table)} entries, model has {n_states} states")
+                            f"{size}, model has {n_states} states")
 
     def choice_masks(self, n_sites: int, n_states: int) -> np.ndarray:
         """The choices of a memoriless strategy as an ``(n_sites, n_states)``

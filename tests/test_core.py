@@ -11,9 +11,11 @@ import qmu
 from qmu.core import (
     EPS_REPR, Model, ModelError, StateSpace, Transition, Valuation,
     expectation, halt_payoff, pre_expectation,
-    pre_expectation_all, predicate, transition, validate,
+    pre_expectation_all, predicate, transition, transition_from_edges, validate,
 )
 from qmu.oracle import random_instance
+
+from product_reference import bincount_product
 
 TOL = 1e-12
 
@@ -221,6 +223,62 @@ class TestSparseStorage:
                 assert rows.shape == (batch, t.n_states)
                 for b in range(batch):
                     assert np.array_equal(rows[b], pre_expectation_all(t, xs[b]))
+
+    def test_product_matches_the_bincount_reference(self, futures):
+        rng = np.random.default_rng(43)
+        cases = [futures[0].valuation.transitions["month"]]
+        for trial in range(300):
+            n = 1 if trial % 10 == 5 else int(rng.integers(1, 60))
+            counts = np.minimum(rng.integers(0, 5, n), n)  # some rows empty
+            if trial % 10 == 7:
+                counts[:] = 0
+            if trial % 3 == 0:
+                counts[rng.integers(n)] = n  # a hub row
+            targets = np.concatenate(
+                [rng.permutation(n)[:c] for c in counts.tolist()] + [[]])
+            weights = rng.random(n) / 4 if trial % 5 else np.zeros(n)
+            cases.append(transition_from_edges(
+                counts, targets, rng.random(len(targets)) / 4, weights))
+        assert any(t.n_states == 1 for t in cases)
+        assert any(len(t.indices) == 0 for t in cases)
+        assert sum(len(t._slots[2][0]) > 0 for t in cases) >= 100
+        for t in cases:
+            for shape in ((t.n_states,), (1, t.n_states), (7, t.n_states),
+                          (300, t.n_states)):
+                post = rng.random(shape)
+                assert pre_expectation_all(t, post).tobytes() == \
+                    bincount_product(t, post).tobytes()
+        # signed zeros: each sum starts from +0.0, as a bincount bin does
+        t = transition_from_edges([2, 0, 1], [0, 2, 1], [0.5, 0.25, 1.0],
+                                  np.full(3, -0.0))
+        for post in (np.full(3, -0.0), np.full((3, 3), -0.0)):
+            assert pre_expectation_all(t, post).tobytes() == \
+                bincount_product(t, post).tobytes()
+
+    def test_slot_table_fits_the_degrees(self, futures):
+        idx, pr, tail = futures[0].valuation.transitions["month"]._slots
+        assert idx.shape == pr.shape == (8, 1331) and len(tail[0]) == 0
+        # one hub row of degree n beside rows of degree 3: the hub's edges
+        # past slot K go to the tail instead of widening every state's column
+        n = 10_000
+        rng = np.random.default_rng(44)
+        counts = np.full(n, 3)
+        counts[17] = n
+        rows = [(s + np.arange(1, 4)) % n for s in range(n)]
+        rows[17] = rng.permutation(n)
+        targets = np.concatenate(rows)
+        t = transition_from_edges(counts, targets, rng.random(len(targets)) / n,
+                                  np.zeros(n))
+        idx, pr, (sources, _, _) = t._slots
+        assert idx.shape == (3, n) and len(sources) == n - 3
+        assert (sources == 17).all()
+        assert idx.size <= 4 * len(t.indices)
+        for arr in (idx, pr, sources):
+            assert not arr.flags.writeable
+        for shape in ((n,), (7, n)):
+            post = rng.random(shape)
+            assert pre_expectation_all(t, post).tobytes() == \
+                bincount_product(t, post).tobytes()
 
     def test_rows_are_views_of_the_arrays(self):
         t = transition([[(2, 0.25), (0, 0.5)], [], [(1, 1.0)]], [0.25, 0.5, 0.0])

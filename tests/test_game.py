@@ -503,6 +503,8 @@ TABLES_NOT_FOR_VARDI = [
      "max strategy table for site 0 has 3 entries, model has 2 states"),
     ([], "max strategy has 0 site tables, formula has 1 max sites"),
     ([[True, False]] * 2, "max strategy has 2 site tables, formula has 1 max sites"),
+    ([[[True, False], [True, False]]],
+     r"max strategy table for site 0 has shape \(2, 2\), model has 2 states"),
 ]
 
 

@@ -117,6 +117,11 @@ class TestSpecialize:
             short.check_shape(phi, n)
         with pytest.raises(StrategyError, match="entries"):
             verify_strategy(phi, model, short)
+        square = MemorilessStrategy(max_choices=(np.ones((2, 2), bool),))
+        with pytest.raises(StrategyError, match=r"shape \(2, 2\), model has 2"):
+            square.check_shape(phi, n)
+        with pytest.raises(StrategyError, match=r"shape \(2, 2\), model has 2"):
+            verify_strategy(phi, model, square)
         two_sites = MemorilessStrategy(max_choices=(np.array([True, False]),) * 2)
         with pytest.raises(StrategyError, match="sites"):
             two_sites.check_shape(phi, n)
