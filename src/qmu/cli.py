@@ -16,14 +16,12 @@ import sys
 
 from . import examples
 from .core import Model
-from .evaluator import EvalConfig, EvaluationError, NotConvergedError, evaluate_fix
-from .formula import ParseError, ReduceError, parse, reduce
+from .evaluator import EvalConfig, NotConvergedError, evaluate_fix
+from .formula import parse, reduce
 from .game import estimate
-from .modelio import ModelFileError, load_model, save_model
+from .modelio import load_model, save_model
 from .oracle import InstanceBounds, crosscheck
-from .strategy import (
-    StrategyError, load_strategy, save_strategy, synthesize, verify_strategy,
-)
+from .strategy import load_strategy, save_strategy, synthesize, verify_strategy
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -34,8 +32,8 @@ class _InputError(Exception):
     """Arguments that do not fit together."""
 
 
-_INPUT_ERRORS = (_InputError, ParseError, ReduceError, ModelFileError,
-                 StrategyError, EvaluationError, ValueError, OSError)
+#: Every qmu error is a ValueError; OSError covers unreadable files.
+_INPUT_ERRORS = (_InputError, ValueError, OSError)
 
 
 def _load_formula_arg(source: str, model: Model):
@@ -320,9 +318,6 @@ def main(argv=None) -> int:
         return EXIT_NOT_CONVERGED
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RecursionError:
-        print("error: formula is nested too deeply", file=sys.stderr)
         return EXIT_INPUT
 
 

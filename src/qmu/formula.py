@@ -13,13 +13,19 @@ Grammar (whitespace-insensitive)::
 demonic; after :func:`reduce` only single-transition modalities remain.
 Binders bind maximally to the right; ``/\\`` binds tighter than ``\\/``.
 Bound variables are alpha-renamed at parse time so binder names are unique.
+Nothing here recurses: the parser loops over a stack of frames and every
+transform folds over :func:`rebuild` or reads :func:`subformulae`, so
+formulae of any depth parse, reduce, print and compare.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import partial
 
 from .core import Valuation
 
@@ -138,18 +144,52 @@ def children(node: Node) -> tuple[Node, ...]:
     return tuple(getattr(node, name) for name in _child_fields(node))
 
 
-def map_children(node: Node, f, **changes) -> Node:
-    """Rebuild ``node`` with ``f`` applied to each child, left to right.
-
-    ``changes`` replaces non-child fields (a binder's ``var``, a junction's
-    ``site``); leaves without changes are returned as they are.
-    """
+def _with(node: Node, kids, **changes) -> Node:
+    """``node`` with children ``kids`` and fields ``changes``: every rebuild's node."""
     fields = _child_fields(node)
     if not fields and not changes:
         return node
-    for name in fields:
-        changes[name] = f(getattr(node, name))
-    return replace(node, **changes)
+    changes.update(zip(fields, kids))
+    return type(node)(**{**vars(node), **changes})
+
+
+def map_children(node: Node, f, **changes) -> Node:
+    """Rebuild ``node`` with ``f`` applied to each child, left to right, and
+    non-child fields replaced by ``changes`` (a binder's ``var``, a
+    junction's ``site``); leaves without changes are returned as they are."""
+    return _with(node, [f(child) for child in children(node)], **changes)
+
+
+def rebuild(node: Node, leave, enter=None):
+    """Fold ``node`` bottom-up over an explicit stack, without recursion.
+
+    ``enter(n)``, if given, sees every node in preorder, left to right;
+    ``leave(n, kids)`` gets the results of ``n``'s children in source order
+    and returns ``n``'s.  Calls nest like the subtrees, so state pushed on
+    entering a node can be popped on leaving it.  Returns the root's result.
+    """
+    _child_fields(node)  # the stack marks finished nodes with tuples
+    results: list = []
+    stack: list = [node]
+    push, pop, done = stack.append, stack.pop, results.append
+    while stack:
+        item = pop()
+        if type(item) is tuple:  # (node, child count): its children are done
+            cur, count = item
+            kids = results[-count:]
+            del results[-count:]
+            done(leave(cur, kids))
+            continue
+        if enter is not None:
+            enter(item)
+        fields = _child_fields(item)
+        if not fields:
+            done(leave(item, ()))
+            continue
+        push((item, len(fields)))
+        for name in reversed(fields):
+            push(getattr(item, name))
+    return results[0]
 
 
 def subformulae(node: Node):
@@ -169,17 +209,19 @@ def formula_size(node: Node) -> int:
 
 def free_variables(node: Node) -> set[str]:
     free: set[str] = set()
-    stack = [(node, frozenset())]
-    while stack:
-        cur, bound = stack.pop()
-        if isinstance(cur, Var):
-            if cur.name not in bound:
-                free.add(cur.name)
-            continue
-        if isinstance(cur, _BINDERS):
-            bound = bound | {cur.var}
-        for name in _child_fields(cur):
-            stack.append((getattr(cur, name), bound))
+    bound: dict[str, int] = {}  # how many binders of each name enclose the walk
+
+    def enter(n: Node) -> None:
+        if isinstance(n, _BINDERS):
+            bound[n.var] = bound.get(n.var, 0) + 1
+        elif type(n) is Var and not bound.get(n.name):
+            free.add(n.name)
+
+    def leave(n: Node, kids) -> None:
+        if isinstance(n, _BINDERS):
+            bound[n.var] -= 1
+
+    rebuild(node, leave, enter)
     return free
 
 
@@ -226,15 +268,19 @@ def assign_sites(node: Node) -> Node:
     Min and max sites are numbered in separate sequences.
     """
     counters = {MinJ: 0, MaxJ: 0}
+    sites: list[int] = []  # the sites of the junctions being rebuilt
 
-    def go(n: Node) -> Node:
-        if isinstance(n, (MinJ, MaxJ)):
-            site = counters[type(n)]
+    def enter(n: Node) -> None:
+        if type(n) in counters:
+            sites.append(counters[type(n)])
             counters[type(n)] += 1
-            return map_children(n, go, site=site)
-        return map_children(n, go)
 
-    return go(node)
+    def leave(n: Node, kids) -> Node:
+        if type(n) in counters:
+            return type(n)(kids[0], kids[1], sites.pop())
+        return _with(n, kids)
+
+    return rebuild(node, leave, enter)
 
 
 # --- Lexer -----------------------------------------------------------------
@@ -254,12 +300,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -291,15 +332,24 @@ def _tokenize(text: str) -> list[_Token]:
 
 # --- Parser ----------------------------------------------------------------
 
+# Frames of the parser's stack, each a production waiting for an operand:
+# ``[_JUNCTION, kind, left or None]``, ``[_PAREN]``, ``[_COND, predicate]``
+# then ``[_COND, predicate, then]``, and ``[_WRAP, make, binder name or
+# None]`` for a set modality or a binder, whose scope closes with it.
+_JUNCTION, _PAREN, _COND, _WRAP = range(4)
+_OPERATORS = {MinJ: ("AND", "MIN"), MaxJ: ("OR", "MAX")}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], known: frozenset[str] | None):
         self.tokens = tokens
         self.pos = 0
         self.known = known
-        # scope maps source binder names to their (possibly renamed) names
-        self.scope: list[tuple[str, str]] = []
+        # scope maps each source binder name to its renamed names, innermost last
+        self.scope: dict[str, list[str]] = {}
         self.used_names: set[str] = {t.text for t in tokens if t.kind == "IDENT"}
         self.assigned: set[str] = set()
+        self.suffix: dict[str, int] = {}  # the first suffix that may be free
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -310,42 +360,27 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> _Token:
-        tok = self.peek()
+        tok = self.next()
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
                              tok.line, tok.col)
-        return self.next()
+        return tok
 
     def fresh(self, base: str) -> str:
         if base not in self.assigned:
             self.assigned.add(base)
             return base
-        k = 2
+        k = self.suffix.get(base, 2)
         while f"{base}_{k}" in self.used_names or f"{base}_{k}" in self.assigned:
             k += 1
         name = f"{base}_{k}"
+        self.suffix[base] = k + 1
         self.assigned.add(name)
         return name
 
-    def lookup(self, name: str) -> str | None:
-        for src, renamed in reversed(self.scope):
-            if src == name:
-                return renamed
-        return None
-
-    def formula(self) -> Node:
-        tok = self.peek()
-        if tok.kind in ("MU", "NU"):
-            self.next()
-            var_tok = self.expect("IDENT")
-            self.expect(".")
-            renamed = self.fresh(var_tok.text)
-            self.scope.append((var_tok.text, renamed))
-            body = self.formula()
-            self.scope.pop()
-            return Mu(renamed, body) if tok.kind == "MU" else Nu(renamed, body)
+    def binder(self, tok: _Token) -> list:
+        """Read a binder's head after its keyword ``tok`` and open its scope."""
         if tok.kind == "FIX":
-            self.next()
             self.expect("(")
             num_tok = self.expect("NUMBER")
             x = float(num_tok.text)
@@ -353,69 +388,81 @@ class _Parser:
                 raise ParseError(f"fix parameter {num_tok.text} outside [0, 1]",
                                  num_tok.line, num_tok.col)
             self.expect(")")
-            var_tok = self.expect("IDENT")
-            self.expect(".")
-            renamed = self.fresh(var_tok.text)
-            self.scope.append((var_tok.text, renamed))
-            body = self.formula()
-            self.scope.pop()
-            return Fix(x, renamed, body)
-        return self.or_level()
+        var = self.expect("IDENT").text
+        self.expect(".")
+        renamed = self.fresh(var)
+        self.scope.setdefault(var, []).append(renamed)
+        make = (partial(Fix, x, renamed) if tok.kind == "FIX" else
+                partial(Mu if tok.kind == "MU" else Nu, renamed))
+        return [_WRAP, make, var]
 
-    def or_level(self) -> Node:
-        node = self.and_level()
-        while self.peek().kind in ("OR", "MAX"):
-            self.next()
-            node = MaxJ(node, self.and_level())
-        return node
+    def formula(self) -> Node:
+        """Parse one formula in a loop over a stack of frames, without recursion.
 
-    def and_level(self) -> Node:
-        node = self.prefix()
-        while self.peek().kind in ("AND", "MIN"):
-            self.next()
-            node = MinJ(node, self.prefix())
-        return node
-
-    def prefix(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "<":
-            self.next()
-            name = self.expect("IDENT").text
-            self.expect(">")
-            return Angelic(name, self.prefix())
-        if tok.kind == "[":
-            self.next()
-            name = self.expect("IDENT").text
-            self.expect("]")
-            return Demonic(name, self.prefix())
-        return self.atom()
-
-    def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            node = self.formula()
-            self.expect(")")
-            return node
-        if tok.kind == "IF":
-            self.next()
-            pred = self.expect("IDENT").text
-            self.expect("THEN")
-            then_branch = self.formula()
-            self.expect("ELSE")
-            else_branch = self.formula()
-            return Cond(pred, then_branch, else_branch)
-        if tok.kind == "IDENT":
-            self.next()
-            bound = self.lookup(tok.text)
-            if bound is not None:
-                return Var(bound)
-            if self.known is not None and tok.text not in self.known:
+        The loop reads tokens down to an identifier, opening a frame for
+        each binder, set modality, ``(``, ``if`` and precedence level on the
+        way; then it hands the finished node up through the frames it
+        completes, until one needs another operand.
+        """
+        frames: list[list] = []
+        whole = True  # the next operand is a formula, not just a prefix
+        while True:
+            tok = self.next()
+            if whole and tok.kind in ("MU", "NU", "FIX"):
+                frames.append(self.binder(tok))
+                continue
+            if whole:
+                frames += [[_JUNCTION, MaxJ, None], [_JUNCTION, MinJ, None]]
+            whole = tok.kind in ("(", "IF")
+            if tok.kind in ("<", "["):
+                name = self.expect("IDENT").text
+                self.expect(">" if tok.kind == "<" else "]")
+                kind = Angelic if tok.kind == "<" else Demonic
+                frames.append([_WRAP, partial(kind, name), None])
+                continue
+            if tok.kind == "(":
+                frames.append([_PAREN])
+                continue
+            if tok.kind == "IF":
+                pred = self.expect("IDENT").text
+                self.expect("THEN")
+                frames.append([_COND, pred])
+                continue
+            if tok.kind != "IDENT":
+                raise ParseError(
+                    f"expected a formula, found {tok.text or 'end of input'!r}",
+                    tok.line, tok.col)
+            bound = self.scope.get(tok.text)
+            if not bound and self.known is not None and tok.text not in self.known:
                 raise UnboundVariableError(
                     f"unbound variable {tok.text!r}", tok.line, tok.col)
-            return Const(tok.text)
-        raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
+            node = Var(bound[-1]) if bound else Const(tok.text)
+            while frames:
+                frame = frames[-1]
+                if frame[0] == _JUNCTION:
+                    _, kind, left = frame
+                    frame[2] = node = node if left is None else kind(left, node)
+                    if self.peek().kind in _OPERATORS[kind]:
+                        self.next()
+                        if kind is MaxJ:
+                            frames.append([_JUNCTION, MinJ, None])
+                        break
+                elif frame[0] == _COND and len(frame) == 2:
+                    self.expect("ELSE")
+                    frame.append(node)
+                    whole = True
+                    break
+                frames.pop()
+                if frame[0] == _PAREN:
+                    self.expect(")")
+                elif frame[0] == _COND:
+                    node = Cond(frame[1], frame[2], node)
+                elif frame[0] == _WRAP:
+                    if frame[2] is not None:
+                        self.scope[frame[2]].pop()
+                    node = frame[1](node)
+            else:
+                return node
 
 
 def parse(text: str, known_symbols=None) -> Node:
@@ -438,86 +485,67 @@ def parse(text: str, known_symbols=None) -> Node:
 
 # --- Pretty printer --------------------------------------------------------
 
+#: The lowest operand level (0 formula, 1 or-, 2 and-, 3 prefix-operand) at
+#: which each kind needs parentheses; binders and conditionals swallow
+#: everything to their right, and kinds not listed never need them.
+_PAREN_LEVEL = {Mu: 1, Nu: 1, Fix: 1, Cond: 1, MaxJ: 2, MinJ: 3}
+
+
 def pretty_print(node: Node) -> str:
     """Render to concrete syntax; re-parsing yields an alpha-equal AST."""
 
-    def maximal(n: Node) -> bool:
-        # binders and conditionals swallow everything to their right
-        return isinstance(n, (Mu, Nu, Fix, Cond))
+    def operand(child: Node, text: str, level: int) -> str:
+        return f"({text})" if _PAREN_LEVEL.get(type(child), 4) <= level else text
 
-    def wrap(n: Node, text: str, in_operand: bool) -> str:
-        return f"({text})" if in_operand and maximal(n) else text
-
-    def go(n: Node, level: int) -> str:
-        # level: 0 formula, 1 or-operand, 2 and-operand, 3 prefix-operand
-        if isinstance(n, Var) or isinstance(n, Const):
+    def leave(n: Node, kids) -> str:
+        kind = type(n)
+        if kind is Var or kind is Const:
             return n.name
-        if isinstance(n, Mu):
-            return wrap(n, f"mu {n.var} . {go(n.body, 0)}", level > 0)
-        if isinstance(n, Nu):
-            return wrap(n, f"nu {n.var} . {go(n.body, 0)}", level > 0)
-        if isinstance(n, Fix):
-            return wrap(n, f"fix({float(n.start)!r}) {n.var} . {go(n.body, 0)}",
-                        level > 0)
-        if isinstance(n, Cond):
-            text = (f"if {n.predicate} then {go(n.then_branch, 0)} "
-                    f"else {go(n.else_branch, 0)}")
-            return wrap(n, text, level > 0)
-        if isinstance(n, MaxJ):
+        if kind in _BINDERS:
+            head = f"fix({float(n.start)!r})" if kind is Fix else kind.__name__.lower()
+            return f"{head} {n.var} . {kids[0]}"
+        if kind is Cond:
+            return f"if {n.predicate} then {kids[0]} else {kids[1]}"
+        if kind is MaxJ or kind is MinJ:
             # right-nested junctions need parens to survive left-assoc parsing
-            if isinstance(n.right, MaxJ):
-                text = f"{go(n.left, 1)} \\/ ({go(n.right, 0)})"
-            else:
-                text = f"{go(n.left, 1)} \\/ {go(n.right, 1)}"
-            return f"({text})" if level >= 2 else text
-        if isinstance(n, MinJ):
-            if isinstance(n.right, MinJ):
-                text = f"{go(n.left, 2)} /\\ ({go(n.right, 0)})"
-            else:
-                text = f"{go(n.left, 2)} /\\ {go(n.right, 2)}"
-            return f"({text})" if level >= 3 else text
-        if isinstance(n, Modal):
-            return f"<{n.transition}> {go(n.body, 3)}"
-        if isinstance(n, Angelic):
-            return f"<{n.set_name}> {go(n.body, 3)}"
-        if isinstance(n, Demonic):
-            return f"[{n.set_name}] {go(n.body, 3)}"
-        raise TypeError(f"not a formula node: {n!r}")
+            level, op = (1, "\\/") if kind is MaxJ else (2, "/\\")
+            right = (f"({kids[1]})" if type(n.right) is kind
+                     else operand(n.right, kids[1], level))
+            return f"{operand(n.left, kids[0], level)} {op} {right}"
+        if kind is Demonic:
+            return f"[{n.set_name}] {operand(n.body, kids[0], 3)}"
+        name = n.transition if kind is Modal else n.set_name
+        return f"<{name}> {operand(n.body, kids[0], 3)}"
 
-    return go(node, 0)
+    return rebuild(node, leave)
 
 
-# --- Reduction of set modalities -------------------------------------------
+# --- Binder renaming and reduction of set modalities -----------------------
 
-def _clone_with_fresh_binders(node: Node, used: set[str]) -> Node:
-    """Copy a subtree, renaming its binders so names stay globally unique."""
-    mapping: dict[str, str] = {}
+def _identifiers(node: Node) -> set[str]:
+    """Every name in ``node``, of whatever kind: a node's str fields."""
+    return {value for n in subformulae(node) for value in vars(n).values()
+            if type(value) is str}
 
-    def fresh(base: str) -> str:
-        k = 2
-        name = f"{base}_{k}"
-        while name in used:
-            k += 1
-            name = f"{base}_{k}"
-        used.add(name)
-        return name
 
-    def go(n: Node) -> Node:
-        if isinstance(n, Var):
-            return Var(mapping.get(n.name, n.name))
+def _rename_binders(node: Node, fresh) -> Node:
+    """Copy ``node`` with each binder renamed to ``fresh(its name)``, called
+    in preorder, and each variable renamed with the binder it refers to."""
+    scopes: dict[str, list] = {}  # each binder name's new names, innermost last
+
+    def enter(n: Node) -> None:
         if isinstance(n, _BINDERS):
-            renamed = fresh(n.var)
-            outer = mapping.get(n.var)
-            mapping[n.var] = renamed
-            out = map_children(n, go, var=renamed)
-            if outer is None:
-                mapping.pop(n.var, None)
-            else:
-                mapping[n.var] = outer
-            return out
-        return map_children(n, go)
+            scopes.setdefault(n.var, []).append(fresh(n.var))
 
-    return go(node)
+    def leave(n: Node, kids) -> Node:
+        if type(n) is Var:
+            names = scopes.get(n.name)
+            return Var(names[-1] if names else n.name)
+        if isinstance(n, _BINDERS):
+            return _with(n, kids, var=scopes[n.var].pop())
+        return _with(n, kids)
+
+    return rebuild(node, leave, enter)
 
 
 def reduce(node: Node, valuation: Valuation) -> Node:
@@ -527,9 +555,16 @@ def reduce(node: Node, valuation: Valuation) -> Node:
     in declared order (``[K]`` dually with min); a singleton set yields a
     bare modality.  A symbol with no transition-set entry that names a
     transition directly is treated as its own singleton.  Site ids are
-    re-assigned canonically.
+    re-assigned canonically.  The copies of a body in the second and later
+    arms get fresh binder names, unlike every name in the formula.
     """
-    used = set(binder_names(node))
+    used = _identifiers(node)
+
+    def fresh(base: str) -> str:
+        name = next(f"{base}_{k}" for k in itertools.count(2)
+                    if f"{base}_{k}" not in used)
+        used.add(name)
+        return name
 
     def members_of(name: str) -> tuple[str, ...]:
         members = valuation.transition_sets.get(name)
@@ -541,81 +576,51 @@ def reduce(node: Node, valuation: Valuation) -> Node:
             raise ReduceError(f"transition set {name!r} is empty")
         return members
 
-    def expand(name: str, body: Node, junction) -> Node:
-        members = members_of(name)
-        reduced_body = go(body)
-        arms = [Modal(members[0], reduced_body)]
-        for member in members[1:]:
-            arms.append(Modal(member, _clone_with_fresh_binders(reduced_body, used)))
-        out = arms[-1]
-        for arm in reversed(arms[:-1]):
-            out = junction(arm, out)
+    def enter(n: Node) -> None:
+        # check each set in preorder, so the outermost bad one is reported
+        if type(n) is Angelic or type(n) is Demonic:
+            members_of(n.set_name)
+
+    def leave(n: Node, kids) -> Node:
+        if type(n) is not Angelic and type(n) is not Demonic:
+            return _with(n, kids)
+        members = members_of(n.set_name)
+        arms = [Modal(members[0], kids[0])] + [
+            Modal(member, _rename_binders(kids[0], fresh)) for member in members[1:]]
+        out = arms.pop()
+        while arms:
+            out = (MaxJ if type(n) is Angelic else MinJ)(arms.pop(), out)
         return out
 
-    def go(n: Node) -> Node:
-        if isinstance(n, Angelic):
-            return expand(n.set_name, n.body, MaxJ)
-        if isinstance(n, Demonic):
-            return expand(n.set_name, n.body, MinJ)
-        return map_children(n, go)
-
-    return assign_sites(go(node))
+    return assign_sites(rebuild(node, leave, enter))
 
 
 # --- Structural comparison and fingerprinting -------------------------------
 
 def alpha_equal(a: Node, b: Node) -> bool:
-    """Structural equality up to renaming of bound variables.
+    """Structural equality up to renaming of bound variables: binders are
+    renamed to their preorder index, an int, which no free name equals."""
 
-    Each side maps its bound names to the depth of their binder, so a bound
-    variable equals only one bound at the same depth, never a free one.
-    """
+    def shape(node: Node) -> list[tuple]:
+        # each kind has a fixed number of children, so the preorder sequence
+        # of kinds and non-child fields determines the tree
+        count = itertools.count()
+        numbered = _rename_binders(node, lambda var: next(count))
+        return [(type(n), *(value for name, value in vars(n).items()
+                            if name not in _CHILD_FIELDS[type(n)]))
+                for n in subformulae(numbered)]
 
-    def go(x: Node, y: Node, left: dict[str, int], right: dict[str, int],
-           depth: int) -> bool:
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Var):
-            return left.get(x.name, x.name) == right.get(y.name, y.name)
-        if isinstance(x, Const):
-            return x.name == y.name
-        if isinstance(x, Modal):
-            return (x.transition == y.transition
-                    and go(x.body, y.body, left, right, depth))
-        if isinstance(x, (Angelic, Demonic)):
-            return (x.set_name == y.set_name
-                    and go(x.body, y.body, left, right, depth))
-        if isinstance(x, (MinJ, MaxJ)):
-            return (x.site == y.site and go(x.left, y.left, left, right, depth)
-                    and go(x.right, y.right, left, right, depth))
-        if isinstance(x, Cond):
-            return (x.predicate == y.predicate
-                    and go(x.then_branch, y.then_branch, left, right, depth)
-                    and go(x.else_branch, y.else_branch, left, right, depth))
-        if isinstance(x, Fix):
-            if x.start != y.start:
-                return False
-        return go(x.body, y.body, {**left, x.var: depth},
-                  {**right, y.var: depth}, depth + 1)
-
-    return go(a, b, {}, {}, 0)
+    return shape(a) == shape(b)
 
 
 def canonical(node: Node) -> Node:
-    """Rename binders to a canonical preorder scheme (_v0, _v1, ...)."""
-    counter = [0]
-
-    def go(n: Node, env: dict[str, str]) -> Node:
-        if isinstance(n, Var):
-            return Var(env.get(n.name, n.name))
-        if isinstance(n, _BINDERS):
-            name = f"_v{counter[0]}"
-            counter[0] += 1
-            inner = {**env, n.var: name}
-            return map_children(n, lambda c: go(c, inner), var=name)
-        return map_children(n, lambda c: go(c, env))
-
-    return go(node, {})
+    """Rename binders to a canonical preorder scheme (_v0, _v1, ...),
+    skipping each ``_v<k>`` that names a constant or a free variable."""
+    taken = free_variables(node) | {n.name for n in subformulae(node)
+                                    if type(n) is Const}
+    names = (name for name in map("_v{}".format, itertools.count())
+             if name not in taken)
+    return _rename_binders(node, lambda var: next(names))
 
 
 def fingerprint(node: Node) -> str:

@@ -106,11 +106,16 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[0] == "B 0.250000"
 
-    def test_deeply_nested_formula_exits_one(self, capsys, vardi_files):
-        code, _, err = run(capsys, ["eval", vardi_files["model"],
-                                    "<k> " * 3000 + "atB"])
-        assert code == 1
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    @pytest.mark.parametrize("text, values", [
+        # k's stationary distribution puts 1/3 on B
+        ("<k> " * 10_000 + "atB", ["A 0.333333", "B 0.333333"]),
+        ("(" * 10_000 + "atB" + ")" * 10_000, ["A 0.000000", "B 1.000000"]),
+    ], ids=["modal chain", "parentheses"])
+    def test_deeply_nested_formula_evaluates(self, capsys, vardi_files, text,
+                                             values):
+        code, out, err = run(capsys, ["eval", vardi_files["model"], text])
+        assert code == 0 and err == ""
+        assert out.splitlines()[:2] == values
 
 
 class TestSynthesize:

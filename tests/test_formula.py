@@ -1,18 +1,27 @@
 """Parser, printer, reduction and structural checks."""
 
+import dataclasses
+import hashlib
+import sys
 from typing import get_args
 
+import numpy as np
 import pytest
 
-from qmu.examples import GAME_TEXT, VARDI_TEXT, futures_model, vardi_model
+from qmu.examples import (
+    AT_LEAST_6_TEXT, GAME_TEXT, VARDI_TEXT, futures_model, vardi_model,
+)
 from qmu.formula import (
     Angelic, Cond, Const, Demonic, Fix, MaxJ, MinJ, Modal, Mu, Node, Nu,
-    ParseError, UnboundVariableError, Var, alpha_equal, binder_names, children,
-    choice_sites, contains_fix, fingerprint, formula_size, free_variables,
-    is_reduced, junction_free, map_children, parse, pretty_print, reduce,
-    subformulae, unbound_symbol,
+    ParseError, UnboundVariableError, Var, alpha_equal, binder_names, canonical,
+    children, choice_sites, contains_fix, fingerprint, formula_size,
+    free_variables, is_reduced, junction_free, map_children, parse,
+    pretty_print, rebuild, reduce, subformulae, unbound_symbol,
 )
 from generators import random_formula
+
+#: The alternating nest that the benchmark evaluates on the futures model.
+NEST_TEXT = "nu Y . mu X . (atLeast6 /\\ <month> Y) \\/ <month> X"
 
 
 class TestParse:
@@ -152,6 +161,9 @@ class TestReduce:
         from qmu.formula import ReduceError
         with pytest.raises(ReduceError):
             reduce(parse("<nowhere> atB"), vardi_valuation)
+        # the outermost unknown set is the one reported
+        with pytest.raises(ReduceError, match="'outer'"):
+            reduce(parse("<outer> [inner] atB"), vardi_valuation)
 
     def test_reduce_preserves_set_modality_semantics(self):
         # the expansion must agree with the defining pointwise best-response
@@ -198,6 +210,26 @@ class TestReduce:
         walk(phi)
         assert len(names) == 2 and len(set(names)) == 2
 
+    def test_cloned_binders_never_capture_a_constant(self):
+        from qmu.core import (
+            Model, StateSpace, Valuation, expectation, transition,
+        )
+        from qmu.evaluator import evaluate
+        valuation = Valuation(
+            expectations={"X_2": expectation([0.2, 0.7])},
+            transitions={"t0": transition([[(0, 0.5)], [(1, 0.5)]]),
+                         "t1": transition([[(1, 0.9)], [(0, 0.9)]])},
+            transition_sets={"K": ("t0", "t1")},
+        )
+        model = Model(StateSpace(("s0", "s1")), valuation)
+        phi = reduce(parse("<K> (mu X . X_2 \\/ <t0> X)"), valuation)
+        assert free_variables(phi) == set()
+        assert "X_2" not in binder_names(phi)
+        again = reduce(parse(pretty_print(phi)), valuation)
+        assert alpha_equal(again, phi)
+        assert np.array_equal(evaluate(again, model).result,
+                              evaluate(phi, model).result)
+
 
 class TestPrettyPrint:
     def test_smallest(self):
@@ -239,12 +271,25 @@ class TestPrettyPrint:
         shadowed = Mu("X", Nu("X", Var("X")))
         assert alpha_equal(shadowed, Mu("A", Nu("B", Var("B"))))
         assert not alpha_equal(shadowed, Mu("A", Nu("B", Var("A"))))
+        assert not alpha_equal(Mu("X", Var("X")), Nu("X", Var("X")))
+        assert not alpha_equal(Fix(0.5, "X", Var("X")), Fix(0.25, "X", Var("X")))
 
     def test_fingerprint_alpha_insensitive(self):
         a = parse("mu X . <k> X")
         b = parse("mu Other . <k> Other")
         assert fingerprint(a) == fingerprint(b)
         assert fingerprint(a) != fingerprint(parse("nu X . <k> X"))
+
+    @pytest.mark.parametrize("taken, bound", [
+        (parse("mu X . _v0 \\/ <k> X"), parse("mu X . X \\/ <k> X")),
+        (Mu("X", MaxJ(Var("_v0"), Var("X"), 0)), Mu("X", MaxJ(Var("X"), Var("X"), 0))),
+        (Mu("X", Nu("Y", MinJ(Const("_v1"), Var("Y"), 0))),
+         Mu("X", Nu("Y", MinJ(Var("Y"), Var("Y"), 0)))),
+    ])
+    def test_fingerprint_skips_names_the_formula_takes(self, taken, bound):
+        assert not alpha_equal(taken, bound)
+        assert fingerprint(taken) != fingerprint(bound)
+        assert alpha_equal(canonical(taken), taken)
 
 
 ONE_OF_EACH_KIND = [
@@ -273,6 +318,8 @@ class TestRebuild:
             children(bad)
         with pytest.raises(TypeError):
             map_children(bad, lambda c: c)
+        with pytest.raises(TypeError):
+            rebuild(bad, lambda n, kids: n)
 
 
 class TestAnalyses:
@@ -281,6 +328,11 @@ class TestAnalyses:
         assert list(subformulae(phi)) == [
             phi, phi.body, phi.body.left, Var("X"), phi.body.right,
             Const("A"), Const("B")]
+
+    def test_free_variables_leave_scope_with_their_binder(self):
+        phi = MaxJ(Mu("X", Var("X")), Nu("Y", MinJ(Var("X"), Var("Y"), 0)), 0)
+        assert free_variables(phi) == {"X"}
+        assert free_variables(Mu("X", Mu("X", Var("X")))) == set()
 
     def test_unbound_symbol_first_in_preorder(self):
         valuation = vardi_model()[0].valuation
@@ -319,3 +371,135 @@ class TestAnalyses:
         assert contains_fix(phi)
         assert choice_sites(phi) == (1, 1)
         assert unbound_symbol(phi, vardi_model()[0].valuation) is None
+
+
+DEPTH = 10_000
+
+#: Formula texts nested ``DEPTH`` deep over the symbols of the vardi model.
+DEEP_TEXTS = {
+    "modal chain": "<k> " * DEPTH + "atB",
+    "or chain": " \\/ ".join(["atB"] * DEPTH),
+    "parentheses": "(<k> " * DEPTH + "atB" + ")" * DEPTH,
+    "if else": "if atA then " * DEPTH + "atB" + " else atB" * DEPTH,
+    # every binder shadows one of the same name, so the parser renames each
+    "alternating": "mu X . X \\/ (nu Y . Y /\\ (" * (DEPTH // 2) + "<k> atB"
+                   + ")" * DEPTH,
+}
+
+
+class TestDepth:
+    """Formulae far deeper than the interpreter's recursion limit."""
+
+    @pytest.mark.parametrize("name", DEEP_TEXTS)
+    def test_text_round_trip(self, name):
+        assert sys.getrecursionlimit() < DEPTH
+        valuation = vardi_model()[0].valuation
+        phi = reduce(parse(DEEP_TEXTS[name]), valuation)
+        assert formula_size(phi) > DEPTH
+        binders = [n for n in subformulae(phi) if isinstance(n, (Mu, Nu))]
+        assert len(binder_names(phi)) == len(binders)
+        again = reduce(parse(pretty_print(phi)), valuation)
+        assert alpha_equal(again, phi)
+        assert fingerprint(again) == fingerprint(phi)
+
+    def test_modal_chain_evaluates(self):
+        from qmu.evaluator import evaluate
+        model = vardi_model()[0]
+        phi = reduce(parse(DEEP_TEXTS["modal chain"]), model.valuation)
+        # k's stationary distribution puts 1/3 on B
+        assert np.allclose(evaluate(phi, model).result, 1 / 3, atol=1e-12)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _transform_outputs():
+    """Every text transform's output on random, generated and built-in
+    formulae: the printed text, its parse, the canonical form, the
+    fingerprint, the reduction and alpha-equality verdicts."""
+    from qmu.examples import AT_LEAST_6_TEXT, futures_model
+    from qmu.oracle import random_instance
+    base = random_instance([5, 0]).model.valuation
+    sets = dataclasses.replace(base, transition_sets={
+        "K0": ("t0", "t1"), "K1": ("t1", "t0", "t1")})
+    futures = futures_model().valuation
+    cases = [(random_formula(seed), sets) for seed in range(1000)]
+    cases += [(inst.phi, inst.model.valuation)
+              for inst in map(random_instance, ([5, s] for s in range(300)))]
+    cases += [(parse(text), futures) for text in (GAME_TEXT, AT_LEAST_6_TEXT, NEST_TEXT)]
+    cases.append((parse(VARDI_TEXT), vardi_model()[0].valuation))
+    previous = cases[-1][0]
+    for phi, valuation in cases:
+        text = pretty_print(phi)
+        again = parse(text)
+        reduced = reduce(phi, valuation)
+        yield text
+        yield repr(again)
+        yield repr(canonical(phi))
+        yield fingerprint(phi)
+        yield repr(reduced)
+        yield pretty_print(reduced)
+        yield fingerprint(reduced)
+        yield repr((alpha_equal(again, phi), alpha_equal(phi, previous),
+                    alpha_equal(canonical(phi), phi), alpha_equal(reduced, phi)))
+        previous = phi
+
+
+_VOCABULARY = ("mu", "nu", "fix", "(", ")", ".", "<", ">", "[", "]", "if",
+               "then", "else", "\\/", "/\\", "min", "max", "X", "Y", "X_2",
+               "a", "b", "k", "0.5", "1.5", "?", "\n")
+
+
+def _parse_outputs():
+    """Parse results and error texts on seeded random token strings: half
+    free draws from a vocabulary, half printed random formulae, three in
+    four of them with one token dropped, repeated or replaced."""
+    for i in range(10_000):
+        rng = np.random.default_rng([17, i])
+        if i % 2:
+            tokens = [_VOCABULARY[j] for j in
+                      rng.integers(0, len(_VOCABULARY), int(rng.integers(1, 16)))]
+            known = ("a", "k")
+        else:
+            tokens = pretty_print(random_formula([17, i], 3)).split(" ")
+            at = int(rng.integers(0, len(tokens)))
+            edit = int(rng.integers(0, 4))
+            if edit == 0:
+                del tokens[at]
+            elif edit == 1:
+                tokens.insert(at, tokens[at])
+            elif edit == 2:
+                tokens[at] = _VOCABULARY[int(rng.integers(0, len(_VOCABULARY)))]
+            known = ("c0", "c1", "c2")
+        text = " ".join(tokens)
+        if i % 3:
+            known = None
+        try:
+            yield repr(parse(text, known_symbols=known))
+        except ParseError as exc:
+            yield f"{type(exc).__name__} {exc} {exc.line} {exc.col}"
+
+
+class TestByteIdentity:
+    """Digests of the transforms' outputs, pinned from the recursive
+    implementations that the explicit-stack walks replaced."""
+
+    def test_transform_outputs(self):
+        assert _digest(_transform_outputs()) == TRANSFORM_DIGEST
+
+    def test_parse_results_and_errors(self):
+        assert _digest(_parse_outputs()) == PARSE_DIGEST
+
+    @pytest.mark.parametrize("text, expected", [
+        (GAME_TEXT, "9f7fa9fbfa063b02"),
+        (AT_LEAST_6_TEXT, "65af72bdd2dca5a4"),
+        (VARDI_TEXT, "efb9e716ae683b95"),
+        (NEST_TEXT, "f084a2b724c24fc3"),
+    ])
+    def test_builtin_fingerprints(self, text, expected):
+        assert fingerprint(parse(text)) == expected
+
+
+TRANSFORM_DIGEST = "1111f93ff4f1705ce5dc203bbc75680500c28f672e20683cdfaeb4aeb231b3bc"
+PARSE_DIGEST = "ecdcef818c84468e540ea79ca753e22e552d139e6f28699a712584c6f3ec9a9b"

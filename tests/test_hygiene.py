@@ -82,3 +82,116 @@ def test_the_import_guard_sees_other_packages():
               "def f():\n    from numba import njit\n")
     assert [package for package in imported_packages(source)
             if package not in ALLOWED_PACKAGES] == ["scipy", "numba"]
+
+
+#: Functions allowed on a call cycle, by module.  The depth-bounded
+#: unfolding of history-dependent strategies and the game-tree expansion
+#: keep their recursive walkers: each interprets the formula in its own
+#: way, apart from the evaluator's plan, and raises the recursion limit for
+#: the length of one call.
+RECURSION_ALLOWED = {
+    "evaluator.py": {"_unfold.go"},
+    "game.py": {"expand_tree.go"},
+}
+
+
+def recursive_functions(source: str) -> set[str]:
+    """The functions of a module that can reach themselves through its own
+    functions, by dotted name (``f.inner``, ``Class.method``).
+
+    Every mention of a function counts as a call, so a closure passed as a
+    callback is seen too.  A name resolves to a function nested in the
+    enclosing functions, innermost first, else to one of the module's own;
+    ``self.name`` inside a method resolves to a method of its class.  A
+    parameter of the same name hides the function.
+    """
+    tree = ast.parse(source)
+    scopes: dict[str, dict[str, str]] = {"": {}}  # function -> names it defines
+    parents: dict[str, str] = {}
+    classes: dict[str, str] = {}  # method -> its class's dotted name
+    bodies: dict[str, ast.AST] = {}
+
+    def collect(node: ast.AST, prefix: str, scope: str, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                scopes[scope][child.name] = name
+                scopes[name] = {}
+                # class bodies do not enclose their methods
+                parents[name] = "" if cls is not None else scope
+                bodies[name] = child
+                if cls is not None:
+                    classes[name] = cls
+                collect(child, name + ".", name, None)
+            elif isinstance(child, ast.ClassDef):
+                methods = prefix + child.name
+                scopes[methods] = {}
+                collect(child, methods + ".", methods, methods)
+            else:
+                collect(child, prefix, scope, cls)
+
+    collect(tree, "", "", None)
+
+    def resolve(name: str, scope: str) -> str | None:
+        while True:
+            if name in scopes[scope]:
+                return scopes[scope][name]
+            if scope == "":
+                return None
+            scope = parents[scope]
+
+    edges: dict[str, set[str]] = {}
+    for name, func in bodies.items():
+        params = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+        targets = edges.setdefault(name, set())
+        for node in ast.walk(func):
+            if node is not func and isinstance(node, (ast.FunctionDef,
+                                                      ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Name) and node.id not in params:
+                target = resolve(node.id, name)
+            elif (isinstance(node, ast.Attribute) and name in classes
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                target = scopes[classes[name]].get(node.attr)
+            else:
+                continue
+            if target is not None:
+                targets.add(target)
+
+    def reachable(start: str) -> set[str]:
+        seen: set[str] = set()
+        stack = list(edges.get(start, ()))
+        while stack:
+            cur = stack.pop()
+            if cur not in seen:
+                seen.add(cur)
+                stack.extend(edges.get(cur, ()))
+        return seen
+
+    return {name for name in bodies if name in reachable(name)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_recursion_outside_the_allowed_walkers(path):
+    assert recursive_functions(path.read_text()) == RECURSION_ALLOWED.get(
+        path.name, set())
+
+
+def test_the_recursion_guard_sees_direct_mutual_and_callback_cycles():
+    source = (
+        "def direct(n):\n    return direct(n - 1)\n"
+        "def ping(n):\n    return pong(n)\n"
+        "def pong(n):\n    return ping(n)\n"
+        "def outer(node):\n"
+        "    def go(n):\n        return rebuild(n, go)\n"
+        "    return go(node)\n"
+        "def rebuild(node, f):\n    return f(node)\n"
+        "def shadowed(direct):\n    return direct(1)\n"
+        "def caller():\n    return direct(1) + helper()\n"
+        "def helper():\n    return 0\n"
+        "class Parser:\n"
+        "    def formula(self):\n        return self.atom()\n"
+        "    def atom(self):\n        return self.formula()\n"
+        "    def peek(self):\n        return self.tokens\n")
+    assert recursive_functions(source) == {
+        "direct", "ping", "pong", "outer.go", "Parser.formula", "Parser.atom"}
