@@ -99,7 +99,7 @@ def cmd_synthesize(args) -> int:
     strategy, value = synthesize(phi, model, cfg)
     if args.out:
         save_strategy(args.out, strategy, phi)
-    residual = verify_strategy(phi, model, strategy, cfg)
+    residual = verify_strategy(phi, model, strategy, cfg, base=value)
     states = _state_indices(args, model)
     if args.json:
         payload = {

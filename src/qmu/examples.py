@@ -17,13 +17,12 @@ re-scale for display where the quantity is in dollars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .core import (
     Model, StateSpace, Valuation, expectation, pre_expectation,
-    pre_expectation_all, predicate, transition,
+    pre_expectation_all, predicate, transition, transition_from_edges,
 )
 from .evaluator import EvalConfig, PathStrategy, evaluate, evaluate_with_strategies
 from .formula import Node, parse, reduce
@@ -43,35 +42,41 @@ def futures_label(v: int, p: int, c: int) -> str:
     return f"v{v}_p{p}_c{c}"
 
 
-def _month_row(v: int, p: int, c: int) -> dict[int, Fraction]:
-    """Exact one-month distribution over successor states of (v, p, c).
+def _month_edges(v: np.ndarray, p: np.ndarray,
+                 c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every state's one-month edges as ``(sources, targets, numerators)``,
+    given the grid coordinates of every state.
 
     All three updates read the month-start state (simultaneous reading, as a
     guarded-command model checker would evaluate them): v moves against the
     current cap, the p-drift direction is governed by the month-start v, and
     the cap falls independently.  Only upward moves are clamped to the cap,
     so v can sit above a cap that has fallen past it until it next moves.
-    """
-    p_up = Fraction(p, 10)
-    v_cases = []
-    if p_up > 0:
-        v_cases.append((min(v + 1, c), p_up))
-    if p_up < 1:
-        v_cases.append((max(v - 1, 0), 1 - p_up))
-    if v < 5:
-        p_cases = [(min(p + 1, 10), Fraction(2, 3)), (max(p - 1, 0), Fraction(1, 3))]
-    elif v > 5:
-        p_cases = [(max(p - 1, 0), Fraction(2, 3)), (min(p + 1, 10), Fraction(1, 3))]
-    else:
-        p_cases = [(max(p - 1, 0), Fraction(1, 2)), (min(p + 1, 10), Fraction(1, 2))]
 
-    row: dict[int, Fraction] = {}
-    for v2, pv in v_cases:
-        for p2, pp in p_cases:
-            for c2, pc in ((max(c - 1, 0), Fraction(1, 2)), (c, Fraction(1, 2))):
-                idx = futures_index(v2, p2, c2)
-                row[idx] = row.get(idx, Fraction(0)) + pv * pp * pc
-    return row
+    Each state has 2 x 2 x 2 candidate moves of v, p and c, whose
+    probability p/10 x {2/3, 1/3, 1/2} x 1/2 is an integer numerator over
+    120.  Moves that land on the same successor add their numerators, so
+    the result holds one edge per successor and every numerator is exact;
+    moves of probability zero (v up at p = 0, down at p = 1) are dropped.
+    """
+    v, p, c = (axis.reshape(-1, 1, 1, 1) for axis in (v, p, c))
+    top = GRID - 1
+    p_up, p_down = np.minimum(p + 1, top), np.maximum(p - 1, 0)
+    # p drifts toward the trend: up 2/3 below $5, down 2/3 above, even at $5
+    up_num = np.where(v < 5, 4, np.where(v > 5, 2, 3))
+    v2 = np.concatenate((np.minimum(v + 1, c), np.maximum(v - 1, 0)), axis=1)
+    v_num = np.concatenate((p, top - p), axis=1)
+    p2 = np.concatenate((p_up, p_down), axis=2)
+    p_num = np.concatenate((up_num, 6 - up_num), axis=2)
+    c2 = np.concatenate((np.maximum(c - 1, 0), c), axis=3)
+    targets = (v2 * GRID * GRID + p2 * GRID + c2).reshape(N_FUTURES_STATES, -1)
+    numerators = np.broadcast_to(v_num * p_num, (N_FUTURES_STATES, 2, 2, 2))
+    keys = np.arange(N_FUTURES_STATES)[:, None] * N_FUTURES_STATES + targets
+    keys, slot = np.unique(keys, return_inverse=True)
+    merged = np.bincount(slot.ravel(), weights=numerators.ravel())
+    keep = merged > 0
+    sources, targets = np.divmod(keys[keep], N_FUTURES_STATES)
+    return sources, targets, merged[keep]
 
 
 def futures_model() -> Model:
@@ -81,41 +86,25 @@ def futures_model() -> Model:
     characteristic function ``atLeast6`` of v >= 6, and the predicates used
     by the fixed strategies: ``reserveAtCap`` (v >= c) and ``intuitive``
     (v >= 5 and p >= 0.5).
+
+    Everything is built from arrays over the (v, p, c) grid.  Each edge
+    probability is its exact numerator over 120 divided once by 120, so it
+    is the correctly rounded value of the exact fraction.
     """
-    labels = []
-    for v in range(GRID):
-        for p in range(GRID):
-            for c in range(GRID):
-                labels.append(futures_label(v, p, c))
-    space = StateSpace(tuple(labels))
-
-    rows = []
-    for v in range(GRID):
-        for p in range(GRID):
-            for c in range(GRID):
-                row = _month_row(v, p, c)
-                rows.append([(idx, float(pr)) for idx, pr in sorted(row.items())])
-    month = transition(rows)
-
-    sold = np.empty(N_FUTURES_STATES)
-    at_least_6 = np.empty(N_FUTURES_STATES)
-    reserve_at_cap = np.empty(N_FUTURES_STATES, dtype=bool)
-    intuitive = np.empty(N_FUTURES_STATES, dtype=bool)
-    for v in range(GRID):
-        for p in range(GRID):
-            for c in range(GRID):
-                i = futures_index(v, p, c)
-                sold[i] = v / 10.0
-                at_least_6[i] = 1.0 if v >= 6 else 0.0
-                reserve_at_cap[i] = v >= c
-                intuitive[i] = v >= 5 and p >= 5
-
+    v, p, c = (axis.ravel() for axis in np.meshgrid(
+        *(np.arange(GRID),) * 3, indexing="ij"))
+    space = StateSpace(tuple(map(futures_label, v.tolist(), p.tolist(), c.tolist())))
+    sources, targets, numerators = _month_edges(v, p, c)
+    month = transition_from_edges(
+        np.bincount(sources, minlength=N_FUTURES_STATES), targets,
+        numerators / 120.0, np.zeros(N_FUTURES_STATES))
     valuation = Valuation(
-        expectations={"Sold": expectation(sold), "atLeast6": expectation(at_least_6)},
+        expectations={"Sold": expectation(v / 10.0),
+                      "atLeast6": expectation((v >= 6).astype(np.float64))},
         transitions={"month": month},
         transition_sets={"month": ("month",)},
-        predicates={"reserveAtCap": predicate(reserve_at_cap),
-                    "intuitive": predicate(intuitive)},
+        predicates={"reserveAtCap": predicate(v >= c),
+                    "intuitive": predicate((v >= 5) & (p >= 5))},
     )
     return Model(space, valuation)
 

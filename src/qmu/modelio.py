@@ -4,6 +4,11 @@ The file mirrors the in-memory structures: state labels, per-transition
 rows of ``{"to": [[index, probability], ...], "payoff_weight": w}``,
 expectation and predicate vectors, and transition-set name lists.
 Probabilities are written as plain decimals, which round-trip exactly.
+:func:`save_model` writes the document as one compact line, encoded
+whole by ``json.dumps``: a streaming ``json.dump`` or an indent would run
+the standard library's pure-Python encoder, several times slower than its
+C encoder.  The loader accepts any whitespace, and ``python -m json.tool``
+pretty-prints a file.
 
 The loader flattens each transition's rows into edge arrays and builds it
 with :func:`~qmu.core.transition_from_edges`; it makes no per-edge
@@ -51,10 +56,8 @@ def model_to_dict(model: Model) -> dict:
         "transitions": {name: _rows_to_list(t) for name, t in v.transitions.items()},
         "transition_sets": {name: list(members)
                             for name, members in v.transition_sets.items()},
-        "expectations": {name: [float(x) for x in arr]
-                         for name, arr in v.expectations.items()},
-        "predicates": {name: [bool(x) for x in arr]
-                       for name, arr in v.predicates.items()},
+        "expectations": {name: arr.tolist() for name, arr in v.expectations.items()},
+        "predicates": {name: arr.tolist() for name, arr in v.predicates.items()},
     }
 
 
@@ -163,9 +166,14 @@ def model_from_dict(data: dict) -> Model:
 
 
 def save_model(path, model: Model) -> None:
+    """Write ``model`` to ``path`` as one compact JSON line.
+
+    The whole text is encoded before the file is opened, so an error while
+    building or encoding it leaves an existing file as it was.
+    """
+    text = json.dumps(model_to_dict(model), separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> Model:

@@ -94,17 +94,21 @@ def synthesize(phi: Node, model: Model,
 
 
 def verify_strategy(phi: Node, model: Model, strategy: MemorilessStrategy,
-                    cfg: EvalConfig | None = None) -> float:
+                    cfg: EvalConfig | None = None, *,
+                    base: np.ndarray | None = None) -> float:
     """Sup-norm gap between the value under the strategy, a side it leaves
     open staying adversarial, and the game value.
 
     For a synthesised strategy this stays within a small multiple of the
     iteration tolerance; a visibly positive residual means the strategy is
-    suboptimal somewhere.
+    suboptimal somewhere.  ``base`` is the game value when the caller has
+    it already (the value :func:`synthesize` returns under the same
+    ``cfg``); otherwise the formula is evaluated here.
     """
     cfg = cfg or EvalConfig()
     strategy.check_shape(phi, model.space.size)
-    base = evaluate(phi, model, cfg).result
+    if base is None:
+        base = evaluate(phi, model, cfg).result
     fixed = evaluate_with_strategies(phi, model, *strategy.sides(), cfg)
     return float(np.max(np.abs(fixed - base)))
 
@@ -163,9 +167,11 @@ def strategy_from_dict(data: dict, phi: Node) -> MemorilessStrategy:
 
 
 def save_strategy(path, strategy: MemorilessStrategy, phi: Node) -> None:
+    """Write ``strategy`` to ``path`` as one compact JSON line, encoded
+    before the file is opened, so an error leaves an existing file as it was."""
+    text = json.dumps(strategy_to_dict(strategy, phi), separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(strategy_to_dict(strategy, phi), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_strategy(path, phi: Node) -> MemorilessStrategy:

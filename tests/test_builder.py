@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import futures_reference
 import qmu.examples
 import qmu.oracle
 from qmu.core import (
     ModelError, Transition, pre_expectation_all, transition,
     transition_from_edges,
 )
-from qmu.examples import futures_model, vardi_model
+from qmu.examples import vardi_model
 from qmu.modelio import MODEL_SCHEMA, model_from_dict, model_to_dict
 from qmu.oracle import random_instance
 
@@ -63,13 +64,22 @@ def as_edges(rows):
 
 
 class TestBitIdentity:
-    def test_futures(self, futures, monkeypatch):
-        built = futures[0].valuation.transitions["month"]
-        monkeypatch.setattr(qmu.examples, "transition", reference_transition)
-        want = futures_model().valuation.transitions["month"]
-        assert_same_arrays(built, want)
+    def test_futures(self, futures):
+        # the array-built model against the state-by-state Fraction build
+        model = futures[0]
+        v = model.valuation
+        assert model.space.labels == futures_reference.labels()
+        want = reference_transition(futures_reference.month_rows())
+        assert_same_arrays(v.transitions["month"], want)
+        for got, ref in ((v.expectations, futures_reference.expectations()),
+                         (v.predicates, futures_reference.predicates())):
+            assert got.keys() == ref.keys()
+            for name, arr in ref.items():
+                assert got[name].dtype == arr.dtype, name
+                assert got[name].tobytes() == arr.tobytes(), name
+        assert v.transition_sets == {"month": ("month",)}
         # and through the model file
-        data = model_to_dict(futures[0])
+        data = model_to_dict(model)
         rows = data["transitions"]["month"]
         assert_same_arrays(model_from_dict(data).valuation.transitions["month"],
                            reference_transition([[tuple(e) for e in r["to"]]

@@ -130,6 +130,18 @@ class TestSynthesize:
         assert data["schema"] == "qmu-strategy/1"
         assert data["max_choices"] == {"0": [True, False]}
 
+    def test_verifies_against_the_synthesized_value(self, capsys, vardi_files,
+                                                    monkeypatch):
+        # the residual reuses synthesize's value: no second evaluation
+        import qmu.strategy
+        calls = []
+        monkeypatch.setattr(qmu.strategy, "evaluate",
+                            lambda *args: calls.append(args))
+        code, out, _ = run(capsys, ["synthesize", vardi_files["model"],
+                                    vardi_files["formula"], "--json"])
+        assert code == 0 and calls == []
+        assert json.loads(out)["residual"] == 0.0
+
     def test_zero_site_formula_empty_strategy(self, capsys, vardi_files,
                                               tmp_path):
         out_file = tmp_path / "empty.json"

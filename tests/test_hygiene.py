@@ -195,3 +195,45 @@ def test_the_recursion_guard_sees_direct_mutual_and_callback_cycles():
         "    def peek(self):\n        return self.tokens\n")
     assert recursive_functions(source) == {
         "direct", "ping", "pong", "outer.go", "Parser.formula", "Parser.atom"}
+
+
+def json_dump_calls(source: str) -> list[int]:
+    """Lines that call ``json.dump``, through any alias of the module or
+    of the function.
+
+    The streaming call always runs the standard library's pure-Python
+    encoder; ``json.dumps`` without an indent runs its C encoder.
+    """
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions.update(alias.asname or alias.name for alias in node.names
+                             if alias.name == "dump")
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and (
+                      (isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "dump"
+                       and isinstance(node.func.value, ast.Name)
+                       and node.func.value.id in modules)
+                      or (isinstance(node.func, ast.Name)
+                          and node.func.id in functions)))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_streaming_json_dump(path):
+    assert json_dump_calls(path.read_text()) == []
+
+
+def test_the_json_dump_guard_sees_every_spelling():
+    source = ("import json\nimport json as j\nfrom json import dump as put, dumps\n"
+              "def save(fh, doc):\n"
+              "    json.dump(doc, fh)\n"
+              "    fh.write(json.dumps(doc) + dumps(doc))\n"
+              "    j.dump(doc, fh, indent=2)\n"
+              "    put(doc, fh)\n"
+              "    pickle.dump(doc, fh)\n")
+    assert json_dump_calls(source) == [5, 7, 8]

@@ -6,11 +6,56 @@ import re
 import numpy as np
 import pytest
 
+import qmu.modelio
 from qmu.evaluator import evaluate
+from qmu.examples import futures_model, vardi_model
 from qmu.modelio import (
     MODEL_SCHEMA, ModelFileError, load_model, model_from_dict, model_to_dict,
     save_model,
 )
+from qmu.oracle import random_instance
+
+
+def element_wise_dict(model) -> dict:
+    """The document as the earlier ``model_to_dict`` built it, one Python
+    scalar per array entry."""
+    v = model.valuation
+    transitions = {}
+    for name, t in v.transitions.items():
+        transitions[name] = [
+            {"to": [[int(t.indices[e]), float(t.probs[e])]
+                    for e in range(t.indptr[s], t.indptr[s + 1])],
+             "payoff_weight": float(t.weights[s])}
+            for s in range(t.n_states)]
+    return {
+        "schema": MODEL_SCHEMA,
+        "states": list(model.space.labels),
+        "transitions": transitions,
+        "transition_sets": {name: list(members)
+                            for name, members in v.transition_sets.items()},
+        "expectations": {name: [float(x) for x in arr]
+                         for name, arr in v.expectations.items()},
+        "predicates": {name: [bool(x) for x in arr]
+                       for name, arr in v.predicates.items()},
+    }
+
+
+def same_types(a, b) -> bool:
+    """Equal, and every scalar of the same type (``True == 1`` is not enough)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_types(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_types, a, b))
+    return a == b
+
+
+def saved_models():
+    yield "futures", futures_model()
+    yield "vardi", vardi_model()[0]
+    for trial in range(300):
+        yield f"random {trial}", random_instance([71, trial]).model
 
 
 class TestRoundTrip:
@@ -38,6 +83,53 @@ class TestRoundTrip:
         assert again.valuation.transitions["month"] == \
             model.valuation.transitions["month"]
         assert evaluate(game, again) == evaluate(game, model)
+
+
+    def test_saved_text_is_the_document(self, tmp_path):
+        # futures, vardi and 300 random instances: the file parses back to
+        # model_to_dict, which matches the element-wise build, and loads
+        # back to equal transitions, expectations and predicates
+        path = tmp_path / "model.json"
+        for label, model in saved_models():
+            data = model_to_dict(model)
+            assert same_types(data, element_wise_dict(model)), label
+            save_model(path, model)
+            text = path.read_text()
+            assert text.endswith("}\n") and text.count("\n") == 1, label
+            assert json.loads(text) == data, label
+            again = load_model(path)
+            assert again.space.labels == model.space.labels, label
+            v, w = model.valuation, again.valuation
+            assert w.transitions.keys() == v.transitions.keys(), label
+            for name, t in v.transitions.items():
+                assert w.transitions[name] == t, (label, name)
+            for ours, theirs in ((v.expectations, w.expectations),
+                                 (v.predicates, w.predicates)):
+                assert ours.keys() == theirs.keys(), label
+                for name, arr in ours.items():
+                    assert theirs[name].dtype == arr.dtype, (label, name)
+                    assert np.array_equal(theirs[name], arr), (label, name)
+            assert w.transition_sets == v.transition_sets, label
+
+    def test_loader_accepts_any_whitespace(self, tmp_path, vardi):
+        model, phi = vardi
+        path = tmp_path / "vardi.json"
+        path.write_text(json.dumps(model_to_dict(model), indent=4))
+        assert evaluate(phi, load_model(path)) == evaluate(phi, model)
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path, vardi, monkeypatch):
+        # the document is built and encoded before the file is opened
+        path = tmp_path / "vardi.json"
+        save_model(path, vardi[0])
+        before = path.read_text()
+
+        def broken(model):
+            raise RuntimeError("no document")
+
+        monkeypatch.setattr(qmu.modelio, "model_to_dict", broken)
+        with pytest.raises(RuntimeError, match="no document"):
+            save_model(path, vardi[0])
+        assert path.read_text() == before
 
 
 class TestSchema:

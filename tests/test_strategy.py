@@ -1,8 +1,11 @@
 """Strategy synthesis, verification and advice, and the rewrite reference."""
 
+import json
+
 import numpy as np
 import pytest
 
+import qmu.strategy
 from qmu.core import Model, StateSpace, Valuation, expectation
 from qmu.evaluator import (
     EvalConfig, NotConvergedError, evaluate, evaluate_with_strategies,
@@ -196,6 +199,32 @@ class TestVerify:
         for phi, m, side in cases:
             assert verify_strategy(phi, m, side) == rewrite_residual(phi, m, side)
 
+    def test_given_base_skips_the_evaluation(self, futures, futures_strategy,
+                                             monkeypatch):
+        model, game = futures
+        strategy, value = futures_strategy
+        cases = [(game, model, strategy, value)]
+        for trial in range(20):
+            inst = random_instance([271, trial])
+            cases.append((inst.phi, inst.model,
+                          *synthesize(inst.phi, inst.model)))
+        without = [verify_strategy(phi, m, sigma) for phi, m, sigma, _ in cases]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(qmu.strategy, "evaluate", counted)
+        with_base = [verify_strategy(phi, m, sigma, base=base)
+                     for phi, m, sigma, base in cases]
+        assert calls == []
+        # the residual is bit-identical either way
+        assert [np.float64(r).tobytes() for r in with_base] == \
+            [np.float64(r).tobytes() for r in without]
+        verify_strategy(game, model, strategy)
+        assert len(calls) == 1
+
     def test_not_converged_raises(self, vardi):
         model, phi = vardi
         strategy = MemorilessStrategy(
@@ -237,6 +266,35 @@ class TestStrategyFiles:
         other = reduce(parse("mu X . <k> (atB \\/ X)"), model.valuation)
         with pytest.raises(FingerprintMismatchError):
             load_strategy(path, other)
+
+    def test_file_is_one_compact_line(self, tmp_path, futures, futures_strategy):
+        model, game = futures
+        strategy, _ = futures_strategy
+        path = tmp_path / "futures.strategy.json"
+        save_strategy(path, strategy, game)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert json.loads(text) == qmu.strategy.strategy_to_dict(strategy, game)
+        loaded = load_strategy(path, game)
+        for ours, theirs in ((strategy.min_choices, loaded.min_choices),
+                             (strategy.max_choices, loaded.max_choices)):
+            assert len(ours) == len(theirs)
+            assert all(map(np.array_equal, ours, theirs))
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path, vardi, monkeypatch):
+        model, phi = vardi
+        strategy, _ = synthesize(phi, model)
+        path = tmp_path / "vardi.strategy.json"
+        save_strategy(path, strategy, phi)
+        before = path.read_text()
+
+        def broken(strategy, phi):
+            raise RuntimeError("no document")
+
+        monkeypatch.setattr(qmu.strategy, "strategy_to_dict", broken)
+        with pytest.raises(RuntimeError, match="no document"):
+            save_strategy(path, strategy, phi)
+        assert path.read_text() == before
 
     def test_partial_strategy_round_trip(self, tmp_path, vardi):
         model, phi = vardi
