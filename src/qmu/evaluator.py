@@ -33,31 +33,18 @@ import numpy as np
 
 from .core import Model, pre_expectation_all
 from .formula import (
-    Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
-    children, choice_sites, free_variables, is_reduced, junction_free,
-    subformulae, unbound_symbol,
+    Cond, Const, EvaluationError, Fix, FixNotSupportedError, MaxJ, MinJ, Modal,
+    Mu, NondeterministicFixBodyError, Node, Nu, UnresolvedSymbolError, Var,
+    check_entry, children, choice_sites,
 )
 
-
-class EvaluationError(ValueError):
-    """Base class for evaluation failures."""
-
-
-class UnresolvedSymbolError(EvaluationError):
-    """A formula symbol has no binding in the valuation."""
-
-    def __init__(self, kind: str, name: str):
-        super().__init__(f"unresolved {kind} symbol {name!r}")
-        self.kind = kind
-        self.name = name
-
-
-class FixNotSupportedError(EvaluationError):
-    """Intermediate fixed points require the dedicated entry point."""
-
-
-class NondeterministicFixBodyError(EvaluationError):
-    """A fix(x) body contains min/max choice and force was not requested."""
+__all__ = [
+    "DivergenceError", "EvalConfig", "EvalReport", "EvaluationError",
+    "FixNotSupportedError", "FixpointStats", "NondeterministicFixBodyError",
+    "NotConvergedError", "PathStrategy", "UnresolvedSymbolError",
+    "converged_walk", "evaluate", "evaluate_batch", "evaluate_fix",
+    "evaluate_with_strategies",
+]
 
 
 class DivergenceError(EvaluationError):
@@ -297,9 +284,9 @@ class _Plan:
     parent writes its own result over it or drops it, so a loop holds about
     as many vectors at once as a tree walk would.
 
-    The formula is one :func:`_check_entry` accepted, so every name it looks
-    up is bound.  ``forced`` holds the ids of the ``fix(x)`` binders
-    iterated under the divergence detector.
+    The formula is one :func:`~qmu.formula.check_entry` accepted, so every
+    name it looks up is bound.  ``forced`` holds the ids of the ``fix(x)``
+    binders iterated under the divergence detector.
     """
 
     def __init__(self, phi: Node, model: Model, forced: frozenset[int]):
@@ -497,37 +484,9 @@ class _Plan:
                           converged=all(st.converged for st in fixpoints.values()))
 
 
-def _check_entry(phi: Node, model: Model, fix_policy: str) -> frozenset[int]:
-    """Raise every entry error before the first product, in this order.
-
-    A free variable, a set modality, an unbound symbol (the first in
-    preorder), any ``fix(x)`` under ``"reject"`` and a ``fix(x)`` body with
-    min/max choice unless ``"force"``.  Returns the ids of the ``fix(x)``
-    binders with choice in their bodies.
-    """
-    free = free_variables(phi)
-    if free:
-        raise UnresolvedSymbolError("variable", sorted(free)[0])
-    if not is_reduced(phi):
-        raise EvaluationError("formula contains set modalities; reduce it first")
-    missing = unbound_symbol(phi, model.valuation)
-    if missing is not None:
-        raise UnresolvedSymbolError(*missing)
-    fixes = [node for node in subformulae(phi) if isinstance(node, Fix)]
-    if fixes and fix_policy == "reject":
-        raise FixNotSupportedError(
-            "formula contains fix(x) binders; only evaluate_fix covers them")
-    forced = [node for node in fixes if not junction_free(node.body)]
-    if forced and fix_policy != "force":
-        raise NondeterministicFixBodyError(
-            f"fix body of {forced[0].var!r} contains min/max choice; "
-            "pass force=True to iterate anyway")
-    return frozenset(map(id, forced))
-
-
 def _run(phi: Node, model: Model, cfg: EvalConfig | None, fix_policy: str,
          choose=_pointwise, batch: int | None = None) -> EvalReport:
-    forced = _check_entry(phi, model, fix_policy)
+    forced = check_entry(phi, model.valuation, fix_policy)
     return _Plan(phi, model, forced).run(cfg or EvalConfig(), choose, batch)
 
 
@@ -625,7 +584,7 @@ def evaluate_with_strategies(
         if not report.converged:
             raise NotConvergedError("strategy evaluation did not converge")
         return report.result.copy()
-    _check_entry(phi, model, "reject")
+    check_entry(phi, model.valuation, "reject")
     if depth is None:
         raise TypeError("history-dependent strategies require an unfolding depth")
     if depth < 0:

@@ -1,4 +1,5 @@
-"""Formula syntax: AST, parser, set-modality reduction and printing.
+"""Formula syntax: AST, parser, set-modality reduction, printing and the
+entry check that the evaluator and the brute-force oracle run first.
 
 Grammar (whitespace-insensitive)::
 
@@ -45,6 +46,27 @@ class UnboundVariableError(ParseError):
 
 class ReduceError(ValueError):
     """A set modality names a symbol the valuation does not resolve."""
+
+
+class EvaluationError(ValueError):
+    """Base class for evaluation failures."""
+
+
+class UnresolvedSymbolError(EvaluationError):
+    """A formula symbol has no binding in the valuation."""
+
+    def __init__(self, kind: str, name: str):
+        super().__init__(f"unresolved {kind} symbol {name!r}")
+        self.kind = kind
+        self.name = name
+
+
+class FixNotSupportedError(EvaluationError):
+    """Intermediate fixed points require the dedicated entry point."""
+
+
+class NondeterministicFixBodyError(EvaluationError):
+    """A fix(x) body contains min/max choice and force was not requested."""
 
 
 # --- AST -------------------------------------------------------------------
@@ -260,6 +282,34 @@ def unbound_symbol(node: Node, valuation: Valuation) -> tuple[str, str] | None:
         if isinstance(n, Cond) and n.predicate not in valuation.predicates:
             return "predicate", n.predicate
     return None
+
+
+def check_entry(phi: Node, valuation: Valuation, fix_policy: str) -> frozenset[int]:
+    """Raise every entry error before any value is computed, in this order.
+
+    A free variable, a set modality, an unbound symbol (the first in
+    preorder), any ``fix(x)`` under ``"reject"`` and a ``fix(x)`` body with
+    min/max choice unless ``"force"``.  Returns the ids of the ``fix(x)``
+    binders with choice in their bodies.
+    """
+    free = free_variables(phi)
+    if free:
+        raise UnresolvedSymbolError("variable", sorted(free)[0])
+    if not is_reduced(phi):
+        raise EvaluationError("formula contains set modalities; reduce it first")
+    missing = unbound_symbol(phi, valuation)
+    if missing is not None:
+        raise UnresolvedSymbolError(*missing)
+    fixes = [node for node in subformulae(phi) if isinstance(node, Fix)]
+    if fixes and fix_policy == "reject":
+        raise FixNotSupportedError(
+            "formula contains fix(x) binders; only evaluate_fix covers them")
+    forced = [node for node in fixes if not junction_free(node.body)]
+    if forced and fix_policy != "force":
+        raise NondeterministicFixBodyError(
+            f"fix body of {forced[0].var!r} contains min/max choice; "
+            "pass force=True to iterate anyway")
+    return frozenset(map(id, forced))
 
 
 def assign_sites(node: Node) -> Node:

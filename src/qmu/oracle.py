@@ -1,13 +1,18 @@
 """Brute-force ground truth and random desk-scale instances.
 
-The brute force enumerates every memoriless strategy tuple for both players,
-solves the formula with each (min tuple, max tuple) pair resolving every
-junction (all pairs of a slice in one batched evaluation, each pair with its
-own stopping test), and takes the pointwise min-of-max and max-of-min.
-Their equality with each other and with the direct evaluation, which takes
-pointwise min and max at the junctions instead, is the desk-scale check of
-the minimax/denotation equivalence; the enumeration order is fixed so
-failures reproduce exactly.
+The brute force enumerates every memoriless strategy tuple for both players
+and takes the pointwise min-of-max and max-of-min over every (min tuple,
+max tuple) pair.  With both strategies fixed the game is a Markov reward
+chain, so each pair's value is the least (``mu``) or greatest (``nu``)
+solution of a small linear system.  One fold turns the formula into an
+affine form for a slice of pairs, and each binder is solved directly,
+after a graph pass that gives 0 (``mu``) or 1 (``nu``) to the rows from
+which no mass can leak; an alternating nest is two nested solves.
+Nothing here iterates or shares the evaluator's plan, so the check of the
+brute-force values against the direct evaluation, which takes pointwise
+min and max at the junctions by Kleene iteration, is a check of the
+minimax/denotation equivalence that can also catch the evaluator stopping
+short.  The enumeration order is fixed so failures reproduce exactly.
 """
 
 from __future__ import annotations
@@ -16,10 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Model, StateSpace, Valuation, expectation, predicate, transition
-from .evaluator import EvalConfig, NotConvergedError, evaluate, evaluate_batch
+from .core import (
+    EPS_REPR, Model, StateSpace, Transition, Valuation, expectation, predicate,
+    transition,
+)
+from .evaluator import EvalConfig, evaluate
 from .formula import (
-    Node, assign_sites, choice_sites, parse, pretty_print, reduce,
+    Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var, assign_sites,
+    check_entry, choice_sites, parse, pretty_print, rebuild, reduce,
+    subformulae,
 )
 from .strategy import MemorilessStrategy
 
@@ -31,10 +41,9 @@ class StrategySpaceError(ValueError):
 #: Hard cap on enumerated strategy pairs (2 ** bits).
 MAX_STRATEGY_BITS = 20
 
-#: Strategy pairs solved in one batched evaluation (the whole space at the
-#: default 12-bit budget); larger spaces are solved slice by slice, which
-#: bounds memory at the 20-bit cap.
-PAIRS_PER_BATCH = 4096
+#: Strategy pairs solved in one batched linear solve; larger spaces are
+#: solved slice by slice, which bounds memory at the 20-bit cap.
+PAIRS_PER_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -235,18 +244,122 @@ class BruteForceResult:
     table: np.ndarray                 # (n_min_tuples, n_max_tuples, n_states)
 
 
+def _dense(t: Transition) -> np.ndarray:
+    """The successor probabilities of ``t`` as an ``(n, n)`` matrix."""
+    n = t.n_states
+    matrix = np.zeros((n, n))
+    matrix[np.repeat(np.arange(n), np.diff(t.indptr)), t.indices] = t.probs
+    return matrix
+
+
+def _solve_binder(form: np.ndarray, cols: np.ndarray, outer: np.ndarray,
+                  greatest: bool) -> np.ndarray:
+    """The least (greatest) solution of ``x = A x + rest``, as an affine form.
+
+    ``A`` is ``form``'s coefficient of the binder's own variable, in columns
+    ``cols``, and ``rest`` its columns ``outer``: the constant and the
+    coefficients of the variables of the binders around this one, the only
+    other columns that can be nonzero.  A row whose sum in ``A`` falls
+    below ``1 - EPS_REPR``, the rule :func:`~qmu.core.validate` uses for
+    total rows, leaks mass.  The rows that cannot reach a leaking row along
+    ``A``'s support are closed: their value is 0 under ``mu`` and 1 under
+    ``nu`` (the Prob0/Prob1 step of PRISM).  On the other rows ``I - A`` is
+    nonsingular, and one solve gives the value as an affine form in the
+    outer variables.
+    """
+    n = form.shape[1]
+    coef = form[..., cols]
+    rest = form[..., outer]
+    support = coef > 0.0
+    reaches = coef.sum(axis=-1) < 1.0 - EPS_REPR  # leaking, then reaching one
+    for _ in range(n - 1):  # a path to a leaking row takes at most n - 1 steps
+        reaches = reaches | (support & reaches[..., None, :]).any(axis=-1)
+    closed = ~reaches
+    rest[closed] = 0.0
+    if greatest:
+        rest[closed, 0] = 1.0
+    eye = np.eye(n)
+    system = np.where(closed[..., None], eye, eye - coef)
+    solved = np.zeros(form.shape)
+    solved[..., outer] = np.linalg.solve(system, rest)
+    return solved
+
+
+def _solve_pairs(phi: Node, model: Model, min_masks: np.ndarray,
+                 max_masks: np.ndarray) -> np.ndarray:
+    """The values of ``phi`` under a batch of memoriless strategy pairs.
+
+    The masks have shape ``(sites, B, n)``, as :func:`_tuple_choices` gives
+    them, true where a pair takes the left 'junct; the result has shape
+    ``(B, n)``.  One fold turns each
+    subformula into an affine form of the binder variables around it: an
+    array of shape ``(B, n, 1 + n * binders)`` whose column 0 is the
+    constant and whose k-th block of ``n`` columns is the ``(B, n, n)``
+    coefficient of the k-th binder's variable, binders counted in preorder.
+    A subformula without junctions keeps a batch axis of length one.  The
+    value is clipped to [0, 1] once, at the end.  Every pair's row is
+    computed on its own, so it does not depend on the batch it is in.
+    """
+    v = model.valuation
+    n = model.space.size
+    width = 1 + n * sum(isinstance(node, (Mu, Nu)) for node in subformulae(phi))
+    blocks = iter(range(1, width, n))
+    scope: list[tuple[str, np.ndarray]] = []  # the binders around the node
+    dense: dict[str, np.ndarray] = {}
+
+    def enter(node: Node) -> None:
+        if isinstance(node, (Mu, Nu)):
+            start = next(blocks)
+            scope.append((node.var, np.arange(start, start + n)))
+
+    def leave(node: Node, kids) -> np.ndarray:
+        if isinstance(node, Const):
+            form = np.zeros((1, n, width))
+            form[0, :, 0] = v.expectations[node.name]
+            return form
+        if isinstance(node, Var):
+            form = np.zeros((1, n, width))
+            form[0][:, next(cols for var, cols in reversed(scope)
+                            if var == node.name)] = np.eye(n)
+            return form
+        if isinstance(node, Modal):
+            t = v.transitions[node.transition]
+            if node.transition not in dense:
+                dense[node.transition] = _dense(t)
+            matrix, body = dense[node.transition], kids[0]
+            # term by term in the order of j, then the weight, as the
+            # evaluator's product adds them
+            form = np.zeros(body.shape)
+            for j in range(n):
+                form += matrix[:, j, None] * body[..., j, None, :]
+            form[..., 0] += t.weights
+            return form
+        if isinstance(node, (MinJ, MaxJ)):
+            masks = min_masks if isinstance(node, MinJ) else max_masks
+            return np.where(masks[node.site][..., None], *kids)
+        if isinstance(node, Cond):
+            return np.where(v.predicates[node.predicate][:, None], *kids)
+        _, cols = scope.pop()
+        outer = np.concatenate([[0], *(block for _, block in scope)])
+        return _solve_binder(kids[0], cols, outer, isinstance(node, Nu))
+
+    form = rebuild(phi, leave, enter)
+    return np.clip(np.broadcast_to(form[..., 0], (min_masks.shape[1], n)),
+                   0.0, 1.0)
+
+
 def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteForceResult:
     """Exact strategy-enumeration values of a tiny instance.
 
     Solves the formula for every (min tuple, max tuple) pair, with the
     pair's choices resolving every junction; min/max tuples are enumerated in
-    lexicographic (site, state) order.  The pairs are solved
-    :data:`PAIRS_PER_BATCH` at a time in one batched evaluation, each with
-    its own stopping test, so every table row equals the pair's value solved
-    alone.  Raises :class:`NotConvergedError` when some pair does not
-    converge within ``cfg.max_iterations``.
+    lexicographic (site, state) order.  With both strategies fixed the game
+    is a Markov reward chain, so each pair's value is the least or greatest
+    solution of a linear system: the pairs are solved
+    :data:`PAIRS_PER_BATCH` at a time by :func:`_solve_pairs`.  Nothing
+    iterates, so ``cfg``, kept for callers that pass one, changes nothing.
+    A formula ``evaluate`` rejects raises the same entry error here.
     """
-    cfg = cfg or EvalConfig()
     phi = inst.phi
     model = inst.model
     n = model.space.size
@@ -255,19 +368,15 @@ def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteFor
     if bits > MAX_STRATEGY_BITS:
         raise StrategySpaceError(
             f"strategy space has 2^{bits} tuples, budget is 2^{MAX_STRATEGY_BITS}")
+    check_entry(phi, model.valuation, "reject")
 
     n_min, n_max = 2 ** (mins * n), 2 ** (maxs * n)
     table = np.empty((n_min * n_max, n))
     for start in range(0, len(table), PAIRS_PER_BATCH):
         pairs = np.arange(start, min(start + PAIRS_PER_BATCH, len(table)))
-        report = evaluate_batch(phi, model,
-                                _tuple_choices(pairs // n_max, mins, n),
-                                _tuple_choices(pairs % n_max, maxs, n), cfg)
-        if not report.converged:
-            raise NotConvergedError(
-                f"brute force did not converge within {cfg.max_iterations} "
-                "iterations for some strategy pair")
-        table[start:start + len(pairs)] = report.result
+        table[start:start + len(pairs)] = _solve_pairs(
+            phi, model, _tuple_choices(pairs // n_max, mins, n),
+            _tuple_choices(pairs % n_max, maxs, n))
     table = table.reshape(n_min, n_max, n)
 
     max_first = table.max(axis=1)          # best Max reply per Min tuple
@@ -318,8 +427,8 @@ def crosscheck(count: int, seed: int, bounds: InstanceBounds | None = None,
     """Run the minimax = maximin = denotation check over random instances.
 
     ``evaluate_fn`` is an injection point for fault testing; it defaults to
-    the real evaluator.  An instance whose brute force or evaluation does
-    not converge fails with a message saying so, not with a value gap.  On
+    the real evaluator.  An instance whose evaluation does not converge
+    fails with a message saying so, not with a value gap.  On
     failure the instance is dumped (model file plus formula text) for replay
     when ``dump_dir`` is given.  ``tolerance`` must be finite and positive:
     a NaN one would pass every instance and a negative one fail every one.
@@ -334,20 +443,16 @@ def crosscheck(count: int, seed: int, bounds: InstanceBounds | None = None,
     for i in range(count):
         inst = random_instance([seed, i], bounds)
         message = None
-        try:
-            result = brute_minimax(inst, cfg)
-        except NotConvergedError as exc:
-            message = f"instance {i}: {exc}"
-        else:
-            report = evaluate_fn(inst.phi, inst.model, cfg)
-            gap_mm = float(np.max(np.abs(result.minimax - result.maximin)))
-            gap_de = float(np.max(np.abs(result.minimax - report.result)))
-            if not report.converged:
-                message = (f"instance {i}: evaluate did not converge within "
-                           f"{cfg.max_iterations} iterations")
-            elif gap_mm > tolerance or gap_de > tolerance:
-                message = (f"instance {i}: |minimax - maximin| = {gap_mm:.3e}, "
-                           f"|minimax - evaluate| = {gap_de:.3e}")
+        result = brute_minimax(inst, cfg)
+        report = evaluate_fn(inst.phi, inst.model, cfg)
+        gap_mm = float(np.max(np.abs(result.minimax - result.maximin)))
+        gap_de = float(np.max(np.abs(result.minimax - report.result)))
+        if not report.converged:
+            message = (f"instance {i}: evaluate did not converge within "
+                       f"{cfg.max_iterations} iterations")
+        elif gap_mm > tolerance or gap_de > tolerance:
+            message = (f"instance {i}: |minimax - maximin| = {gap_mm:.3e}, "
+                       f"|minimax - evaluate| = {gap_de:.3e}")
         if message is not None:
             dump_paths = ()
             if dump_dir is not None:

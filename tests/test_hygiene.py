@@ -237,3 +237,94 @@ def test_the_json_dump_guard_sees_every_spelling():
               "    put(doc, fh)\n"
               "    pickle.dump(doc, fh)\n")
     assert json_dump_calls(source) == [5, 7, 8]
+
+
+#: What ``oracle.py`` may import from the evaluator: the brute force solves
+#: each strategy pair apart from the denotation it checks.
+ORACLE_MAY_IMPORT = {"EvalConfig", "evaluate"}
+
+
+def evaluator_imports(source: str) -> list[str]:
+    """The names a module of ``qmu`` imports from ``qmu.evaluator``, by line.
+
+    An import of the module itself, under any name, gives ``"evaluator"``:
+    through it every name is in reach.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, "evaluator") for alias in node.names
+                         if alias.name == "qmu.evaluator")
+        elif isinstance(node, ast.ImportFrom):
+            module = "qmu" if node.level else node.module
+            if node.level and node.module:
+                module += "." + node.module
+            if module == "qmu.evaluator":
+                found.extend((node.lineno, alias.name) for alias in node.names)
+            elif module == "qmu":
+                found.extend((node.lineno, "evaluator") for alias in node.names
+                             if alias.name == "evaluator")
+    return [name for _, name in sorted(found, key=lambda item: item[0])]
+
+
+def test_oracle_imports_only_the_evaluators_entry_point():
+    source = (Path(qmu.__file__).parent / "oracle.py").read_text()
+    assert [name for name in evaluator_imports(source)
+            if name not in ORACLE_MAY_IMPORT] == []
+
+
+def test_the_evaluator_import_guard_sees_every_spelling():
+    source = ("from __future__ import annotations\n"
+              "from .evaluator import EvalConfig, evaluate, evaluate_batch\n"
+              "from qmu.evaluator import NotConvergedError as Late\n"
+              "from . import evaluator\n"
+              "from qmu import evaluator as ev, formula\n"
+              "import qmu.evaluator\n"
+              "from .formula import check_entry\n"
+              "def f():\n    from .evaluator import _Plan\n")
+    assert [name for name in evaluator_imports(source)
+            if name not in ORACLE_MAY_IMPORT] == [
+        "evaluate_batch", "NotConvergedError", "evaluator", "evaluator",
+        "evaluator", "_Plan"]
+
+
+def linalg_lines(source: str) -> list[int]:
+    """Lines that name ``linalg``: an attribute, a name, a string or an import.
+
+    The evaluator keeps linear solves out, so the oracle's direct solve
+    shares no method with it.
+    """
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Constant):
+            names = [node.value]
+        else:
+            continue
+        if "linalg" in names:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_evaluator_solves_no_linear_system():
+    source = (Path(qmu.__file__).parent / "evaluator.py").read_text()
+    assert linalg_lines(source) == []
+
+
+def test_the_linalg_guard_sees_every_spelling():
+    source = ("import numpy as np\n"
+              "import numpy.linalg\n"
+              "from numpy import linalg as la\n"
+              "from numpy.linalg import solve\n"
+              "def f(a, b):\n"
+              "    x = np.linalg.solve(a, b)\n"
+              "    y = getattr(np, 'linalg').inv(a)\n"
+              "    return linalg, np.dot(a, b)\n")
+    assert linalg_lines(source) == [2, 3, 4, 6, 7, 8]

@@ -1,17 +1,27 @@
 """Brute-force enumeration oracle and random instance generation."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qmu.core import validate
-from qmu.evaluator import EvalConfig, EvalReport, NotConvergedError, evaluate
-from qmu.formula import MaxJ, MinJ, Mu, Nu, alpha_equal, choice_sites, parse, reduce
+import brute_reference
+from qmu.core import (
+    EPS_REPR, Model, StateSpace, Valuation, halt_payoff, transition, validate,
+)
+from qmu.evaluator import (
+    EvalConfig, EvalReport, EvaluationError, FixNotSupportedError,
+    NotConvergedError, UnresolvedSymbolError, evaluate,
+)
+from qmu.formula import (
+    Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Nu, Var, alpha_equal,
+    choice_sites, parse, reduce,
+)
 from qmu.modelio import load_model
 from qmu.oracle import (
-    _TEMPLATES, InstanceBounds, StrategySpaceError, TinyInstance,
-    brute_minimax, crosscheck, random_instance,
+    _TEMPLATES, InstanceBounds, StrategySpaceError, TinyInstance, _solve_pairs,
+    _tuple_choices, brute_minimax, crosscheck, random_instance,
 )
 from qmu.strategy import MemorilessStrategy
 from specialize_reference import specialize, specialized_model
@@ -52,6 +62,109 @@ def per_pair_brute_minimax(inst):
     i0, j0 = int(np.argmin(min_gaps)), int(np.argmin(max_gaps))
     return (table, _choices(min_tuples[i0], mins, n), _choices(max_tuples[j0], maxs, n),
             float(min_gaps[i0]), float(max_gaps[j0]))
+
+
+def _affine_sum(terms):
+    """The sum of ``(scale, form)`` terms, forms being ``{key: Fraction}``."""
+    out = {}
+    for scale, form in terms:
+        for key, value in form.items():
+            out[key] = out.get(key, 0) + scale * value
+    return out
+
+
+def exact_pair_value(inst, min_bits, max_bits):
+    """One strategy pair's value in exact rationals over the stored floats.
+
+    Each subformula is, at every state, an affine form ``{key: Fraction}``
+    in the binder variables (key ``(var, state)``) plus a constant (key
+    ``None``).  A binder's rows that cannot reach a row whose own
+    coefficients sum below ``1 - EPS_REPR`` take 0 under mu and 1 under nu;
+    the rest are solved by Gauss-Jordan elimination.
+    """
+    model, phi = inst.model, inst.phi
+    v, n = model.valuation, model.space.size
+    mins, maxs = choice_sites(phi)
+    choices = {MinJ: _choices(min_bits, mins, n), MaxJ: _choices(max_bits, maxs, n)}
+    top = 1 - Fraction(EPS_REPR)
+
+    def go(node):
+        if isinstance(node, Const):
+            return [{None: Fraction(float(x))} for x in v.expectations[node.name]]
+        if isinstance(node, Var):
+            return [{(node.name, s): Fraction(1)} for s in range(n)]
+        if isinstance(node, Modal):
+            t, body = v.transitions[node.transition], go(node.body)
+            return [_affine_sum([(1, {None: Fraction(t.weights.item(s))})]
+                                + [(Fraction(p), body[j]) for j, p in zip(*t.row(s))])
+                    for s in range(n)]
+        if isinstance(node, (MinJ, MaxJ)):
+            left, right = go(node.left), go(node.right)
+            mask = choices[type(node)][node.site]
+            return [left[s] if mask[s] else right[s] for s in range(n)]
+        if isinstance(node, Cond):
+            then, other = go(node.then_branch), go(node.else_branch)
+            return [then[s] if v.predicates[node.predicate][s] else other[s]
+                    for s in range(n)]
+        body, x = go(node.body), node.var
+        coef = [[body[s].pop((x, j), Fraction(0)) for j in range(n)]
+                for s in range(n)]
+        reach = {s for s in range(n) if sum(coef[s]) < top}  # the open rows
+        grown = True
+        while grown:
+            grown = False
+            for s in set(range(n)) - reach:
+                if any(coef[s][j] and j in reach for j in range(n)):
+                    reach.add(s)
+                    grown = True
+        default = {None: Fraction(int(isinstance(node, Nu)))}
+        rows = sorted(reach)
+        # [I - A | rest] over the open rows, closed columns moved right
+        system = [[int(s == j) - coef[s][j] for j in rows]
+                  + [_affine_sum([(1, body[s])] + [(coef[s][j], default)
+                                                   for j in range(n)
+                                                   if j not in reach])]
+                  for s in rows]
+        for c in range(len(rows)):
+            pivot = next(r for r in range(c, len(rows)) if system[r][c])
+            system[c], system[pivot] = system[pivot], system[c]
+            scale = system[c][c]
+            system[c] = [a / scale for a in system[c][:-1]] + [
+                _affine_sum([(1 / scale, system[c][-1])])]
+            for r in range(len(rows)):
+                if r != c and system[r][c]:
+                    f = system[r][c]
+                    system[r] = [a - f * b for a, b in zip(system[r][:-1],
+                                                           system[c][:-1])] + [
+                        _affine_sum([(1, system[r][-1]), (-f, system[c][-1])])]
+        solved = dict(zip(rows, (row[-1] for row in system)))
+        return [solved.get(s, default) for s in range(n)]
+
+    return np.clip([float(form.get(None, 0)) for form in go(phi)], 0.0, 1.0)
+
+
+def bit_identity_cases(vardi):
+    """Vardi's formula and the first instance of each template."""
+    model, phi = vardi
+    cases = [TinyInstance(model=model, phi=phi, text="", open_body=phi,
+                          free_var="W0", alternating=False, template="")]
+    first = {}
+    for trial in range(400):
+        inst = random_instance([77, trial])
+        first.setdefault(inst.template, inst)
+    assert len(first) == len(_TEMPLATES)
+    assert sum(inst.alternating for inst in first.values()) == 2
+    cases.extend(first.values())
+    return cases
+
+
+def one_state_chain(stay, weight):
+    """``mu X . <k> X`` on one state that stays with ``stay`` and pays ``weight``."""
+    model = Model(StateSpace(("s",)), Valuation(
+        transitions={"k": transition([[(0, stay)]], [weight])}))
+    phi = reduce(parse("mu X . <k> X"), model.valuation)
+    return TinyInstance(model=model, phi=phi, text="mu X . <k> X", open_body=phi,
+                        free_var="W0", alternating=False, template="")
 
 
 class TestRandomInstance:
@@ -165,20 +278,11 @@ class TestBruteMinimax:
             assert np.abs(achieved - result.minimax).max() <= 1e-6
 
     def test_bit_identical_to_per_pair_evaluation(self, vardi):
-        model, phi = vardi
-        cases = [TinyInstance(model=model, phi=phi, text="", open_body=phi,
-                              free_var="W0", alternating=False, template="")]
-        first = {}
-        for trial in range(400):
-            inst = random_instance([77, trial])
-            first.setdefault(inst.template, inst)
-        assert len(first) == len(_TEMPLATES)
-        assert sum(inst.alternating for inst in first.values()) == 2
-        cases.extend(first.values())
-        for inst in cases:
+        # the Kleene reference: every table row is that pair evaluated alone
+        for inst in bit_identity_cases(vardi):
             table, min_choices, max_choices, min_gap, max_gap = (
                 per_pair_brute_minimax(inst))
-            result = brute_minimax(inst)
+            result = brute_reference.brute_minimax(inst)
             assert np.array_equal(result.table, table), inst.template
             for got, want in ((result.min_witness.min_choices, min_choices),
                               (result.max_witness.max_choices, max_choices)):
@@ -186,6 +290,57 @@ class TestBruteMinimax:
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
             assert result.min_witness_gap == min_gap
             assert result.max_witness_gap == max_gap
+
+    def test_within_the_tolerance_of_the_kleene_reference(self, vardi):
+        for inst in bit_identity_cases(vardi):
+            table = brute_reference.brute_minimax(inst).table
+            assert np.abs(brute_minimax(inst).table - table).max() <= 1e-6, (
+                inst.template)
+
+    def test_rows_match_an_exact_rational_solve(self, vardi):
+        rng = np.random.default_rng(15)
+        for inst in bit_identity_cases(vardi):
+            n = inst.model.space.size
+            mins, maxs = choice_sites(inst.phi)
+            table = brute_minimax(inst).table
+            for _ in range(4):
+                i = int(rng.integers(table.shape[0]))
+                j = int(rng.integers(table.shape[1]))
+                min_bits = _tuple_choices(i, 1, mins * n)[0].tolist()
+                max_bits = _tuple_choices(j, 1, maxs * n)[0].tolist()
+                exact = exact_pair_value(inst, min_bits, max_bits)
+                assert np.abs(table[i, j] - exact).max() <= 1e-12, inst.template
+
+    @pytest.mark.parametrize("stay, weight, kleene", [
+        (1.0 - 1e-4, 0.5e-4, 0.49999), (1.0 - 1e-10, 1e-10, 1e-10),
+    ])
+    def test_slow_chain_solved_where_kleene_stops_early(self, stay, weight, kleene):
+        inst = one_state_chain(stay, weight)
+        t = inst.model.valuation.transitions["k"]
+        exact = t.weights[0] / (1.0 - t.probs[0])
+        result = brute_minimax(inst)
+        assert abs(result.minimax[0] - exact) <= 1e-12
+        assert abs(result.maximin[0] - exact) <= 1e-12
+        # the step-residual stop: evaluate reports convergence far from
+        # the fixpoint, and the crosscheck comparison now sees the gap
+        report = evaluate(inst.phi, inst.model)
+        assert report.converged
+        assert abs(report.result[0] - kleene) <= 1e-5 * kleene
+        assert abs(report.result[0] - result.minimax[0]) > 1e-6
+
+    def test_row_within_eps_repr_of_total_is_closed(self):
+        # validate and the game count this row as total: it never halts,
+        # so the least fixpoint is 0 and the greatest 1
+        inst = one_state_chain(1.0 - 1e-13, 1e-13)
+        t = inst.model.valuation.transitions["k"]
+        assert validate(inst.model) == [] and halt_payoff(t, 0) == 0.0
+        assert brute_minimax(inst).table.tolist() == [[[0.0]]]
+        phi = reduce(parse("nu X . <k> X"), inst.model.valuation)
+        greatest = TinyInstance(model=inst.model, phi=phi, text="", open_body=phi,
+                                free_var="W0", alternating=False, template="")
+        assert brute_minimax(greatest).table.tolist() == [[[1.0]]]
+        for case, value in ((inst, 0.0), (greatest, 1.0)):
+            assert abs(evaluate(case.phi, case.model).result[0] - value) <= 1e-9
 
     def test_sixteen_bit_instance_in_slices(self):
         inst = next(c for c in (random_instance([5, i], InstanceBounds(max_states=4))
@@ -201,14 +356,34 @@ class TestBruteMinimax:
         assert np.abs(result.minimax - evaluate(phi, inst.model).result).max() <= 1e-6
         rng = np.random.default_rng(16)
         for i, j in rng.integers(0, 256, size=(16, 2)).tolist():
+            alone = _solve_pairs(phi, inst.model, _tuple_choices([i], 2, 4),
+                                 _tuple_choices([j], 2, 4))
+            assert np.array_equal(result.table[i, j], alone[0])
             bits = [bool(int(c)) for c in f"{i:08b}{j:08b}"]
-            assert np.array_equal(result.table[i, j],
-                                  _pair_value(big, bits[:8], bits[8:]))
+            assert np.abs(result.table[i, j]
+                          - _pair_value(big, bits[:8], bits[8:])).max() <= 1e-6
 
     def test_non_convergence_raises(self):
         inst = random_instance([0, 0])
         with pytest.raises(NotConvergedError, match="did not converge"):
-            brute_minimax(inst, EvalConfig(max_iterations=2))
+            brute_reference.brute_minimax(inst, EvalConfig(max_iterations=2))
+
+    @pytest.mark.parametrize("phi, error", [
+        (Modal("t0", Var("W")), UnresolvedSymbolError),
+        (parse("<K0> a0"), EvaluationError),
+        (Modal("nope", Const("a0")), UnresolvedSymbolError),
+        (Fix(0.5, "X", Modal("t0", Var("X"))), FixNotSupportedError),
+    ], ids=["free-variable", "set-modality", "unbound-symbol", "fix-binder"])
+    def test_entry_errors_as_before(self, phi, error):
+        model = random_instance(7).model
+        inst = TinyInstance(model=model, phi=phi, text="", open_body=phi,
+                            free_var="W0", alternating=False, template="")
+        with pytest.raises(error) as before:
+            brute_reference.brute_minimax(inst)
+        with pytest.raises(error) as now:
+            brute_minimax(inst)
+        assert type(now.value) is type(before.value)
+        assert str(now.value) == str(before.value)
 
     def test_budget_exceeded(self):
         # 3 min + 3 max sites over 4 states needs 2^24 tuples
@@ -250,11 +425,18 @@ class TestCrosscheck:
             crosscheck(20, seed=2, evaluate_fn=half, tolerance=tolerance)
         assert calls == []
 
-    def test_unconverged_brute_force_is_reported_as_such(self):
-        report = crosscheck(5, 0, cfg=EvalConfig(max_iterations=2))
+    def test_short_iteration_cap_fails_only_the_denotation(self):
+        # the brute force solves each pair directly, so the cap binds
+        # evaluate alone
+        short = EvalConfig(max_iterations=2)
+        report = crosscheck(5, 0, cfg=short)
         assert report.failures
         for failure in report.failures:
-            assert "brute force did not converge" in failure.message
+            assert "evaluate did not converge" in failure.message
+        for i in range(5):
+            inst = random_instance([0, i])
+            assert np.array_equal(brute_minimax(inst, short).table,
+                                  brute_minimax(inst).table)
 
     def test_unconverged_denotation_is_reported_as_such(self):
         short = EvalConfig(max_iterations=1)

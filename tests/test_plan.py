@@ -20,16 +20,16 @@ import qmu.oracle
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate, transition
 from qmu.evaluator import (
     _ENTER, _TEST, DivergenceError, EvalConfig, EvalReport, FixpointStats,
-    _check_entry, _Frame, _Masked, _Plan, _pointwise, evaluate, evaluate_batch,
-    evaluate_fix,
+    _Frame, _Masked, _Plan, _pointwise, evaluate, evaluate_batch, evaluate_fix,
 )
 from qmu.examples import case_study_tables
 from qmu.formula import (
-    Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Nu, Var, children, choice_sites,
-    free_variables, parse, pretty_print, reduce,
+    Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Nu, Var, check_entry, children,
+    choice_sites, free_variables, parse, pretty_print, reduce,
 )
-from qmu.oracle import _TEMPLATES, brute_minimax, random_instance
+from qmu.oracle import _TEMPLATES, random_instance
 from qmu.strategy import synthesize, verify_strategy
+import brute_reference
 from generators import random_formula
 
 NEST = "nu Y . mu X . (atLeast6 /\\ <month> Y) \\/ <month> X"
@@ -115,7 +115,7 @@ class RecursiveWalker:
 
 def walk(phi, model, cfg=None, fix_policy="reject", choose=_pointwise,
          batch=None):
-    forced = _check_entry(phi, model, fix_policy)
+    forced = check_entry(phi, model.valuation, fix_policy)
     walker = RecursiveWalker(model, cfg or EvalConfig(), choose, batch, forced)
     result = np.clip(np.broadcast_to(walker.eval(phi, {}), walker.shape), 0.0, 1.0)
     return EvalReport(result=result, fixpoints=dict(walker.stats),
@@ -371,14 +371,16 @@ class TestCompaction:
 
     def test_crosscheck_batches(self, monkeypatch):
         batches = []
-        batched = qmu.oracle.evaluate_batch
+        batched = brute_reference.evaluate_batch
 
         def captured(phi, model, min_masks, max_masks, cfg=None):
             report = batched(phi, model, min_masks, max_masks, cfg)
             batches.append((phi, model, min_masks, max_masks, report))
             return report
 
-        monkeypatch.setattr(qmu.oracle, "evaluate_batch", captured)
+        monkeypatch.setattr(qmu.oracle, "brute_minimax",
+                            brute_reference.brute_minimax)
+        monkeypatch.setattr(brute_reference, "evaluate_batch", captured)
         for block in range(9):
             assert qmu.oracle.crosscheck(10, block).ok
         monkeypatch.undo()
@@ -447,12 +449,12 @@ class TestCompaction:
 
     def test_fewer_rows_reach_the_products(self, monkeypatch):
         inst = random_instance([2, 5])
-        monkeypatch.setattr(qmu.oracle, "evaluate_batch", walk_batch)
+        monkeypatch.setattr(brute_reference, "evaluate_batch", walk_batch)
         walked = count_rows(monkeypatch)
-        full = brute_minimax(inst)
+        full = brute_reference.brute_minimax(inst)
         monkeypatch.undo()
         rows = count_rows(monkeypatch)
-        result = brute_minimax(inst)
+        result = brute_reference.brute_minimax(inst)
         # the rows its 4,096 pairs feed the products solved one at a time
         assert rows[0] == 113_152 < walked[0]
         assert np.array_equal(result.table, full.table)
