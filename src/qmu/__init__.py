@@ -12,8 +12,8 @@ from .core import (
     validate,
 )
 from .evaluator import (
-    EvalConfig, EvalReport, PathStrategy, evaluate, evaluate_batch,
-    evaluate_fix, evaluate_with_strategies,
+    EvalConfig, EvalReport, PathStrategy, evaluate, evaluate_fix,
+    evaluate_with_strategies,
 )
 from .examples import one_step_advice
 from .formula import (
@@ -33,7 +33,7 @@ __all__ = [
     "InstanceBounds", "MemorilessStrategy", "Model", "PathStrategy",
     "PlayoutResult", "StateSpace", "TinyInstance", "Transition", "Valuation",
     "alpha_equal", "brute_minimax", "choice_sites", "crosscheck", "estimate",
-    "evaluate", "evaluate_batch", "evaluate_fix", "evaluate_with_strategies",
+    "evaluate", "evaluate_fix", "evaluate_with_strategies",
     "expand_tree", "expectation", "fingerprint", "halt_payoff", "load_strategy",
     "one_step_advice", "parse", "play", "pre_expectation", "predicate",
     "pretty_print", "random_instance", "reduce", "save_strategy", "synthesize",

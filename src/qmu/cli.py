@@ -72,11 +72,8 @@ def cmd_eval(args) -> int:
             "values": {model.space.labels[s]: scale * float(report.result[s])
                        for s in states},
             "converged": report.converged,
-            "fixpoints": {name: {"iterations": st.iterations,
-                                 "residual": st.residual,
-                                 "converged": st.converged,
-                                 "solves": st.solves,
-                                 "total_iterations": st.total_iterations}
+            "fixpoints": {name: {key: value for key, value in vars(st).items()
+                                 if key != "binder"}
                           for name, st in report.fixpoints.items()},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))

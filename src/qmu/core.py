@@ -199,6 +199,48 @@ class Transition:
             arr.setflags(write=False)
         return idx, pr, tail
 
+    @cached_property
+    def _recurrent(self) -> np.ndarray:
+        """The states of the bottom strongly connected components (Tarjan's,
+        on an explicit stack) whose rows all reach ``1 - EPS_REPR``, the rule
+        :func:`validate` uses for total rows, as a read-only mask.  A run of
+        this transition that never halts ends in them with probability one."""
+        n = self.n_states
+        keep = self.probs > 0.0
+        src, dst = self._sources[keep], self.indices[keep]
+        ptr = np.searchsorted(src, np.arange(n + 1)).tolist()
+        succ = dst.tolist()
+        index, low, comp = [-1] * n, [0] * n, [-1] * n
+        stack: list[int] = []
+        count = 0
+        for root in range(n):
+            work = [[root, ptr[root]]] if index[root] < 0 else []
+            while work:
+                s, e = frame = work[-1]
+                if index[s] < 0:
+                    index[s] = low[s] = count
+                    count += 1
+                    stack.append(s)
+                if e < ptr[s + 1]:
+                    frame[1] = e + 1
+                    u = succ[e]
+                    if index[u] < 0:
+                        work.append([u, ptr[u]])
+                    elif comp[u] < 0:  # on the stack
+                        low[s] = min(low[s], index[u])
+                    continue
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[s])
+                while low[s] == index[s] and comp[s] < 0:
+                    comp[stack.pop()] = s  # a component is named by its root
+        comp = np.array(comp)
+        leaving = comp[src[comp[src] != comp[dst]]]
+        leaking = comp[_row_mass(self) < 1.0 - EPS_REPR]
+        recurrent = ~np.isin(comp, np.concatenate((leaving, leaking)))
+        recurrent.setflags(write=False)
+        return recurrent
+
 
 def _row_mass(t: Transition) -> np.ndarray:
     """Successor probability of every state, summed in edge order."""
@@ -337,31 +379,29 @@ def pre_expectation(t: Transition, s: int, post: np.ndarray) -> float:
 def pre_expectation_all(t: Transition, post: np.ndarray) -> np.ndarray:
     """Vectorised :func:`pre_expectation` over every state, in O(edges).
 
-    ``post`` is one finite expectation of shape ``(n,)`` or a batch of shape
-    ``(B, n)``, one expectation per row.  The product gathers ``post`` through
-    the slot table :attr:`Transition._slots` and adds the tail edges with
+    The product gathers the finite expectation ``post`` through the slot
+    table :attr:`Transition._slots` and adds the tail edges with
     ``np.add.at``.  Each output cell starts from 0.0, adds its edges' terms
     one by one in edge order and then its weight; an empty slot adds
-    ``0 * post[0]``, a zero for finite ``post``, which changes no sum.  So
-    every row of a batched product is bit-identical to the product of that
-    row alone.
+    ``0 * post[0]``, a zero for finite ``post``, which changes no sum.
     """
     idx, pr, (sources, targets, probs) = t._slots
-    if post.ndim == 1:
-        terms = post.take(idx)
-        terms *= pr
-        out = np.add.reduce(terms, axis=0)
-    else:
-        # one pass per slot: a (B, K, n) gather outgrows the cache for wide B
-        out = np.zeros(post.shape)
-        for k in range(len(idx)):
-            terms = post.take(idx[k], axis=1)
-            terms *= pr[k]
-            out += terms
+    terms = post.take(idx)
+    terms *= pr
+    out = np.add.reduce(terms, axis=0)
     if len(sources):
-        np.add.at(out, (..., sources), probs * post[..., targets])
+        np.add.at(out, sources, probs * post[targets])
     out += t.weights
     return out
+
+
+def pre_support(t: Transition, post: np.ndarray) -> np.ndarray:
+    """1.0 where the weight is positive or some positive edge enters the
+    support of ``post``, else 0.0: the support of a product."""
+    idx, pr, (sources, targets, probs) = t._slots
+    hit = ((post.take(idx) * pr) > 0.0).any(axis=0)
+    hit[sources[(post[targets] > 0.0) & (probs > 0.0)]] = True
+    return (hit | (t.weights > 0.0)).astype(np.float64)
 
 
 def halt_payoff(t: Transition, s: int) -> float:

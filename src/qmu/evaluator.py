@@ -11,15 +11,18 @@ vector steps, without recursion; a subformula that does not mention a
 binder's variable is computed once per iterate of the binders around it,
 before that binder's loop, instead of on every iterate of the loop.
 
+A support pass first finds the states where a closed binder containing a
+``nu`` is exactly 0, which Kleene iteration from 1 only approaches, and its
+loop holds them at 0.  Where the binder's modalities name one transition and
+its variables are guarded, play leaves the transient states with probability
+one, so there a ``nu`` is a ``mu`` (de Alfaro 1997; Baier and Katoen 2008,
+ch. 10); elsewhere it keeps its finite-stage support.
+
 The strategy-extended semantics resolves junctions by consulting a pair of
 strategy functions instead of taking min/max: the plan applies a memoriless
 strategy's choice masks at the junctions, otherwise the formula is unfolded
 to a bounded depth with truncated fixpoints contributing their binder's
-default (0 for ``mu``, 1 for ``nu``).  :func:`evaluate_batch` solves many
-memoriless strategy pairs at once, one row of a ``(B, n)`` expectation per
-pair, each row with its own stopping test.  A row leaves its loop at the
-iterate where it stops and keeps that value; its last step still counts
-towards the loop's reported residual, that of its slowest row.
+default (0 for ``mu``, 1 for ``nu``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Model, pre_expectation_all
+from .core import Model, pre_expectation_all, pre_support
 from .formula import (
     Cond, Const, EvaluationError, Fix, FixNotSupportedError, MaxJ, MinJ, Modal,
     Mu, NondeterministicFixBodyError, Node, Nu, UnresolvedSymbolError, Var,
@@ -42,8 +45,7 @@ __all__ = [
     "DivergenceError", "EvalConfig", "EvalReport", "EvaluationError",
     "FixNotSupportedError", "FixpointStats", "NondeterministicFixBodyError",
     "NotConvergedError", "PathStrategy", "UnresolvedSymbolError",
-    "converged_walk", "evaluate", "evaluate_batch", "evaluate_fix",
-    "evaluate_with_strategies",
+    "converged_walk", "evaluate", "evaluate_fix", "evaluate_with_strategies",
 ]
 
 
@@ -81,10 +83,8 @@ class FixpointStats:
     ``iterations`` and ``residual`` are those of its most recent solve,
     ``solves`` counts its solves and ``total_iterations`` sums the
     iterations of all of them; ``converged`` holds only if every solve
-    converged.  In a batched evaluation ``iterations`` and ``residual`` are
-    those of the slowest row, rows that left their loop at the iterate
-    where they stopped included, and ``converged`` holds only if every row
-    converged.
+    converged.  ``decided`` counts the states the support pass fixed at 0
+    for the binder: 0 unless it is closed and contains a ``nu``.
     """
 
     binder: str
@@ -93,6 +93,7 @@ class FixpointStats:
     converged: bool
     solves: int
     total_iterations: int
+    decided: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +175,7 @@ def _pointwise(node: Node, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 class _Masked:
     """Junction rule taking the left 'junct where a site's mask holds.
 
-    A side whose masks are ``None`` stays adversarial.  Batched masks have
-    shape ``(sites, B, n)``; :meth:`narrow` keeps some of the ``B`` rows.
+    A side whose masks are ``None`` stays adversarial.
     """
 
     def __init__(self, min_masks, max_masks):
@@ -188,15 +188,16 @@ class _Masked:
             return _pointwise(node, left, right)
         return np.where(masks[node.site], left, right)
 
-    def narrow(self, rows: np.ndarray) -> "_Masked":
-        return _Masked(*(None if masks is None else masks[:, rows]
-                         for masks in (self.min_masks, self.max_masks)))
-
 
 #: Plan step kinds.  A step is a tuple whose first item is its kind; loops
 #: are bracketed by an ``_ENTER`` and a ``_TEST`` step that share a
 #: :class:`_Loop`.
 _PRODUCT, _JUNCTION, _COND, _ENTER, _TEST = range(5)
+
+#: What a subformula contains, as bits: a ``nu``, a ``fix(x)``, a binder
+#: whose variable occurs in its body outside every modality.
+_HAS_NU, _HAS_FIX, _UNGUARDED = 1, 2, 4
+_NONE: frozenset = frozenset()
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +207,9 @@ class _Loop:
     ``drop_body`` says that the test is the only reader of the body's
     register.  ``length`` counts the body steps between the loop's
     ``_ENTER`` and ``_TEST``, so the test jumps back by that much.
-    ``reads`` holds the registers, other than constants and the loop's own,
-    that its body (inner loops included) or its test reads but does not
-    write: those a batched loop narrows with its rows.
+    ``decides`` marks a closed binder containing a ``nu`` and no ``fix``,
+    whose zeros the support pass decides; ``bottom`` holds the closed bottom
+    states of its one transition when the transient rule holds for it.
     """
 
     var: str
@@ -218,56 +219,8 @@ class _Loop:
     seed: float
     forced: bool
     length: int
-    reads: tuple[int, ...]
-
-
-class _Frame:
-    """A running loop: the width it was entered with, the iteration count
-    and, for a forced ``fix(x)``, its residual window.
-
-    Once rows have left it, ``rows`` maps its rows to those it was entered
-    with, ``full`` holds the iterate at that width, ``saved`` the registers
-    and ``choose`` the junction rule it narrowed, and ``stopped`` the
-    largest last step of the rows that left.
-    """
-
-    def __init__(self, width: tuple, window: deque | None):
-        self.width = width
-        self.iterations = 0
-        self.window = window
-        self.rows: np.ndarray | None = None
-        self.full = None
-        self.saved: list = []
-        self.choose = None
-        self.stopped = -np.inf
-
-    def narrow(self, loop: _Loop, regs: list, change: np.ndarray,
-               going: np.ndarray, choose):
-        """Go on with the rows still going; returns their junction rule."""
-        keep = np.flatnonzero(going)
-        cur = regs[loop.register]
-        if self.rows is None:
-            self.rows, self.full, self.choose = keep, cur, choose
-            self.saved = [(r, regs[r]) for r in loop.reads if np.ndim(regs[r]) > 1]
-        else:
-            self.full[self.rows] = cur
-            self.rows = self.rows[keep]
-        self.stopped = float(np.max(change[~going], initial=self.stopped))
-        regs[loop.register] = cur[keep]
-        for r, _ in self.saved:
-            regs[r] = regs[r][keep]
-        return choose.narrow(keep)
-
-    def widen(self, loop: _Loop, regs: list, choose):
-        """Scatter the iterate back to the width the loop was entered with
-        and restore what it narrowed; returns the junction rule."""
-        if self.rows is None:
-            return choose
-        self.full[self.rows] = regs[loop.register]
-        regs[loop.register] = self.full
-        for r, value in self.saved:
-            regs[r] = value
-        return self.choose
+    decides: bool
+    bottom: np.ndarray | None
 
 
 class _Plan:
@@ -297,20 +250,21 @@ class _Plan:
         blocks: list[list] = [[]]  # blocks[d + 1]: the loop body at depth d
         scope: dict[str, tuple[int, int]] = {}  # name -> (depth, register)
         # (register, free depths as bits, whether it holds a step's result:
-        # not a constant or a variable, so its parent is its one reader)
-        done: list[tuple[int, int, bool]] = []
+        # not a constant or a variable, so its parent is its one reader,
+        # depths occurring outside every modality, transitions, kinds)
+        done: list[tuple] = []
         binders: list[str] = []
         todo: list = [(phi, None)]
         while todo:
             node, entered = todo.pop()
             if isinstance(node, Var):
                 depth, register = scope[node.name]
-                done.append((register, 1 << depth, False))
+                done.append((register, 1 << depth, False, 1 << depth, _NONE, 0))
                 continue
             if isinstance(node, Const):
                 if node.name not in consts:
                     consts[node.name] = self._register(v.expectations[node.name])
-                done.append((consts[node.name], 0, False))
+                done.append((consts[node.name], 0, False, 0, _NONE, 0))
                 continue
             kids = children(node)
             if entered is None:
@@ -323,36 +277,50 @@ class _Plan:
                 continue
             operands = done[len(done) - len(kids):]
             del done[len(done) - len(kids):]
-            free = 0
-            for _, bits, _ in operands:
+            free = unguarded = kinds = 0
+            names = _NONE
+            for _, bits, _, loose, used, found in operands:
                 free |= bits
-            regs = [register for register, _, _ in operands]
+                unguarded |= loose
+                names |= used
+                kinds |= found
+            regs = [operand[0] for operand in operands]
             if isinstance(node, (Mu, Nu, Fix)):
                 outer, register = entered
                 body = blocks.pop()
                 depth = len(blocks) - 1
-                free &= ~(1 << depth)
+                own = 1 << depth
+                free &= ~own
+                kinds |= ((_HAS_NU if isinstance(node, Nu) else 0)
+                          | (_HAS_FIX if isinstance(node, Fix) else 0)
+                          | (_UNGUARDED if unguarded & own else 0))
+                unguarded &= ~own
                 if outer is None:
                     del scope[node.var]
                 else:
                     scope[node.var] = outer
                 seed = (0.0 if isinstance(node, Mu) else 1.0
                         if isinstance(node, Nu) else float(node.start))
+                decides = free == 0 and kinds & (_HAS_NU | _HAS_FIX) == _HAS_NU
+                bottom = (v.transitions[next(iter(names))]._recurrent
+                          if decides and len(names) == 1
+                          and not kinds & _UNGUARDED else None)
                 # a body step in this loop has no other reader than the test
-                _, bits, result = operands[0]
+                _, bits, result, *_ = operands[0]
                 loop = _Loop(node.var, register, regs[0],
                              result and bool(bits >> depth & 1), seed,
-                             id(node) in forced, len(body),
-                             self._outside_reads(body, register, regs[0]))
+                             id(node) in forced, len(body), decides, bottom)
                 steps = [(_ENTER, loop), *body, (_TEST, loop)]
                 binders.append(node.var)
             else:
                 # operand results computed in this block have no other reader
-                mine = [register for register, bits, result in operands
+                mine = [register for register, bits, result, *_ in operands
                         if result and bits.bit_length() == free.bit_length()]
                 register = mine[0] if mine else self._register()
                 drop = mine[1] if len(mine) > 1 else None
                 if isinstance(node, Modal):
+                    unguarded = 0
+                    names |= {node.transition}
                     steps = [(_PRODUCT, register, v.transitions[node.transition],
                               regs[0])]
                 elif isinstance(node, Cond):
@@ -361,8 +329,8 @@ class _Plan:
                 else:
                     steps = [(_JUNCTION, register, node, *regs, drop)]
             blocks[free.bit_length()].extend(steps)
-            done.append((register, free, True))
-        (self.out, _, _), = done
+            done.append((register, free, True, unguarded, names, kinds))
+        (self.out, *_), = done
         self.steps = blocks[0]
         # each binder's first solve ends in postorder when nothing is hoisted
         self.binders = tuple(dict.fromkeys(binders))
@@ -371,42 +339,74 @@ class _Plan:
         self.registers.append(value)
         return len(self.registers) - 1
 
-    def _outside_reads(self, body: list, register: int,
-                       result: int) -> tuple[int, ...]:
-        """Registers other than constants that a loop reads but does not
-        write: those its ``body`` steps read and its test's ``result``,
-        the loop's own ``register`` excepted."""
-        reads = {result}
-        written = {register}
-        for step in body:
-            if step[0] == _ENTER:
-                reads.update(step[1].reads)
-                written.add(step[1].register)
-            elif step[0] != _TEST:
-                # a step's operand registers: one for a product, two otherwise
-                reads.update(step[3:5])
-                written.add(step[1])
-        return tuple(sorted(r for r in reads - written
-                            if self.registers[r] is None))
+    def decide(self, choose) -> dict[_Loop, np.ndarray]:
+        """The support pass: the deciding loops whose binder is exactly 0
+        somewhere, with those states.
 
-    def run(self, cfg: EvalConfig, choose, batch: int | None) -> EvalReport:
+        The steps run on 0/1 vectors, products by :func:`~qmu.core.pre_support`,
+        each loop from its seed's support until nothing changes.  Under a
+        closed binder with a ``bottom``, a ``nu`` first iterates down from 1
+        on those states, which read only each other, the rest held at 0;
+        then, those frozen, it iterates the rest up from 0, as a ``mu``.
+        """
+        if not any(step[0] == _ENTER and step[1].decides for step in self.steps):
+            return {}
+        regs = [None if r is None else (r > 0.0).astype(np.float64)
+                for r in self.registers]
+        # per running loop: its closed bottom states, if the transient rule
+        # holds, and whether a nu is still solving them
+        frames: list[list] = []
+        zeros: dict[_Loop, np.ndarray] = {}
+        pc = 0
+        while pc < len(self.steps):
+            step = self.steps[pc]
+            kind = step[0]
+            if kind == _PRODUCT:
+                regs[step[1]] = pre_support(step[2], regs[step[3]])
+            elif kind == _JUNCTION:
+                regs[step[1]] = choose(step[2], regs[step[3]], regs[step[4]])
+            elif kind == _COND:
+                regs[step[1]] = np.where(step[2], regs[step[3]], regs[step[4]])
+            elif kind == _ENTER:
+                loop = step[1]
+                # only a closed binder's loop runs outside every other loop
+                bottom = frames[-1][0] if frames else loop.bottom
+                # no fix(1) runs under a bottom, so a seed of 1 is a nu's
+                first = bottom is not None and loop.seed == 1.0
+                frames.append([bottom, first])
+                regs[loop.register] = (bottom.astype(np.float64) if first else
+                                       np.full(self.n, float(loop.seed > 0.0)))
+            else:
+                loop = step[1]
+                bottom, first = frames[-1]
+                new = np.where(bottom, regs[loop.body], 0.0) if first else regs[loop.body]
+                same = np.array_equal(new, regs[loop.register])
+                if first or not same:
+                    # once the bottom states stop, the rest iterate upward
+                    frames[-1][1] = first and not same
+                    regs[loop.register] = new
+                    pc -= loop.length
+                    continue
+                frames.pop()
+                if loop.decides and not new.all():
+                    zeros[loop] = new == 0.0
+            pc += 1
+        return zeros
+
+    def run(self, cfg: EvalConfig, choose,
+            zeros: dict[_Loop, np.ndarray]) -> EvalReport:
         """Execute the steps with junction rule ``choose``.
 
         ``choose(node, left, right)`` resolves each min/max node from its
-        operand expectations.  With ``batch`` set, every iterate is
-        ``(batch, n)``, one row per strategy pair; constants and predicates
-        stay ``(n,)`` and broadcast.  Every row of a running loop is still
-        iterating: at the iterate where a row stops, the loop goes on without
-        it, through ``choose.narrow(rows)``.  Every row's arithmetic is
-        elementwise, so a row's values do not depend on the width.
+        operand expectations.  A loop in ``zeros`` is seeded with 0 at the
+        states its mask holds and reset to 0 there after every step.
         """
         tol = cfg.tolerance
         regs = list(self.registers)
         steps = self.steps
-        # The rows of the innermost running loop, all still iterating: no
-        # rows unbatched, a loop starts with its enclosing loop's rows.
-        width = () if batch is None else (batch,)
-        frames: list[_Frame] = []
+        # per running loop: its iteration count, its residual window for a
+        # forced fix(x), and the states the support pass fixed at 0
+        frames: list[list] = []
         stats: dict[str, FixpointStats] = {}
         pc = 0
         end = len(steps)
@@ -425,26 +425,25 @@ class _Plan:
                     regs[step[5]] = None
             elif kind == _ENTER:
                 loop = step[1]
-                regs[loop.register] = np.full((*width, self.n), loop.seed)
-                window = (deque(maxlen=_DIVERGENCE_WINDOW + 1) if loop.forced
-                          else None)
-                frames.append(_Frame(width, window))
+                decided = zeros.get(loop)
+                regs[loop.register] = (np.full(self.n, loop.seed) if decided is None
+                                       else np.where(decided, 0.0, loop.seed))
+                frames.append([0, deque(maxlen=_DIVERGENCE_WINDOW + 1)
+                               if loop.forced else None, decided])
             else:
                 loop = step[1]
                 frame = frames[-1]
+                iterations, window, decided = frame
                 new = np.clip(regs[loop.body], 0.0, 1.0)
                 if loop.drop_body:
                     regs[loop.body] = None
-                # A row stops after its own first step within tolerance,
-                # where evaluating it alone would stop, and keeps that value.
-                # A NaN step stops the loop at once, so ``frame.stopped``
-                # never holds one.
-                change = np.abs(new - regs[loop.register]).max(axis=-1)
+                if decided is not None:
+                    new[decided] = 0.0
+                # a NaN step stops the loop at once
+                residual = float(np.abs(new - regs[loop.register]).max())
                 regs[loop.register] = new
-                frame.iterations += 1
-                residual = max(float(change.max()), frame.stopped)
+                frame[0] = iterations = iterations + 1
                 if residual > tol:
-                    window = frame.window
                     if window is not None:
                         window.append(residual)
                         if (len(window) == _DIVERGENCE_WINDOW + 1
@@ -454,30 +453,19 @@ class _Plan:
                                 f"fix({loop.seed}) iteration for {loop.var!r} "
                                 "shows non-decreasing residual over "
                                 f"{_DIVERGENCE_WINDOW} iterates")
-                    if frame.iterations < cfg.max_iterations:
-                        going = change > tol
-                        if not going.all():
-                            choose = frame.narrow(loop, regs, change, going,
-                                                  choose)
-                            width = (np.count_nonzero(going),)
+                    if iterations < cfg.max_iterations:
                         pc -= loop.length
                         continue
                 frames.pop()
-                choose = frame.widen(loop, regs, choose)
-                width = frame.width
-                prev = stats.get(loop.var)
+                prev = stats.get(loop.var) or FixpointStats(loop.var, 0, 0.0,
+                                                             True, 0, 0)
                 stats[loop.var] = FixpointStats(
-                    binder=loop.var,
-                    iterations=frame.iterations,
-                    residual=residual,
-                    converged=residual <= tol and (prev.converged if prev else True),
-                    solves=(prev.solves if prev else 0) + 1,
-                    total_iterations=((prev.total_iterations if prev else 0)
-                                      + frame.iterations),
-                )
+                    loop.var, iterations, residual,
+                    residual <= tol and prev.converged, prev.solves + 1,
+                    prev.total_iterations + iterations,
+                    0 if decided is None else int(np.count_nonzero(decided)))
             pc += 1
-        shape = (self.n,) if batch is None else (batch, self.n)
-        result = np.clip(np.broadcast_to(regs[self.out], shape), 0.0, 1.0)
+        result = np.clip(regs[self.out], 0.0, 1.0)
         result.setflags(write=False)
         fixpoints = {var: stats[var] for var in self.binders}
         return EvalReport(result=result, fixpoints=fixpoints,
@@ -485,9 +473,11 @@ class _Plan:
 
 
 def _run(phi: Node, model: Model, cfg: EvalConfig | None, fix_policy: str,
-         choose=_pointwise, batch: int | None = None) -> EvalReport:
+         choose=_pointwise, support=None) -> EvalReport:
+    """Compile and run ``phi``; the support pass takes ``support or choose``."""
     forced = check_entry(phi, model.valuation, fix_policy)
-    return _Plan(phi, model, forced).run(cfg or EvalConfig(), choose, batch)
+    plan = _Plan(phi, model, forced)
+    return plan.run(cfg or EvalConfig(), choose, plan.decide(support or choose))
 
 
 def evaluate(phi: Node, model: Model, cfg: EvalConfig | None = None) -> EvalReport:
@@ -522,34 +512,7 @@ def converged_walk(phi: Node, model: Model, cfg: EvalConfig | None,
         on_junction(node, left, right)
         return _pointwise(node, left, right)
 
-    return _run(phi, model, cfg, "reject", choose)
-
-
-def evaluate_batch(phi: Node, model: Model, min_masks: np.ndarray,
-                   max_masks: np.ndarray, cfg: EvalConfig | None = None) -> EvalReport:
-    """Evaluate under a batch of memoriless strategy pairs in one pass.
-
-    ``min_masks`` has shape ``(min sites, B, n)`` and ``max_masks`` shape
-    ``(max sites, B, n)``: ``min_masks[site, b]`` is pair ``b``'s choice at
-    that min site, true where it takes the left 'junct.  The result has
-    shape ``(B, n)``.  Each row iterates every binder with its own stopping
-    test, so row ``b`` is bit-identical to evaluating the formula with pair
-    ``b``'s choices alone.  A row leaves a loop at the iterate where it
-    stops; each binder's ``iterations`` and ``residual`` are still those of
-    its slowest row, those that left included.  The report's ``converged``
-    holds only if every row converged.
-    """
-    min_masks = np.asarray(min_masks, dtype=bool)
-    max_masks = np.asarray(max_masks, dtype=bool)
-    mins, maxs = choice_sites(phi)
-    n = model.space.size
-    batch = min_masks.shape[1] if min_masks.ndim == 3 else 0
-    if (batch < 1 or min_masks.shape != (mins, batch, n)
-            or max_masks.shape != (maxs, batch, n)):
-        raise ValueError(
-            f"masks of shapes {min_masks.shape} and {max_masks.shape} do not fit "
-            f"{mins} min and {maxs} max sites over {n} states")
-    return _run(phi, model, cfg, "reject", _Masked(min_masks, max_masks), batch)
+    return _run(phi, model, cfg, "reject", choose, _pointwise)
 
 
 def evaluate_with_strategies(

@@ -18,6 +18,7 @@ short.  The enumeration order is fixed so failures reproduce exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,10 +84,17 @@ class TinyInstance:
     model: Model
     phi: Node
     text: str
-    open_body: Node      # reduced body with one free variable, for property tests
     free_var: str
     alternating: bool    # nested mu/nu of opposite kinds
     template: str
+    body_text: str = ""  # a body over ``free_var``, for property tests
+
+    @cached_property
+    def open_body(self) -> Node:
+        """``body_text`` reduced and site-assigned, built on first use."""
+        wrapped = reduce(parse(f"mu {self.free_var} . {self.body_text}"),
+                         self.model.valuation)
+        return assign_sites(wrapped.body)
 
 
 # Formula templates; {a}/{b} are expectation symbols, {k}/{k2} transitions,
@@ -151,12 +159,6 @@ def _random_transition(rng, n: int, mass_cap: float, nested: bool):
     return transition(rows, weights)
 
 
-def _parse_open(text: str, free_var: str, valuation: Valuation) -> Node:
-    """Parse and reduce a body with one free variable via a throwaway binder."""
-    wrapped = reduce(parse(f"mu {free_var} . {text}"), valuation)
-    return assign_sites(wrapped.body)
-
-
 def random_instance(seed, bounds: InstanceBounds | None = None) -> TinyInstance:
     """Deterministically generate a valid TinyInstance from a seed.
 
@@ -209,11 +211,9 @@ def random_instance(seed, bounds: InstanceBounds | None = None) -> TinyInstance:
     phi = reduce(parse(text), valuation)
 
     body_tmpl = _OPEN_BODIES[int(rng.integers(0, len(_OPEN_BODIES)))]
-    open_body = _parse_open(body_tmpl.format(**picks), "W0", valuation)
-
-    return TinyInstance(model=model, phi=phi, text=text, open_body=open_body,
-                        free_var="W0", alternating=alternating,
-                        template=text_tmpl)
+    return TinyInstance(model=model, phi=phi, text=text, free_var="W0",
+                        alternating=alternating, template=text_tmpl,
+                        body_text=body_tmpl.format(**picks))
 
 
 # --- Brute-force minimax ----------------------------------------------------

@@ -1,15 +1,14 @@
 """The brute force by Kleene iteration, as a reference.
 
 The oracle solves each strategy pair's linear system directly.  This module
-keeps the former way: every pair of a slice is iterated together in one
-:func:`~qmu.evaluator.evaluate_batch`, each with its own stopping test, so
-every table row is bit-identical to that pair evaluated alone.  Tests
-compare the two, and the evaluator's batched loops are checked through it.
+keeps the former way: each pair is iterated alone by the evaluator's plan,
+with the pair's choice masks at the junctions, so every table row is that
+pair evaluated alone.  Tests compare the two.
 """
 
 import numpy as np
 
-from qmu.evaluator import EvalConfig, NotConvergedError, evaluate_batch
+from qmu.evaluator import EvalConfig, NotConvergedError, _Masked, _run
 from qmu.formula import choice_sites
 from qmu.oracle import (
     MAX_STRATEGY_BITS, BruteForceResult, StrategySpaceError, TinyInstance,
@@ -17,22 +16,15 @@ from qmu.oracle import (
 )
 from qmu.strategy import MemorilessStrategy
 
-#: Strategy pairs solved in one batched evaluation (the whole space at the
-#: default 12-bit budget); larger spaces are solved slice by slice, which
-#: bounds memory at the 20-bit cap.
-PAIRS_PER_BATCH = 4096
-
 
 def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteForceResult:
     """Exact strategy-enumeration values of a tiny instance.
 
     Solves the formula for every (min tuple, max tuple) pair, with the
     pair's choices resolving every junction; min/max tuples are enumerated in
-    lexicographic (site, state) order.  The pairs are solved
-    :data:`PAIRS_PER_BATCH` at a time in one batched evaluation, each with
-    its own stopping test, so every table row equals the pair's value solved
-    alone.  Raises :class:`NotConvergedError` when some pair does not
-    converge within ``cfg.max_iterations``.
+    lexicographic (site, state) order.  Each pair is one evaluation under
+    its choice masks.  Raises :class:`NotConvergedError` when some pair
+    does not converge within ``cfg.max_iterations``.
     """
     cfg = cfg or EvalConfig()
     phi = inst.phi
@@ -46,16 +38,15 @@ def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteFor
 
     n_min, n_max = 2 ** (mins * n), 2 ** (maxs * n)
     table = np.empty((n_min * n_max, n))
-    for start in range(0, len(table), PAIRS_PER_BATCH):
-        pairs = np.arange(start, min(start + PAIRS_PER_BATCH, len(table)))
-        report = evaluate_batch(phi, model,
-                                _tuple_choices(pairs // n_max, mins, n),
-                                _tuple_choices(pairs % n_max, maxs, n), cfg)
+    for pair in range(len(table)):
+        report = _run(phi, model, cfg, "reject", _Masked(
+            _tuple_choices(pair // n_max, mins, n),
+            _tuple_choices(pair % n_max, maxs, n)))
         if not report.converged:
             raise NotConvergedError(
                 f"brute force did not converge within {cfg.max_iterations} "
                 "iterations for some strategy pair")
-        table[start:start + len(pairs)] = report.result
+        table[pair] = report.result
     table = table.reshape(n_min, n_max, n)
 
     max_first = table.max(axis=1)          # best Max reply per Min tuple

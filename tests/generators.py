@@ -10,11 +10,9 @@ import numpy as np
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate
 from qmu.formula import (
     Angelic, Cond, Const, Demonic, Fix, MaxJ, MinJ, Mu, Node, Nu, Var,
-    assign_sites,
+    assign_sites, parse, reduce,
 )
-from qmu.oracle import (
-    _PROBABILISTIC_BODIES, InstanceBounds, _parse_open, _random_transition,
-)
+from qmu.oracle import _PROBABILISTIC_BODIES, InstanceBounds, _random_transition
 
 
 def random_probabilistic_body(seed, bounds: InstanceBounds | None = None
@@ -37,7 +35,8 @@ def random_probabilistic_body(seed, bounds: InstanceBounds | None = None
              "k2": ("t0", "t1")[int(rng.integers(0, 2))],
              "g": "g0"}
     body_tmpl = _PROBABILISTIC_BODIES[int(rng.integers(0, len(_PROBABILISTIC_BODIES)))]
-    body = _parse_open(body_tmpl.format(**picks), "W0", valuation)
+    wrapped = reduce(parse("mu W0 . " + body_tmpl.format(**picks)), valuation)
+    body = assign_sites(wrapped.body)
     return Model(space, valuation), "W0", body
 
 

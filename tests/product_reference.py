@@ -13,16 +13,7 @@ from qmu.core import Transition
 
 
 def bincount_product(t: Transition, post: np.ndarray) -> np.ndarray:
-    """``t.s.$ + sum_s' t.s.s' * post[s']`` for every state ``s``.
-
-    ``post`` has shape ``(n,)`` or ``(B, n)``; a batch is one bincount over
-    ``B * n`` bins, row ``b`` of the batch in bins ``b * n`` to ``b * n + n``.
-    """
+    """``t.s.$ + sum_s' t.s.s' * post[s']`` for every state ``s``."""
     sources = np.repeat(np.arange(t.n_states), np.diff(t.indptr))
-    if post.ndim == 1:
-        return np.bincount(sources, weights=t.probs * post[t.indices],
-                           minlength=t.n_states) + t.weights
-    batch, n = post.shape[0], t.n_states
-    rows = sources + n * np.arange(batch)[:, None]
-    return np.bincount(rows.ravel(), weights=(t.probs * post[:, t.indices]).ravel(),
-                       minlength=batch * n).reshape(batch, n) + t.weights
+    return np.bincount(sources, weights=t.probs * post[t.indices],
+                       minlength=t.n_states) + t.weights

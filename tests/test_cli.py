@@ -48,6 +48,24 @@ class TestEval:
         assert stats["solves"] == 1
         assert stats["total_iterations"] == stats["iterations"] > 1
 
+    def test_json_reports_the_states_the_support_pass_decided(self, capsys,
+                                                              vardi_files):
+        # atB fails at A and every step from B leads to A: the greatest
+        # fixpoint is 0 at both states, decided before any iteration
+        code, out, _ = run(capsys, ["eval", vardi_files["model"],
+                                    "nu Y . atB /\\ <k> Y", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["values"] == {"A": 0.0, "B": 0.0}
+        assert payload["fixpoints"] == {"Y": {
+            "iterations": 1, "residual": 0.0, "converged": True, "solves": 1,
+            "total_iterations": 1, "decided": 2}}
+        # a formula without nu never runs the pass
+        code, out, _ = run(capsys, ["eval", vardi_files["model"],
+                                    vardi_files["formula"], "--json"])
+        (stats,) = json.loads(out)["fixpoints"].values()
+        assert stats["decided"] == 0
+
     def test_missing_symbol_exits_one(self, capsys, vardi_files):
         code, _, err = run(capsys, ["eval", vardi_files["model"],
                                     "mu X . <k> missing \\/ X"])

@@ -8,7 +8,7 @@ from qmu.evaluator import (
     DivergenceError, EvalConfig, FixNotSupportedError,
     NondeterministicFixBodyError, NotConvergedError, PathStrategy,
     UnresolvedSymbolError, _Masked, _run,
-    evaluate, evaluate_batch, evaluate_fix, evaluate_with_strategies,
+    evaluate, evaluate_fix, evaluate_with_strategies,
 )
 from qmu.formula import (
     Fix, MaxJ, MinJ, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
@@ -249,43 +249,6 @@ class TestStrategySemantics:
         for phi, side in cases:
             masked, rewritten = self.masked_and_rewritten(phi, model, side)
             assert masked == rewritten and masked.converged
-
-    def test_batch_rows_are_single_pair_evaluations(self):
-        for trial in range(40):
-            inst = random_instance([151, trial])
-            mins, maxs = choice_sites(inst.phi)
-            n = inst.model.space.size
-            rng = np.random.default_rng(trial)
-            min_masks = rng.random((mins, 5, n)) < 0.5
-            max_masks = rng.random((maxs, 5, n)) < 0.5
-            batch = evaluate_batch(inst.phi, inst.model, min_masks, max_masks)
-            assert batch.result.shape == (5, n) and batch.converged
-            singles = []
-            for b in range(5):
-                strategy = MemorilessStrategy(min_choices=tuple(min_masks[:, b]),
-                                              max_choices=tuple(max_masks[:, b]))
-                phi2, ext = specialize(inst.phi, strategy, n)
-                singles.append(evaluate(phi2, specialized_model(inst.model, ext)))
-                assert np.array_equal(batch.result[b], singles[-1].result)
-            if inst.template.count(".") == 1:
-                # one binder: it reports the iterations of its slowest row
-                (var, stats), = batch.fixpoints.items()
-                assert stats.iterations == max(
-                    single.fixpoints[var].iterations for single in singles)
-
-    def test_batch_masks_must_fit_the_formula(self):
-        inst = next(i for i in (random_instance([151, t]) for t in range(40))
-                    if choice_sites(i.phi) == (1, 1))
-        n = inst.model.space.size
-        ok = np.zeros((1, 3, n), dtype=bool)
-        with pytest.raises(ValueError):
-            evaluate_batch(inst.phi, inst.model, np.zeros((2, 3, n), bool), ok)
-        with pytest.raises(ValueError):
-            evaluate_batch(inst.phi, inst.model, ok, np.zeros((1, 4, n), bool))
-        with pytest.raises(ValueError):
-            evaluate_batch(inst.phi, inst.model, np.zeros((1, 0, n), bool),
-                           np.zeros((1, 0, n), bool))
-        assert evaluate_batch(inst.phi, inst.model, ok, ok).result.shape == (3, n)
 
     def test_one_sided_fixed_max_adversarial_min(self, futures):
         # fixing only the reserve-when-value-meets-cap rule for the

@@ -288,11 +288,12 @@ def test_the_evaluator_import_guard_sees_every_spelling():
         "evaluator", "_Plan"]
 
 
-def linalg_lines(source: str) -> list[int]:
-    """Lines that name ``linalg``: an attribute, a name, a string or an import.
+def naming_lines(source: str, word: str) -> list[int]:
+    """Lines that name ``word``: an attribute, a name, a string or an import.
 
-    The evaluator keeps linear solves out, so the oracle's direct solve
-    shares no method with it.
+    A dotted import or string counts each of its parts.  The evaluator keeps
+    ``linalg`` out, so the oracle's direct solve shares no method with it,
+    and no module names ``scipy``, which only the benchmark installs.
     """
     lines = set()
     for node in ast.walk(ast.parse(source)):
@@ -304,18 +305,18 @@ def linalg_lines(source: str) -> list[int]:
             names = [node.attr]
         elif isinstance(node, ast.Name):
             names = [node.id]
-        elif isinstance(node, ast.Constant):
-            names = [node.value]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = node.value.split(".")
         else:
             continue
-        if "linalg" in names:
+        if word in names:
             lines.add(node.lineno)
     return sorted(lines)
 
 
 def test_the_evaluator_solves_no_linear_system():
     source = (Path(qmu.__file__).parent / "evaluator.py").read_text()
-    assert linalg_lines(source) == []
+    assert naming_lines(source, "linalg") == []
 
 
 def test_the_linalg_guard_sees_every_spelling():
@@ -327,4 +328,108 @@ def test_the_linalg_guard_sees_every_spelling():
               "    x = np.linalg.solve(a, b)\n"
               "    y = getattr(np, 'linalg').inv(a)\n"
               "    return linalg, np.dot(a, b)\n")
-    assert linalg_lines(source) == [2, 3, 4, 6, 7, 8]
+    assert naming_lines(source, "linalg") == [2, 3, 4, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_nothing_names_scipy(path):
+    assert naming_lines(path.read_text(), "scipy") == []
+
+
+def test_the_scipy_guard_sees_every_spelling():
+    source = ("import scipy\n"
+              "import scipy.sparse as sp\n"
+              "from scipy.sparse.csgraph import connected_components\n"
+              "def f(a):\n"
+              "    g = importlib.import_module('scipy.sparse')\n"
+              "    return sp.csr_matrix(a), scipy, 'no scipy here'\n")
+    assert naming_lines(source, "scipy") == [1, 2, 3, 5, 6]
+
+
+def oracle_imports(source: str) -> list[int]:
+    """Lines that import from ``qmu.oracle``, or the module itself, under
+    any spelling."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("qmu" if node.level else "") + (
+                "." + node.module if node.level and node.module else node.module or "")
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if "qmu.oracle" in names:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", ["core.py", "evaluator.py"])
+def test_the_support_pass_is_written_apart_from_the_oracle(name):
+    # the evaluator's support pass and the oracle's Prob0/Prob1 pass stay
+    # independent, so the crosscheck compares two methods
+    source = (Path(qmu.__file__).parent / name).read_text()
+    assert oracle_imports(source) == []
+
+
+def test_the_oracle_import_guard_sees_every_spelling():
+    source = ("from .oracle import _solve_binder\n"
+              "from . import core, oracle\n"
+              "import qmu.oracle\n"
+              "from qmu import oracle as o\n"
+              "from qmu.oracle import EPS_REPR\n"
+              "from .formula import parse\n"
+              "def f():\n    from .oracle import random_instance\n")
+    assert oracle_imports(source) == [1, 2, 3, 4, 5, 8]
+
+
+def test_the_components_and_the_pass_run_on_explicit_stacks():
+    # the allowance may shrink to nothing but never grow beyond the two
+    # interpreters' walkers; the SCC code and the support pass are seen by
+    # the guard and are not on a cycle
+    walkers = {"evaluator.py": {"_unfold.go"}, "game.py": {"expand_tree.go"}}
+    assert all(names <= walkers.get(name, set())
+               for name, names in RECURSION_ALLOWED.items())
+    for name, functions in (("core.py", {"Transition._recurrent", "pre_support"}),
+                            ("evaluator.py", {"_Plan.decide", "_Plan.__init__"})):
+        source = (Path(qmu.__file__).parent / name).read_text()
+        assert functions <= defined_functions(source)
+        assert not functions & recursive_functions(source)
+
+
+def defined_functions(source: str) -> set[str]:
+    """Every function and method of a module, by dotted name."""
+    found = set()
+    stack = [(ast.parse(source), "")]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add(prefix + child.name)
+                stack.append((child, prefix + child.name + "."))
+            elif isinstance(child, ast.ClassDef):
+                stack.append((child, prefix + child.name + "."))
+            else:
+                stack.append((child, prefix))
+    return found
+
+
+def test_the_recursion_guard_sees_a_recursive_component_search():
+    source = (
+        "class Graph:\n"
+        "    @cached_property\n"
+        "    def components(self):\n"
+        "        def visit(s):\n"
+        "            for u in self.succ[s]:\n"
+        "                visit(u)\n"
+        "        return visit(0)\n"
+        "    def bottom(self):\n"
+        "        return self.bottom() if self.components else None\n"
+        "    def stacked(self):\n"
+        "        work = [0]\n"
+        "        while work:\n"
+        "            work.extend(self.succ[work.pop()])\n")
+    assert recursive_functions(source) == {"Graph.components.visit", "Graph.bottom"}
+    assert defined_functions(source) == {
+        "Graph.components", "Graph.components.visit", "Graph.bottom",
+        "Graph.stacked"}

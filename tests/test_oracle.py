@@ -146,7 +146,7 @@ def exact_pair_value(inst, min_bits, max_bits):
 def bit_identity_cases(vardi):
     """Vardi's formula and the first instance of each template."""
     model, phi = vardi
-    cases = [TinyInstance(model=model, phi=phi, text="", open_body=phi,
+    cases = [TinyInstance(model=model, phi=phi, text="",
                           free_var="W0", alternating=False, template="")]
     first = {}
     for trial in range(400):
@@ -163,7 +163,7 @@ def one_state_chain(stay, weight):
     model = Model(StateSpace(("s",)), Valuation(
         transitions={"k": transition([[(0, stay)]], [weight])}))
     phi = reduce(parse("mu X . <k> X"), model.valuation)
-    return TinyInstance(model=model, phi=phi, text="mu X . <k> X", open_body=phi,
+    return TinyInstance(model=model, phi=phi, text="mu X . <k> X",
                         free_var="W0", alternating=False, template="")
 
 
@@ -236,7 +236,7 @@ class TestRandomInstance:
 class TestBruteMinimax:
     def test_vardi_is_half_everywhere(self, vardi):
         model, phi = vardi
-        inst = TinyInstance(model=model, phi=phi, text="", open_body=phi,
+        inst = TinyInstance(model=model, phi=phi, text="",
                             free_var="W0", alternating=False, template="")
         result = brute_minimax(inst)
         assert np.allclose(result.minimax, 0.5, atol=1e-9)
@@ -336,7 +336,7 @@ class TestBruteMinimax:
         assert validate(inst.model) == [] and halt_payoff(t, 0) == 0.0
         assert brute_minimax(inst).table.tolist() == [[[0.0]]]
         phi = reduce(parse("nu X . <k> X"), inst.model.valuation)
-        greatest = TinyInstance(model=inst.model, phi=phi, text="", open_body=phi,
+        greatest = TinyInstance(model=inst.model, phi=phi, text="",
                                 free_var="W0", alternating=False, template="")
         assert brute_minimax(greatest).table.tolist() == [[[1.0]]]
         for case, value in ((inst, 0.0), (greatest, 1.0)):
@@ -348,7 +348,7 @@ class TestBruteMinimax:
         text = "mu X . (a0 \\/ <t0> X) /\\ (a1 \\/ <t1> X) /\\ <t0> X"
         phi = reduce(parse(text), inst.model.valuation)
         assert choice_sites(phi) == (2, 2)
-        big = TinyInstance(model=inst.model, phi=phi, text=text, open_body=phi,
+        big = TinyInstance(model=inst.model, phi=phi, text=text,
                            free_var="W0", alternating=False, template="")
         result = brute_minimax(big)
         assert result.table.shape == (256, 256, 4)
@@ -376,7 +376,7 @@ class TestBruteMinimax:
     ], ids=["free-variable", "set-modality", "unbound-symbol", "fix-binder"])
     def test_entry_errors_as_before(self, phi, error):
         model = random_instance(7).model
-        inst = TinyInstance(model=model, phi=phi, text="", open_body=phi,
+        inst = TinyInstance(model=model, phi=phi, text="",
                             free_var="W0", alternating=False, template="")
         with pytest.raises(error) as before:
             brute_reference.brute_minimax(inst)
@@ -392,7 +392,7 @@ class TestBruteMinimax:
                 "(a0 \\/ a1) /\\ (<t0> a0 \\/ <t0> a1)")
         phi = reduce(parse(text), inst.model.valuation)
         big = TinyInstance(model=inst.model, phi=phi, text=text,
-                           open_body=phi, free_var="W0", alternating=False,
+                           free_var="W0", alternating=False,
                            template="")
         if inst.model.space.size * sum(choice_sites(phi)) > 20:
             with pytest.raises(StrategySpaceError):

@@ -5,10 +5,12 @@ walk it replaced, which is kept here as a reference.  The one allowed
 difference is that a binder with no free occurrence of its enclosing
 binder's variable is solved once per enclosing iterate, not once per inner
 one, so its ``solves`` and ``total_iterations`` (and those of the binders
-inside it) count fewer solves, and in a batched evaluation its
-``iterations`` and ``residual`` are those of its slowest row.
+inside it) count fewer solves.  The walk takes the states the plan's support
+pass decides and holds them at 0 as the plan does, so it checks the plan's
+loops, not the pass.
 """
 
+import dataclasses
 import sys
 from collections import deque
 
@@ -16,36 +18,39 @@ import numpy as np
 import pytest
 
 import qmu.evaluator
-import qmu.oracle
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate, transition
 from qmu.evaluator import (
-    _ENTER, _TEST, DivergenceError, EvalConfig, EvalReport, FixpointStats,
-    _Frame, _Masked, _Plan, _pointwise, evaluate, evaluate_batch, evaluate_fix,
+    _ENTER, DivergenceError, EvalConfig, EvalReport, FixpointStats, _Masked, _Plan,
+    _pointwise, _run, evaluate, evaluate_fix,
 )
 from qmu.examples import case_study_tables
 from qmu.formula import (
     Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Nu, Var, check_entry, children,
-    choice_sites, free_variables, parse, pretty_print, reduce,
+    choice_sites, free_variables, parse, pretty_print, reduce, subformulae,
 )
 from qmu.oracle import _TEMPLATES, random_instance
 from qmu.strategy import synthesize, verify_strategy
-import brute_reference
 from generators import random_formula
 
 NEST = "nu Y . mu X . (atLeast6 /\\ <month> Y) \\/ <month> X"
+UNDECIDED_NEST = ("nu Y . mu X . (atLeast6 /\\ <month> (fix(1) Z . Y)) "
+                  "\\/ <month> X")
 
 
 class RecursiveWalker:
-    """The evaluator's former recursive tree walk, as a reference."""
+    """The evaluator's former recursive tree walk, as a reference.
 
-    def __init__(self, model, cfg, choose, batch, forced):
+    ``zeros`` maps the id of a binder node to the states held at 0 in its
+    solves.
+    """
+
+    def __init__(self, model, cfg, choose, forced, zeros):
         self.v = model.valuation
-        n = model.space.size
-        self.shape = (n,) if batch is None else (batch, n)
-        self._live = np.ones(self.shape[:-1], dtype=bool)
+        self.n = model.space.size
         self.cfg = cfg
         self.forced = forced
         self.choose = choose
+        self.zeros = zeros
         self.stats = {}
 
     def eval(self, node, env):
@@ -68,16 +73,16 @@ class RecursiveWalker:
     def solve_fixpoint(self, node, env):
         detect_divergence = id(node) in self.forced
         if isinstance(node, Mu):
-            cur = np.zeros(self.shape)
+            cur = np.zeros(self.n)
         elif isinstance(node, Nu):
-            cur = np.ones(self.shape)
+            cur = np.ones(self.n)
         else:
-            cur = np.full(self.shape, float(node.start))
+            cur = np.full(self.n, float(node.start))
         var = node.var
+        zeros = self.zeros.get(id(node))
+        if zeros is not None:
+            cur[zeros] = 0.0
         outer = env.get(var)
-        outer_live = self._live
-        live = self._live = outer_live.copy()
-        steps = np.where(live, np.inf, 0.0)
         tol = self.cfg.tolerance
         residual = np.inf
         iterations = 0
@@ -86,11 +91,10 @@ class RecursiveWalker:
             for iterations in range(1, self.cfg.max_iterations + 1):
                 env[var] = cur
                 new = np.clip(self.eval(node.body, env), 0.0, 1.0)
-                step = np.abs(new - cur).max(axis=-1)
-                cur = np.where(live[..., None], new, cur)
-                steps = np.where(live, step, steps)
-                live &= step > tol
-                residual = float(steps.max())
+                if zeros is not None:
+                    new[zeros] = 0.0
+                residual = float(np.abs(new - cur).max())
+                cur = new
                 if residual <= tol:
                     break
                 if detect_divergence:
@@ -99,7 +103,6 @@ class RecursiveWalker:
                             and all(b >= a for a, b in zip(window, list(window)[1:]))):
                         raise DivergenceError("non-decreasing residual")
         finally:
-            self._live = outer_live
             if outer is None:
                 env.pop(var, None)
             else:
@@ -109,15 +112,23 @@ class RecursiveWalker:
             binder=var, iterations=iterations, residual=residual,
             converged=residual <= tol and (prev.converged if prev else True),
             solves=(prev.solves if prev else 0) + 1,
-            total_iterations=(prev.total_iterations if prev else 0) + iterations)
+            total_iterations=(prev.total_iterations if prev else 0) + iterations,
+            decided=0 if zeros is None else int(zeros.sum()))
         return cur
 
 
-def walk(phi, model, cfg=None, fix_policy="reject", choose=_pointwise,
-         batch=None):
+def walk(phi, model, cfg=None, fix_policy="reject", choose=_pointwise):
     forced = check_entry(phi, model.valuation, fix_policy)
-    walker = RecursiveWalker(model, cfg or EvalConfig(), choose, batch, forced)
-    result = np.clip(np.broadcast_to(walker.eval(phi, {}), walker.shape), 0.0, 1.0)
+    plan = _Plan(phi, model, forced)
+    decided = plan.decide(choose)
+    # binder registers are allocated in preorder
+    loops = sorted((step[1] for step in plan.steps if step[0] == _ENTER),
+                   key=lambda loop: loop.register)
+    binders = [node for node in subformulae(phi) if isinstance(node, (Mu, Nu, Fix))]
+    zeros = {id(node): decided[loop] for node, loop in zip(binders, loops)
+             if loop in decided}
+    walker = RecursiveWalker(model, cfg or EvalConfig(), choose, forced, zeros)
+    result = np.clip(walker.eval(phi, {}), 0.0, 1.0)
     return EvalReport(result=result, fixpoints=dict(walker.stats),
                       converged=all(st.converged for st in walker.stats.values()))
 
@@ -149,8 +160,8 @@ def assert_same(plan, reference, hoisted=frozenset()):
         if name in hoisted:
             assert got.solves <= ref.solves
             assert got.total_iterations <= ref.total_iterations
-            got = FixpointStats(got.binder, got.iterations, got.residual,
-                                got.converged, ref.solves, ref.total_iterations)
+            got = dataclasses.replace(got, solves=ref.solves,
+                                      total_iterations=ref.total_iterations)
         assert got == ref, name
 
 
@@ -184,14 +195,31 @@ class TestHoisting:
         assert products[0] == 360
 
     def test_nest_hoists_the_outer_modality(self, futures, products):
-        # <month> Y once per outer iterate, <month> X once per inner one
+        # <month> Y once per outer iterate, <month> X once per inner one.
+        # The fix(1) Z . Y is Y itself, and a closed binder containing a fix
+        # gets no decisions, so this nest is iterated as the plan's loops
+        # alone would iterate the futures nest.
         model, _ = futures
-        report = evaluate(reduce(parse(NEST), model.valuation), model)
+        phi = reduce(parse(UNDECIDED_NEST), model.valuation)
+        report = evaluate_fix(phi, model)
         assert report.converged
         x, y = report.fixpoints["X"], report.fixpoints["Y"]
         assert (y.iterations, y.solves, y.total_iterations) == (43, 1, 43)
         assert (x.iterations, x.solves, x.total_iterations) == (1, 43, 896)
+        assert y.decided == x.decided == 0
         assert products[0] == x.total_iterations + y.total_iterations == 939
+
+    def test_futures_nest_is_decided(self, futures, products):
+        # Every state is 0: the pass decides them all, so the outer loop
+        # stops after one step and each loop runs one product
+        model, _ = futures
+        report = evaluate(reduce(parse(NEST), model.valuation), model)
+        assert report.converged
+        assert not report.result.any()
+        x, y = report.fixpoints["X"], report.fixpoints["Y"]
+        assert (y.iterations, y.solves, y.decided) == (1, 1, 1331)
+        assert (x.iterations, x.solves, x.decided) == (1, 1, 0)
+        assert products[0] == 2
 
     def test_closed_inner_binder_is_solved_once(self, vardi):
         model, _ = vardi
@@ -222,42 +250,6 @@ class TestMatchesTheRecursiveWalk:
             assert_same(evaluate(inst.phi, inst.model),
                         walk(inst.phi, inst.model))
 
-    def test_batch(self):
-        inst = next(i for i in (random_instance([0, t]) for t in range(200))
-                    if i.alternating and choice_sites(i.phi) == (1, 1))
-        n = inst.model.space.size
-        rng = np.random.default_rng(5)
-        min_masks = rng.random((1, 9, n)) < 0.5
-        max_masks = rng.random((1, 9, n)) < 0.5
-        assert_same(evaluate_batch(inst.phi, inst.model, min_masks, max_masks),
-                    walk(inst.phi, inst.model, choose=_Masked(min_masks, max_masks),
-                         batch=9))
-
-    def test_batched_closed_inner_binder_reports_its_slowest_row(self):
-        # Solved once, with every row live, a hoisted binder reports the
-        # slowest row of all; the walk reported its last solve, made with
-        # only the rows still live in the enclosing loop.
-        for i in range(20):
-            inst = random_instance([3, i])
-            model = inst.model
-            phi = reduce(parse("mu Y . <t0> Y \\/ (a0 /\\ (mu X . a1 \\/ <t1> X))"),
-                         model.valuation)
-            n = model.space.size
-            rng = np.random.default_rng(i)
-            min_masks = rng.random((1, 6, n)) < 0.5
-            max_masks = rng.random((2, 6, n)) < 0.5
-            batch = evaluate_batch(phi, model, min_masks, max_masks)
-            reference = walk(phi, model, choose=_Masked(min_masks, max_masks),
-                             batch=6)
-            assert np.array_equal(batch.result, reference.result)
-            assert batch.fixpoints["Y"] == reference.fixpoints["Y"]
-            rows = [evaluate_batch(phi, model, min_masks[:, [b]], max_masks[:, [b]])
-                    for b in range(6)]
-            x = batch.fixpoints["X"]
-            assert x.solves == 1
-            assert x.iterations == max(row.fixpoints["X"].iterations for row in rows)
-            assert x.residual == max(row.fixpoints["X"].residual for row in rows)
-
     def test_random_formulae_with_fix(self):
         cfg = EvalConfig(tolerance=1e-6, max_iterations=40)
         compared = 0
@@ -276,136 +268,7 @@ class TestMatchesTheRecursiveWalk:
             compared += 1
         assert compared >= 190
 
-    def test_shadowed_names_resolve_to_the_nearest_binder(self, vardi):
-        model, _ = vardi
-        # the inner X shadows the outer one, which stays bound after it
-        phi = Mu("X", MaxJ(Modal("k", Nu("X", MinJ(Var("X"), Const("atB"), 0))),
-                           Modal("k", Var("X")), 0))
-        plan = evaluate(phi, model)
-        assert np.array_equal(plan.result, walk(phi, model).result)
-
-
-def enclosing_loops(phi, model):
-    """Each binder's enclosing loop in the compiled plan, None at the top."""
-    enclosing, running = {}, []
-    for step in _Plan(phi, model, frozenset()).steps:
-        if step[0] == _ENTER:
-            enclosing[step[1].var] = running[-1] if running else None
-            running.append(step[1].var)
-        elif step[0] == _TEST:
-            running.pop()
-    return enclosing
-
-
-def count_rows(patch):
-    """Count from now on the rows fed to batched (2-D) products."""
-    rows = [0]
-    product = qmu.evaluator.pre_expectation_all
-
-    def counted(t, post):
-        if post.ndim == 2:
-            rows[0] += post.shape[0]
-        return product(t, post)
-
-    patch.setattr(qmu.evaluator, "pre_expectation_all", counted)
-    return rows
-
-
-def assert_rows_alone(phi, model, min_masks, max_masks):
-    """Solve the batch of pairs and return its report.
-
-    Each row is its strategy pair's value solved alone, the batch feeds the
-    batched products exactly the rows its pairs feed solved alone, and each
-    binder reports the slowest row of its last solve: the rows that ran
-    every enclosing loop's last solve longest."""
-    with pytest.MonkeyPatch.context() as patch:
-        fed = count_rows(patch)
-        batch = evaluate_batch(phi, model, min_masks, max_masks)
-        in_batch, fed[0] = fed[0], 0
-        rows = [evaluate_batch(phi, model, min_masks[:, [b]], max_masks[:, [b]])
-                for b in range(min_masks.shape[1])]
-        assert in_batch == fed[0]
-    for b, row in enumerate(rows):
-        assert np.array_equal(batch.result[b], row.result[0]), b
-    enclosing = enclosing_loops(phi, model)
-
-    def last_solve(var):
-        outer = enclosing[var]
-        if outer is None:
-            return range(len(rows))
-        members = last_solve(outer)
-        longest = max(rows[b].fixpoints[outer].iterations for b in members)
-        return [b for b in members if rows[b].fixpoints[outer].iterations == longest]
-
-    for var, got in batch.fixpoints.items():
-        members = last_solve(var)
-        assert got.iterations == max(rows[b].fixpoints[var].iterations
-                                     for b in members), var
-        assert got.residual == max(rows[b].fixpoints[var].residual
-                                   for b in members), var
-        assert got.converged == all(row.fixpoints[var].converged for row in rows)
-    return batch
-
-
-def walk_batch(phi, model, min_masks, max_masks, cfg=None):
-    """The batch solved by the recursive walk, which never narrows."""
-    return walk(phi, model, cfg, choose=_Masked(min_masks, max_masks),
-                batch=min_masks.shape[1])
-
-
-def assert_walk_agrees(phi, model, min_masks, max_masks, report):
-    """``report`` has the walk's values, ``converged`` and statistics of the
-    binders it solves as often as the walk does."""
-    reference = walk_batch(phi, model, min_masks, max_masks)
-    assert np.array_equal(report.result, reference.result)
-    assert report.converged == reference.converged
-    hoisted = hoisted_binders(phi)
-    for var, ref in reference.fixpoints.items():
-        if var not in hoisted:
-            assert report.fixpoints[var] == ref, var
-
-
-class TestCompaction:
-    """A row leaves a batched loop at the iterate where it stops; no value
-    or statistic may change."""
-
-    def test_crosscheck_batches(self, monkeypatch):
-        batches = []
-        batched = brute_reference.evaluate_batch
-
-        def captured(phi, model, min_masks, max_masks, cfg=None):
-            report = batched(phi, model, min_masks, max_masks, cfg)
-            batches.append((phi, model, min_masks, max_masks, report))
-            return report
-
-        monkeypatch.setattr(qmu.oracle, "brute_minimax",
-                            brute_reference.brute_minimax)
-        monkeypatch.setattr(brute_reference, "evaluate_batch", captured)
-        for block in range(9):
-            assert qmu.oracle.crosscheck(10, block).ok
-        monkeypatch.undo()
-        assert len(batches) == 90
-        for phi, model, min_masks, max_masks, report in batches:
-            assert_walk_agrees(phi, model, min_masks, max_masks, report)
-            width = min_masks.shape[1]
-            if width <= 64:
-                assert report == assert_rows_alone(phi, model, min_masks,
-                                                   max_masks)
-            else:
-                for b in range(0, width, width // 16):
-                    alone = evaluate_batch(phi, model, min_masks[:, [b]],
-                                           max_masks[:, [b]])
-                    assert np.array_equal(report.result[b], alone.result[0])
-
-    def test_nests_under_random_masks(self, monkeypatch):
-        narrowed = set()
-        narrow = _Frame.narrow
-
-        def spy(frame, loop, *args):
-            narrowed.add(loop.var)
-            return narrow(frame, loop, *args)
-
-        monkeypatch.setattr(_Frame, "narrow", spy)
+    def test_nests_under_random_masks(self):
         alternating = [text for text, *_, alt in _TEMPLATES if alt]
         texts = {text: [] for text in alternating}
         cases = []
@@ -427,46 +290,32 @@ class TestCompaction:
             mins, maxs = choice_sites(phi)
             rng = np.random.default_rng(i)
             n = model.space.size
-            min_masks = rng.random((mins, 37, n)) < 0.5
-            max_masks = rng.random((maxs, 37, n)) < 0.5
-            report = assert_rows_alone(phi, model, min_masks, max_masks)
-            assert_walk_agrees(phi, model, min_masks, max_masks, report)
-        # both the inner and the outer loops dropped stopped rows
-        assert {"X", "Y"} <= narrowed
+            for _ in range(5):
+                choose = _Masked(rng.random((mins, n)) < 0.5,
+                                 rng.random((maxs, n)) < 0.5)
+                assert_same(_run(phi, model, None, "reject", choose),
+                            walk(phi, model, choose=choose),
+                            hoisted_binders(phi))
 
     def test_loop_whose_test_reads_a_register_from_outside(self):
         # X's body does not mention X, so its test reads the hoisted
-        # junction; rows taking the zero everywhere stop after one step
+        # junction; a pair taking the zero everywhere stops after one step
         model = Model(StateSpace(("u", "w")), Valuation(
             expectations={"zero": expectation([0.0, 0.0])},
             transitions={"k": transition([[(1, 0.5)], [(0, 0.5)]])}))
         phi = reduce(parse("nu Y . mu X . zero /\\ <k> Y"), model.valuation)
-        min_masks = np.ones((1, 9, 2), dtype=bool)
-        min_masks[0, ::3] = False
-        max_masks = np.ones((0, 9, 2), dtype=bool)
-        report = assert_rows_alone(phi, model, min_masks, max_masks)
-        assert_walk_agrees(phi, model, min_masks, max_masks, report)
+        for left in ([True, True], [False, False], [True, False]):
+            choose = _Masked(np.array([left]), None)
+            assert_same(_run(phi, model, None, "reject", choose),
+                        walk(phi, model, choose=choose), hoisted_binders(phi))
 
-    def test_fewer_rows_reach_the_products(self, monkeypatch):
-        inst = random_instance([2, 5])
-        monkeypatch.setattr(brute_reference, "evaluate_batch", walk_batch)
-        walked = count_rows(monkeypatch)
-        full = brute_reference.brute_minimax(inst)
-        monkeypatch.undo()
-        rows = count_rows(monkeypatch)
-        result = brute_reference.brute_minimax(inst)
-        # the rows its 4,096 pairs feed the products solved one at a time
-        assert rows[0] == 113_152 < walked[0]
-        assert np.array_equal(result.table, full.table)
-        assert np.array_equal(result.minimax, full.minimax)
-        assert np.array_equal(result.maximin, full.maximin)
-        for got, want in ((result.min_witness.min_choices,
-                           full.min_witness.min_choices),
-                          (result.max_witness.max_choices,
-                           full.max_witness.max_choices)):
-            assert np.array_equal(got, want)
-        assert (result.min_witness_gap, result.max_witness_gap) == (
-            full.min_witness_gap, full.max_witness_gap)
+    def test_shadowed_names_resolve_to_the_nearest_binder(self, vardi):
+        model, _ = vardi
+        # the inner X shadows the outer one, which stays bound after it
+        phi = Mu("X", MaxJ(Modal("k", Nu("X", MinJ(Var("X"), Const("atB"), 0))),
+                           Modal("k", Var("X")), 0))
+        plan = evaluate(phi, model)
+        assert np.array_equal(plan.result, walk(phi, model).result)
 
 
 def _formula_model(seed):
