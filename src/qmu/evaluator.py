@@ -27,7 +27,6 @@ default (0 for ``mu``, 1 for ``nu``).
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -553,13 +552,8 @@ def evaluate_with_strategies(
     if depth < 0:
         raise ValueError("depth must be non-negative")
     values = np.empty(n)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 100_000))
-    try:
-        for s0 in range(n):
-            values[s0] = _unfold(phi, model, s0, sigma_min, sigma_max, depth)
-    finally:
-        sys.setrecursionlimit(limit)
+    for s0 in range(n):
+        values[s0] = _unfold(phi, model, s0, sigma_min, sigma_max, depth)
     return np.clip(values, 0.0, 1.0)
 
 
@@ -569,72 +563,74 @@ def _unfold(phi: Node, model: Model, s0: int, sigma_min: PathStrategy | None,
 
     The path built here mirrors the game's position sequence exactly (binder
     positions are followed by a binder-name position), so history-dependent
-    strategies see the same histories in both interpretations.
+    strategies see the same histories in both interpretations.  The walk
+    runs on an explicit stack whose entries cut the view back to its length
+    when they were pushed; a position with one successor is followed at once.
     """
     v = model.valuation
     view: list = []
-
-    def go(node: Node, s: int, budgets: dict[str, int],
-           defaults: dict[str, float], bodies: dict[str, Node]) -> float:
-        view.append((node, s))
-        try:
-            if isinstance(node, Const):
-                return float(v.expectations[node.name][s])
-            if isinstance(node, Var):
-                remaining = budgets[node.name]
+    values: list[float] = []
+    # (node, state, scope: variable -> (re-entries left, default, body), view
+    # length), or, to combine the values above ``values[base]``, (None,
+    # weight, probabilities, base) for a modality, in edge order, or (None,
+    # max or min, None, base)
+    stack: list[tuple] = [(phi, s0, {}, 0)]
+    while stack:
+        node, s, scope, mark = stack.pop()
+        if node is None:
+            if scope is None:
+                values[mark:] = [s(*values[mark:])]
+            else:
+                total = s
+                for prob, value in zip(scope, values[mark:]):
+                    total += prob * value
+                values[mark:] = [total]
+            continue
+        del view[mark:]
+        while True:
+            view.append((node, s))
+            kind = type(node)
+            if kind is Modal:
+                t = v.transitions[node.transition]
+                targets, probs = t.row(s)
+                stack.append((None, t.weights.item(s), probs, len(values)))
+                mark = len(view)
+                body = node.body
+                stack.extend([(body, target, scope, mark)
+                              for target in reversed(targets)])
+                break
+            if kind is Var:
+                remaining, default, body = scope[node.name]
                 if remaining == 0:
-                    return defaults[node.name]
-                inner = dict(budgets)
-                inner[node.name] = remaining - 1
+                    values.append(default)
+                    break
+                scope = {**scope, node.name: (remaining - 1, default, body)}
                 # the variable position itself is what strategies see
                 view[-1] = (node.name, s)
-                return go(bodies[node.name], s, inner, defaults, bodies)
-            if isinstance(node, Modal):
-                t = v.transitions[node.transition]
-                total = t.weights.item(s)
-                for target, prob in zip(*t.row(s)):
-                    total += prob * go(node.body, target, budgets, defaults, bodies)
-                return total
-            if isinstance(node, MaxJ):
-                if sigma_max is None:
-                    return max(go(node.left, s, budgets, defaults, bodies),
-                               go(node.right, s, budgets, defaults, bodies))
-                take_left = sigma_max.decide(node.site, view, s)
-                return go(node.left if take_left else node.right,
-                          s, budgets, defaults, bodies)
-            if isinstance(node, MinJ):
-                if sigma_min is None:
-                    return min(go(node.left, s, budgets, defaults, bodies),
-                               go(node.right, s, budgets, defaults, bodies))
-                take_left = sigma_min.decide(node.site, view, s)
-                return go(node.left if take_left else node.right,
-                          s, budgets, defaults, bodies)
-            if isinstance(node, Cond):
-                branch = (node.then_branch if v.predicates[node.predicate][s]
-                          else node.else_branch)
-                return go(branch, s, budgets, defaults, bodies)
-            if isinstance(node, (Mu, Nu)):
-                default = 0.0 if isinstance(node, Mu) else 1.0
-                inner_defaults = dict(defaults)
-                inner_defaults[node.var] = default
-                inner_bodies = dict(bodies)
-                inner_bodies[node.var] = node.body
+                node = body
+            elif kind is Const:
+                values.append(float(v.expectations[node.name][s]))
+                break
+            elif kind is MaxJ or kind is MinJ:
+                sigma = sigma_max if kind is MaxJ else sigma_min
+                if sigma is None:
+                    mark = len(view)
+                    pick = max if kind is MaxJ else min
+                    stack += [(None, pick, None, len(values)),
+                              (node.right, s, scope, mark),
+                              (node.left, s, scope, mark)]
+                    break
+                node = node.left if sigma.decide(node.site, view, s) else node.right
+            elif kind is Cond:
+                node = (node.then_branch if v.predicates[node.predicate][s]
+                        else node.else_branch)
+            else:  # Mu or Nu
+                default = 0.0 if kind is Mu else 1.0
                 if depth == 0:
-                    view.append((node.var, s))
-                    try:
-                        return default
-                    finally:
-                        view.pop()
-                inner = dict(budgets)
-                inner[node.var] = depth - 1
+                    values.append(default)
+                    break
+                scope = {**scope, node.var: (depth - 1, default, node.body)}
                 # game semantics inserts a re-entry position after binding
                 view.append((node.var, s))
-                try:
-                    return go(node.body, s, inner, inner_defaults, inner_bodies)
-                finally:
-                    view.pop()
-            raise EvaluationError(f"cannot unfold node {node!r}")
-        finally:
-            view.pop()
-
-    return min(1.0, max(0.0, go(phi, s0, {}, {}, {})))
+                node = node.body
+    return min(1.0, max(0.0, values[0]))

@@ -19,7 +19,6 @@ whole probabilistic tree and weighting payoffs by path probability.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
@@ -27,11 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import EPS_REPR, Model
-from .evaluator import PathStrategy, UnresolvedSymbolError
+from .evaluator import PathStrategy
 from .formula import (
     Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
-    choice_sites, contains_fix, formula_size, free_variables, is_reduced,
-    subformulae, unbound_symbol,
+    check_entry, choice_sites, formula_size, subformulae,
 )
 
 
@@ -407,7 +405,9 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     With two memoriless strategies the value below a position depends only
     on the node, the state and the budgets, so identical subtrees are
     computed once (a shared subtree counts no further nodes), which keeps
-    deep expansions tractable.
+    deep expansions tractable.  The walk runs on an explicit stack in
+    preorder, as ``_unfold``'s does; a position checks the memo when reached
+    and stores its value when its subtree is done.
     """
     if depth < 0:
         raise GameError("depth must be non-negative")
@@ -416,87 +416,86 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     binders: dict[int, Node] = {}
     memo = {} if sigma_min.memoriless and sigma_max.memoriless else None
     view: list = []
+    values: list[float] = []
     visits = 0
-
-    def go(node: Node, s: int, budgets: tuple) -> float:
-        nonlocal visits
-        key = (id(node), s, budgets)
-        if memo is not None and key in memo:
-            return memo[key]
-        visits += 1
-        if visits > node_cap:
-            raise TreeBudgetError(f"tree expansion exceeded {node_cap} nodes")
-        mark = len(view)
-        view.append((node.name if isinstance(node, Var) else node, s))
-        try:
-            if isinstance(node, Const):
+    # (node, state, budgets, view length), or (None, weight, probabilities,
+    # (base, memo keys of the positions that led to it)) to sum a modality's
+    # successors, whose values lie above ``values[base]``, in edge order
+    stack: list[tuple] = [(phi, s0, (), 0)]
+    while stack:
+        node, s, budgets, mark = stack.pop()
+        if node is None:
+            base, keys = mark
+            value = s
+            for prob, child in zip(budgets, values[base:]):
+                value += prob * child
+            del values[base:]
+        else:
+            del view[mark:]
+            keys = []  # the memo keys of the positions followed from here
+            value = None
+        while value is None:
+            if memo is not None:
+                key = (id(node), s, budgets)
+                if key in memo:
+                    value = memo[key]
+                    break
+                keys.append(key)
+            visits += 1
+            if visits > node_cap:
+                raise TreeBudgetError(f"tree expansion exceeded {node_cap} nodes")
+            kind = type(node)
+            view.append((node.name if kind is Var else node, s))
+            if kind is Modal:
+                t = v.transitions[node.transition]
+                targets, probs = t.row(s)
+                stack.append((None, t.weights.item(s), probs, (len(values), keys)))
+                mark = len(view)
+                body = node.body
+                stack.extend([(body, target, budgets, mark)
+                              for target in reversed(targets)])
+                break
+            if kind is Const:
                 value = float(v.expectations[node.name][s])
-            elif isinstance(node, Var):
+            elif kind is Var:
                 entry = dict(budgets)
                 remaining, binder = entry[node.name]
                 if remaining == 0:
-                    value = 0.0 if isinstance(binders[binder], Mu) else 1.0
+                    value = 0.0 if type(binders[binder]) is Mu else 1.0
                 else:
                     entry[node.name] = (remaining - 1, binder)
-                    value = go(binders[binder].body, s,
-                               tuple(sorted(entry.items())))
-            elif isinstance(node, Modal):
-                t = v.transitions[node.transition]
-                value = t.weights.item(s)
-                for target, prob in zip(*t.row(s)):
-                    value += prob * go(node.body, target, budgets)
-            elif isinstance(node, MaxJ):
-                take_left = sigma_max.decide(node.site, view, s)
-                value = go(node.left if take_left else node.right, s, budgets)
-            elif isinstance(node, MinJ):
-                take_left = sigma_min.decide(node.site, view, s)
-                value = go(node.left if take_left else node.right, s, budgets)
-            elif isinstance(node, Cond):
-                branch = (node.then_branch if v.predicates[node.predicate][s]
-                          else node.else_branch)
-                value = go(branch, s, budgets)
+                    node = binders[binder].body
+                    budgets = tuple(sorted(entry.items()))
+            elif kind is MaxJ or kind is MinJ:
+                sigma = sigma_max if kind is MaxJ else sigma_min
+                node = node.left if sigma.decide(node.site, view, s) else node.right
+            elif kind is Cond:
+                node = (node.then_branch if v.predicates[node.predicate][s]
+                        else node.else_branch)
             else:  # Mu or Nu: bind, then enter the body
                 view.append((node.var, s))
                 if depth == 0:
-                    value = 0.0 if isinstance(node, Mu) else 1.0
+                    value = 0.0 if kind is Mu else 1.0
                 else:
                     binders[id(node)] = node
                     entry = dict(budgets)
                     entry[node.var] = (depth - 1, id(node))
-                    value = go(node.body, s, tuple(sorted(entry.items())))
-        finally:
-            del view[mark:]
-        if memo is not None:
-            memo[key] = value
-        return value
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 100_000))
-    try:
-        value = go(phi, s0, ())
-    finally:
-        sys.setrecursionlimit(limit)
-    return value
+                    node = node.body
+                    budgets = tuple(sorted(entry.items()))
+        if value is not None:
+            values.append(value)
+            for key in keys:
+                memo[key] = value
+    return values[0]
 
 
 def _check_playable(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
                     sigma_max: PathStrategy) -> None:
-    """Reject, before any move, a start state outside the model, a formula
-    the game rules cannot play, or strategy tables that are not one per site
-    with one entry per state.
-
-    Unbound names raise :class:`UnresolvedSymbolError`, as in the evaluator.
-    """
-    free = free_variables(phi)
-    if free:
-        raise UnresolvedSymbolError("variable", sorted(free)[0])
-    if not is_reduced(phi):
-        raise GameError("formula contains set modalities; reduce it first")
-    missing = unbound_symbol(phi, model.valuation)
-    if missing is not None:
-        raise UnresolvedSymbolError(*missing)
-    if contains_fix(phi):
-        raise GameError("the game rules do not cover fix(x) binders")
+    """Reject, before any move, a formula :func:`~qmu.evaluator.evaluate`
+    rejects (through the same :func:`~qmu.formula.check_entry`, so with the
+    same error), a start state outside the model, or strategy tables that
+    are not one per site with one entry per state."""
+    check_entry(phi, model.valuation, "reject")
     if not isinstance(s0, Integral) or not 0 <= s0 < model.space.size:
         raise GameError(f"start state {s0} is not in range({model.space.size})")
     mins, maxs = choice_sites(phi)

@@ -1,13 +1,15 @@
 """Playouts, seeded estimation and exact tree expansion."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate, transition
 from qmu import game
 from qmu.evaluator import (
-    EvaluationError, PathStrategy, UnresolvedSymbolError,
-    evaluate_with_strategies,
+    EvaluationError, FixNotSupportedError, PathStrategy, UnresolvedSymbolError,
+    evaluate, evaluate_with_strategies,
 )
 from qmu.formula import (
     Const, MaxJ, Modal, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
@@ -484,6 +486,43 @@ class TestExpandTree:
             play(parse("fix(0.5) X . X"), simple, 0, LEFT, LEFT, 3, rng_for(8))
 
 
+def deep_chain(length: int):
+    """``<k>^length (p \\/ q)`` on one state, which ``k`` keeps."""
+    model = Model(StateSpace(("s",)), Valuation(
+        expectations={"p": expectation([0.25]), "q": expectation([0.5])},
+        transitions={"k": transition([[(0, 1.0)]])}))
+    phi = MaxJ(Const("p"), Const("q"), 0)
+    for _ in range(length):
+        phi = Modal("k", phi)
+    return model, phi
+
+
+class TestDeepChains:
+    """The strategy unfolding and the tree expansion run on explicit stacks:
+    a chain far deeper than the recursion limit runs, and a strategy sees
+    the caller's limit."""
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("walker", ["evaluate_with_strategies", "expand_tree"])
+    def test_a_10000_deep_chain_runs_at_the_callers_limit(self, walker, depth):
+        model, phi = deep_chain(10_000)
+        seen = []
+
+        def decide(site, path, s):
+            seen.append((sys.getrecursionlimit(), len(path)))
+            return True
+
+        history = PathStrategy(decide=decide)
+        if walker == "expand_tree":
+            value = expand_tree(phi, model, 0, LEFT, history, depth)
+        else:
+            value, = evaluate_with_strategies(phi, model, None, history,
+                                              depth=depth)
+        assert value == 0.25
+        # the view holds every modality, then the junction
+        assert seen == [(sys.getrecursionlimit(), 10_001)]
+
+
 UNBOUND_IN_VARDI = ["if nope then atB else <k> atB", "mu X . <k> nope \\/ <k> X"]
 
 #: What every entry point must reject before any move in the vardi game (two
@@ -519,6 +558,26 @@ class TestEntryCheck:
             monkeypatch.setattr(game, name, counted)
         estimate(phi, model, 0, LEFT, RIGHT, n_paths=50, max_depth=20, seed=4)
         assert calls == {"_check_playable": 1, "formula_size": 1}
+
+    @pytest.mark.parametrize("text, error", [
+        ("<k> e", EvaluationError), ("fix(0.5) X . X", FixNotSupportedError),
+    ], ids=["unreduced", "fix"])
+    @pytest.mark.parametrize("entry", [
+        lambda phi, model: evaluate(phi, model),
+        lambda phi, model: play(phi, model, 0, LEFT, LEFT, 5, rng_for(9)),
+        lambda phi, model: estimate(phi, model, 0, LEFT, LEFT, n_paths=5,
+                                    max_depth=5, seed=9),
+        lambda phi, model: expand_tree(phi, model, 0, LEFT, LEFT, depth=5),
+    ], ids=["evaluate", "play", "estimate", "expand_tree"])
+    def test_every_entry_point_rejects_a_formula_as_evaluate_does(
+            self, simple, text, error, entry):
+        phi = parse(text)
+        with pytest.raises(error) as expected:
+            evaluate(phi, simple)
+        with pytest.raises(error) as raised:
+            entry(phi, simple)
+        assert type(raised.value) is type(expected.value) is error
+        assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("tables, match", TABLES_NOT_FOR_VARDI)
     def test_tables_must_fit_the_formula_and_model(self, vardi, tables, match,

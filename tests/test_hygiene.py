@@ -84,15 +84,11 @@ def test_the_import_guard_sees_other_packages():
             if package not in ALLOWED_PACKAGES] == ["scipy", "numba"]
 
 
-#: Functions allowed on a call cycle, by module.  The depth-bounded
-#: unfolding of history-dependent strategies and the game-tree expansion
-#: keep their recursive walkers: each interprets the formula in its own
-#: way, apart from the evaluator's plan, and raises the recursion limit for
-#: the length of one call.
-RECURSION_ALLOWED = {
-    "evaluator.py": {"_unfold.go"},
-    "game.py": {"expand_tree.go"},
-}
+#: Functions allowed on a call cycle, by module: none.  Every walker in
+#: ``src/qmu``, the strategy unfolding and the game-tree expansion included,
+#: runs on an explicit stack, so no formula is too deep for the interpreter's
+#: recursion limit and nothing changes that limit.
+RECURSION_ALLOWED: dict[str, set[str]] = {}
 
 
 def recursive_functions(source: str) -> set[str]:
@@ -384,17 +380,33 @@ def test_the_oracle_import_guard_sees_every_spelling():
 
 
 def test_the_components_and_the_pass_run_on_explicit_stacks():
-    # the allowance may shrink to nothing but never grow beyond the two
-    # interpreters' walkers; the SCC code and the support pass are seen by
-    # the guard and are not on a cycle
-    walkers = {"evaluator.py": {"_unfold.go"}, "game.py": {"expand_tree.go"}}
-    assert all(names <= walkers.get(name, set())
-               for name, names in RECURSION_ALLOWED.items())
+    # nothing is allowed on a cycle; the SCC code, the support pass and the
+    # two strategy walkers are seen by the guard and are not on one
+    assert not any(RECURSION_ALLOWED.values())
     for name, functions in (("core.py", {"Transition._recurrent", "pre_support"}),
-                            ("evaluator.py", {"_Plan.decide", "_Plan.__init__"})):
+                            ("evaluator.py", {"_Plan.decide", "_Plan.__init__",
+                                              "_unfold"}),
+                            ("game.py", {"expand_tree"})):
         source = (Path(qmu.__file__).parent / name).read_text()
         assert functions <= defined_functions(source)
         assert not functions & recursive_functions(source)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_nothing_changes_the_recursion_limit(path):
+    # the interpreter-wide limit is process state that strategies and other
+    # threads see; the walkers need no more than the caller's
+    assert naming_lines(path.read_text(), "setrecursionlimit") == []
+
+
+def test_the_recursion_limit_guard_sees_every_spelling():
+    source = ("import sys\nimport sys as s\n"
+              "from sys import setrecursionlimit\n"
+              "def f(n):\n"
+              "    sys.setrecursionlimit(n)\n"
+              "    s.setrecursionlimit(sys.getrecursionlimit())\n"
+              "    setrecursionlimit(n)\n")
+    assert naming_lines(source, "setrecursionlimit") == [3, 5, 6, 7]
 
 
 def defined_functions(source: str) -> set[str]:
