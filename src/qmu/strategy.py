@@ -176,4 +176,8 @@ def save_strategy(path, strategy: MemorilessStrategy, phi: Node) -> None:
 
 def load_strategy(path, phi: Node) -> MemorilessStrategy:
     with open(path) as fh:
-        return strategy_from_dict(json.load(fh), phi)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise StrategyError(f"{path}: invalid JSON: nested too deeply") from exc
+    return strategy_from_dict(data, phi)

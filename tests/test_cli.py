@@ -96,6 +96,14 @@ class TestEval:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "malformed model file" in err
 
+    def test_model_nested_too_deeply_exits_one(self, capsys, tmp_path):
+        # the decoder's RecursionError used to escape as a traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run(capsys, ["eval", str(deep), "mu X . X"])
+        assert code == 1 and out == ""
+        assert err == f"error: {deep}: invalid JSON: nested too deeply\n"
+
     def test_tolerance_flag_consistency(self, capsys, vardi_files):
         _, coarse, _ = run(capsys, ["eval", vardi_files["model"],
                                     vardi_files["formula"], "--state", "A",
@@ -284,6 +292,17 @@ class TestSimulate:
                                       "--state", "A", "--paths", "10"])
         assert code == 1 and out == ""
         assert err == "error: strategy file must be a JSON object\n"
+
+    def test_strategy_nested_too_deeply_exits_one(self, capsys, vardi_files,
+                                                  tmp_path):
+        deep = tmp_path / "s.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run(capsys, ["simulate", vardi_files["model"],
+                                      vardi_files["formula"],
+                                      "--strategy", str(deep),
+                                      "--state", "A", "--paths", "10"])
+        assert code == 1 and out == ""
+        assert err == f"error: {deep}: invalid JSON: nested too deeply\n"
 
     def test_choice_map_not_an_object_exits_one(self, capsys, vardi_files,
                                                 tmp_path):

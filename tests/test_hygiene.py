@@ -235,6 +235,86 @@ def test_the_json_dump_guard_sees_every_spelling():
     assert json_dump_calls(source) == [5, 7, 8]
 
 
+#: The ``gc`` functions that change what the cyclic collector does.
+COLLECTOR_CONTROLS = {"disable", "enable", "freeze", "set_threshold", "collect"}
+
+#: Functions that may name one of them, by module: only the helper that
+#: pauses the collector while a model file is decoded or encoded, and puts
+#: back the state the caller had.
+COLLECTOR_ALLOWED = {"modelio.py": {"_collector_paused"}}
+
+
+def collector_controls(source: str) -> list[tuple[int, str]]:
+    """Every mention of a function in :data:`COLLECTOR_CONTROLS`, through
+    any alias of ``gc`` or of the function, ``getattr`` and the import of
+    the function included, as (line, enclosing function or class by dotted
+    name, ``""`` at module level)."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "gc")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            functions.update(alias.asname or alias.name for alias in node.names
+                             if alias.name in COLLECTOR_CONTROLS)
+
+    def names_one(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return (node.attr in COLLECTOR_CONTROLS
+                    and isinstance(node.value, ast.Name) and node.value.id in modules)
+        if isinstance(node, ast.Name):
+            return node.id in functions
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "gc" and any(
+                alias.name in COLLECTOR_CONTROLS for alias in node.names)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) >= 2
+                and isinstance(node.args[0], ast.Name) and node.args[0].id in modules
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in COLLECTOR_CONTROLS)
+
+    found = []
+    stack = [(tree, "")]
+    while stack:
+        node, where = stack.pop()
+        if names_one(node):
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, f"{where}.{child.name}".lstrip(".")))
+            else:
+                stack.append((child, where))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_model_file_helper_switches_the_collector(path):
+    # the collector is process state: pausing it is safe only around a
+    # block that makes no reference cycle, and only if it is restored
+    assert {where for _, where in collector_controls(path.read_text())} == \
+        COLLECTOR_ALLOWED.get(path.name, set())
+
+
+def test_the_collector_guard_sees_every_spelling():
+    source = ("import gc\nimport gc as g\n"
+              "from gc import collect as sweep, isenabled\n"
+              "def paused():\n"
+              "    gc.disable()\n"
+              "    g.enable()\n"
+              "class Loader:\n"
+              "    def load(self):\n"
+              "        if isenabled():\n"
+              "            sweep()\n"
+              "        getattr(g, 'freeze')()\n"
+              "        off = gc.set_threshold\n"
+              "        return gc.get_count(), off\n"
+              "gc.collect()\n")
+    assert collector_controls(source) == [
+        (3, ""), (5, "paused"), (6, "paused"), (10, "Loader.load"),
+        (11, "Loader.load"), (12, "Loader.load"), (14, "")]
+
+
 #: What ``oracle.py`` may import from the evaluator: the brute force solves
 #: each strategy pair apart from the denotation it checks.
 ORACLE_MAY_IMPORT = {"EvalConfig", "evaluate"}

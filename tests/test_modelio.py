@@ -1,12 +1,17 @@
 """Model file round trips and schema checks."""
 
+import gc
 import json
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import qmu.modelio
+from qmu.core import (
+    Model, StateSpace, Valuation, expectation, predicate, transition_from_edges,
+)
 from qmu.evaluator import evaluate
 from qmu.examples import futures_model, vardi_model
 from qmu.modelio import (
@@ -49,6 +54,60 @@ def same_types(a, b) -> bool:
     if isinstance(a, list):
         return len(a) == len(b) and all(map(same_types, a, b))
     return a == b
+
+
+def large_model(n_states=6000, out_degree=4, seed=25) -> Model:
+    """A seeded model with two transitions of ``out_degree`` distinct
+    targets a row: its file decodes into enough containers to set off
+    several passes of a running cyclic collector."""
+    rng = np.random.default_rng([seed, n_states])
+    transitions = {}
+    for name in ("a", "b"):
+        # a sorted draw with replacement plus 0, 1, 2, ... is a set of
+        # distinct targets
+        targets = (np.sort(rng.integers(0, n_states - out_degree + 1,
+                                        (n_states, out_degree)), axis=1)
+                   + np.arange(out_degree))
+        mass = rng.uniform(0.55, 0.85, n_states)
+        share = rng.random((n_states, out_degree)) + 0.05
+        probs = share / share.sum(axis=1, keepdims=True) * mass[:, None]
+        transitions[name] = transition_from_edges(
+            np.full(n_states, out_degree), targets.ravel(), probs.ravel(),
+            (1.0 - mass) * rng.random(n_states))
+    valuation = Valuation(
+        expectations={"P": expectation(rng.random(n_states))},
+        transitions=transitions,
+        transition_sets={"both": ("a", "b")},
+        predicates={"odd": predicate(np.arange(n_states) % 2 == 1)})
+    return Model(StateSpace(tuple(f"s{i}" for i in range(n_states))), valuation)
+
+
+@contextmanager
+def collector(on: bool):
+    """Run the block with the cyclic collector switched ``on`` or off, then
+    put back the state it had."""
+    was = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def collector_passes(action) -> int:
+    """How many passes the cyclic collector starts while ``action()`` runs."""
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info)
+
+    gc.callbacks.append(count)
+    try:
+        action()
+    finally:
+        gc.callbacks.remove(count)
+    return len(passes)
 
 
 def saved_models():
@@ -130,6 +189,109 @@ class TestRoundTrip:
         with pytest.raises(RuntimeError, match="no document"):
             save_model(path, vardi[0])
         assert path.read_text() == before
+
+    def test_large_model_is_byte_identical(self, tmp_path):
+        # large enough that decoding its file with the collector on starts
+        # collector passes; the loaded arrays and the saved text are the
+        # same as with no pause
+        model = large_model()
+        path = tmp_path / "large.json"
+        save_model(path, model)
+        text = path.read_text()
+        assert text == json.dumps(model_to_dict(model), separators=(",", ":")) + "\n"
+        with collector(True):
+            assert collector_passes(lambda: json.loads(text)) > 0
+        again = load_model(path)
+        assert again.space.labels == model.space.labels
+        v, w = model.valuation, again.valuation
+        assert w.transitions.keys() == v.transitions.keys()
+        for name, t in v.transitions.items():
+            for field in ("indptr", "indices", "probs", "weights"):
+                ours, theirs = getattr(t, field), getattr(w.transitions[name], field)
+                assert theirs.dtype == ours.dtype, (name, field)
+                assert theirs.tobytes() == ours.tobytes(), (name, field)
+        for ours, theirs in ((v.expectations, w.expectations),
+                             (v.predicates, w.predicates)):
+            assert ours.keys() == theirs.keys()
+            for name, arr in ours.items():
+                assert theirs[name].dtype == arr.dtype, name
+                assert theirs[name].tobytes() == arr.tobytes(), name
+        assert w.transition_sets == v.transition_sets
+
+
+class TestCollector:
+    """Decoding and encoding run with the cyclic collector paused, and every
+    path out of a load or a save leaves it as the caller had it."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def state(self, request):
+        with collector(request.param):
+            yield request.param
+
+    def test_load_and_save(self, tmp_path, vardi, state):
+        path = tmp_path / "vardi.json"
+        save_model(path, vardi[0])
+        assert gc.isenabled() is state
+        load_model(path)
+        assert gc.isenabled() is state
+
+    @pytest.mark.parametrize("text, match", [
+        ("{ not json", "invalid JSON: Expecting"),
+        ('{"schema": "qmu-model/1", "states": ["A"], "transitions": []}',
+         "'transitions' must be an object"),
+        ('{"schema": "qmu-model/1", "states": ["A"], "transitions": '
+         '{"k": [{"to": [[0, 0.5]], "payoff_weight": 0.9}]}}',
+         "model fails validation"),
+        ("[" * 100_000, "invalid JSON: nested too deeply"),
+    ], ids=["invalid-json", "malformed-section", "fails-validation",
+            "nested-too-deeply"])
+    def test_failed_load(self, tmp_path, state, text, match):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ModelFileError, match=match):
+            load_model(path)
+        assert gc.isenabled() is state
+
+    def test_failed_save(self, tmp_path, vardi, state, monkeypatch):
+        def broken(model):
+            raise RuntimeError("no document")
+
+        monkeypatch.setattr(qmu.modelio, "model_to_dict", broken)
+        with pytest.raises(RuntimeError, match="no document"):
+            save_model(tmp_path / "vardi.json", vardi[0])
+        assert gc.isenabled() is state
+
+    def test_decode_and_encode_run_paused(self, tmp_path, vardi, monkeypatch):
+        seen = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                seen.append((name, gc.isenabled()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        for owner, name in ((qmu.modelio, "model_to_dict"), (json, "dumps"),
+                            (json, "load"), (qmu.modelio, "model_from_dict")):
+            spy(owner, name)
+        path = tmp_path / "vardi.json"
+        with collector(True):
+            save_model(path, vardi[0])
+            load_model(path)
+            assert gc.isenabled()
+        assert seen == [("model_to_dict", False), ("dumps", False),
+                        ("load", False), ("model_from_dict", False)]
+
+    def test_large_load_starts_no_pass(self, tmp_path):
+        # the decoded tree is freed before the collector is back on, so no
+        # pass runs during the load, not even at the end
+        path = tmp_path / "large.json"
+        save_model(path, large_model())
+        with collector(True):
+            gc.collect()
+            assert collector_passes(lambda: load_model(path)) == 0
 
 
 class TestSchema:
