@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Commands: ``eval``, ``synthesize``, ``simulate``, ``crosscheck``,
-``example``.  Exit codes: 0 success, 1 input error, 2 evaluator
-non-convergence, 3 property failure (crosscheck found a counterexample).
-All commands are deterministic functions of their arguments, inputs and
-seeds.
+``example``.  Exit codes: 0 success, 1 input error (a usage error
+included), 2 evaluator non-convergence, 3 property failure (crosscheck
+found a counterexample).  All commands are deterministic functions of
+their arguments, inputs and seeds.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import examples
-from .core import Model
 from .evaluator import EvalConfig, NotConvergedError, evaluate_fix
 from .formula import parse, reduce
 from .game import estimate
@@ -36,93 +36,85 @@ class _InputError(Exception):
 _INPUT_ERRORS = (_InputError, ValueError, OSError)
 
 
-def _load_formula_arg(source: str, model: Model):
-    """Treat the argument as a file when one exists, inline text otherwise."""
-    if os.path.exists(source):
-        with open(source) as fh:
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one ``error:`` line, exit code 1.
+    Subparsers are made of the same class."""
+
+    def error(self, message):
+        raise _InputError(f"{self.prog}: {message}")
+
+
+def _inputs(args):
+    """The model, the reduced formula and the configuration of an evaluating
+    command.  The formula argument is a file when one exists, inline text
+    otherwise."""
+    model = load_model(args.model)
+    text = args.formula
+    if os.path.exists(text):
+        with open(text) as fh:
             text = fh.read()
+    phi = parse(text, known_symbols=set(model.valuation.expectations))
+    return (model, reduce(phi, model.valuation),
+            EvalConfig(tolerance=args.tol, max_iterations=args.max_iters))
+
+
+def _emit(args, payload, lines, sort_keys=True) -> None:
+    """Print ``payload`` as JSON under ``--json``, the text ``lines`` otherwise."""
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=sort_keys))
     else:
-        text = source
-    known = set(model.valuation.expectations)
-    phi = parse(text, known_symbols=known)
-    return reduce(phi, model.valuation)
-
-
-def _state_indices(args, model: Model) -> list[int]:
-    if getattr(args, "all_states", False):
-        return list(range(model.space.size))
-    if getattr(args, "state", None) is not None:
-        return [model.space.index(args.state)]
-    return list(range(model.space.size))
-
-
-def _config(args) -> EvalConfig:
-    return EvalConfig(tolerance=args.tol, max_iterations=args.max_iters)
+        for line in lines:
+            print(line)
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    phi = _load_formula_arg(args.formula, model)
-    cfg = _config(args)
+    model, phi, cfg = _inputs(args)
     report = evaluate_fix(phi, model, cfg)
-    states = _state_indices(args, model)
-    scale = 10.0 if args.dollars else 1.0
-    if args.json:
-        payload = {
-            "values": {model.space.labels[s]: scale * float(report.result[s])
-                       for s in states},
-            "converged": report.converged,
-            "fixpoints": {name: {key: value for key, value in vars(st).items()
-                                 if key != "binder"}
-                          for name, st in report.fixpoints.items()},
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for s in states:
-            value = scale * float(report.result[s])
-            text = f"{value:.2f}" if args.dollars else f"{value:.6f}"
-            print(f"{model.space.labels[s]} {text}")
-        for name, st in report.fixpoints.items():
-            print(f"# fixpoint {name}: {st.iterations} iterations, "
-                  f"residual {st.residual:.3e}, "
-                  f"{'converged' if st.converged else 'NOT CONVERGED'}")
+    states = (range(model.space.size) if args.state is None
+              else [model.space.index(args.state)])
+    scale, digits = (10.0, 2) if args.dollars else (1.0, 6)
+    values = {model.space.labels[s]: scale * float(report.result[s])
+              for s in states}
+    stats = report.fixpoints
+    _emit(args, {
+        "values": values,
+        "converged": report.converged,
+        "fixpoints": {name: {key: value for key, value in vars(st).items()
+                             if key != "binder"}
+                      for name, st in stats.items()},
+    }, [*(f"{label} {value:.{digits}f}" for label, value in values.items()),
+        *(f"# fixpoint {name}: {st.iterations} iterations, "
+          f"residual {st.residual:.3e}, "
+          f"{'converged' if st.converged else 'NOT CONVERGED'}"
+          for name, st in stats.items())])
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_synthesize(args) -> int:
-    model = load_model(args.model)
-    phi = _load_formula_arg(args.formula, model)
-    cfg = _config(args)
+    model, phi, cfg = _inputs(args)
     strategy, value = synthesize(phi, model, cfg)
     if args.out:
         save_strategy(args.out, strategy, phi)
     residual = verify_strategy(phi, model, strategy, cfg, base=value)
-    states = _state_indices(args, model)
-    if args.json:
-        payload = {
-            "values": {model.space.labels[s]: float(value[s]) for s in states},
-            "residual": residual,
-            "min_sites": len(strategy.min_choices or ()),
-            "max_sites": len(strategy.max_choices or ()),
-            "out": args.out,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for s in states:
-            print(f"{model.space.labels[s]} {float(value[s]):.6f}")
-        print(f"# specialisation residual {residual:.3e}")
-        if args.out:
-            print(f"# strategy written to {args.out}")
+    states = (range(model.space.size) if args.state is None
+              else [model.space.index(args.state)])
+    values = {model.space.labels[s]: float(value[s]) for s in states}
+    _emit(args, {
+        "values": values,
+        "residual": residual,
+        "min_sites": len(strategy.min_choices or ()),
+        "max_sites": len(strategy.max_choices or ()),
+        "out": args.out,
+    }, [*(f"{label} {v:.6f}" for label, v in values.items()),
+        f"# specialisation residual {residual:.3e}",
+        *([f"# strategy written to {args.out}"] if args.out else [])])
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    model = load_model(args.model)
-    phi = _load_formula_arg(args.formula, model)
-    cfg = _config(args)
+    model, phi, cfg = _inputs(args)
     if args.strategy:
         strategy = load_strategy(args.strategy, phi)
-        strategy.check_shape(phi, model.space.size)
     elif args.synthesize:
         strategy, _ = synthesize(phi, model, cfg)
     else:
@@ -133,32 +125,20 @@ def cmd_simulate(args) -> int:
                       n_paths=args.paths, max_depth=args.max_depth,
                       seed=args.seed)
     truncated_fraction = result.n_truncated / args.paths
-    if args.json:
-        payload = {
-            "state": args.state,
-            "paths": args.paths,
-            "seed": args.seed,
-            "max_depth": args.max_depth,
-            "mean_low": result.mean_low,
-            "mean_high": result.mean_high,
-            "std_error": result.std_error,
-            "n_truncated": result.n_truncated,
-            "truncated_fraction": truncated_fraction,
-            "truncated_mu": result.truncated_mu,
-            "truncated_nu": result.truncated_nu,
-            "truncated_budget": result.truncated_budget,
-            "mean_steps": result.mean_steps,
-            "max_steps": result.max_steps,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"mean bracket [{result.mean_low:.6f}, {result.mean_high:.6f}]")
-        print(f"std error {result.std_error:.6f}")
-        print(f"truncated {result.n_truncated}/{args.paths} "
-              f"({100 * truncated_fraction:.3f}%): {result.truncated_mu} mu, "
-              f"{result.truncated_nu} nu, {result.truncated_budget} step budget")
-        print(f"steps per playout mean {result.mean_steps:.3f}, "
-              f"max {result.max_steps}")
+    _emit(args, {
+        **result._asdict(),
+        "state": args.state,
+        "paths": args.paths,
+        "seed": args.seed,
+        "max_depth": args.max_depth,
+        "truncated_fraction": truncated_fraction,
+    }, [f"mean bracket [{result.mean_low:.6f}, {result.mean_high:.6f}]",
+        f"std error {result.std_error:.6f}",
+        f"truncated {result.n_truncated}/{args.paths} "
+        f"({100 * truncated_fraction:.3f}%): {result.truncated_mu} mu, "
+        f"{result.truncated_nu} nu, {result.truncated_budget} step budget",
+        f"steps per playout mean {result.mean_steps:.3f}, "
+        f"max {result.max_steps}"])
     return EXIT_OK
 
 
@@ -169,38 +149,14 @@ def cmd_crosscheck(args) -> int:
     report = crosscheck(args.count, args.seed, bounds,
                         EvalConfig(tolerance=args.tol),
                         dump_dir=args.dump)
-    if args.json:
-        payload = {
-            "checked": report.checked,
-            "failures": [{"index": f.index, "message": f.message,
-                          "dump_paths": list(f.dump_paths)}
-                         for f in report.failures],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"checked {report.checked} instances, {len(report.failures)} failures")
-        for failure in report.failures:
-            print(f"FAIL {failure.message}")
-            for path in failure.dump_paths:
-                print(f"  dumped {path}")
+    _emit(args, {
+        "checked": report.checked,
+        "failures": [asdict(failure) for failure in report.failures],
+    }, [f"checked {report.checked} instances, {len(report.failures)} failures",
+        *(line for failure in report.failures
+          for line in (f"FAIL {failure.message}",
+                       *(f"  dumped {path}" for path in failure.dump_paths)))])
     return EXIT_OK if report.ok else EXIT_PROPERTY_FAILURE
-
-
-def _emit_tables(tables, names, as_json) -> None:
-    if as_json:
-        payload = [
-            {"table": tables[name].name, "label": label,
-             "values": values}
-            for name in names
-            for label, values in tables[name].rows.items()
-        ]
-        print(json.dumps(payload, indent=2))
-        return
-    header = "label," + ",".join(f"v{v}" for v in range(11))
-    print(header)
-    for name in names:
-        for label, values in tables[name].rows.items():
-            print(label + "," + ",".join(f"{x:.2f}" for x in values))
 
 
 def cmd_example(args) -> int:
@@ -230,46 +186,48 @@ def cmd_example(args) -> int:
             if name not in tables:
                 raise _InputError(
                     f"unknown table {name!r}; choose from {sorted(tables)} or 'all'")
-        _emit_tables(tables, names, args.json)
+        rows = [(tables[name].name, label, values)
+                for name in names for label, values in tables[name].rows.items()]
+        _emit(args, [{"table": table, "label": label, "values": values}
+                     for table, label, values in rows],
+              ["label," + ",".join(f"v{v}" for v in range(11)),
+               *(label + "," + ",".join(f"{x:.2f}" for x in values)
+                 for _, label, values in rows)], sort_keys=False)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmu",
         description="Evaluate, solve and simulate quantitative mu-calculus "
                     "formulae over finite probabilistic models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="fixpoint convergence tolerance (sup norm)")
-        p.add_argument("--max-iters", type=int, default=1_000_000,
-                       dest="max_iters", help="iteration cap per fixpoint")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--tol", type=float, default=1e-9,
+                        help="fixpoint convergence tolerance (sup norm)")
+    shared.add_argument("--json", action="store_true", help="machine-readable output")
+    evaluating = argparse.ArgumentParser(add_help=False, parents=[shared])
+    evaluating.add_argument("model")
+    evaluating.add_argument("formula", help="formula file or inline text")
+    evaluating.add_argument("--max-iters", type=int, default=1_000_000,
+                            dest="max_iters", help="iteration cap per fixpoint")
 
-    p = sub.add_parser("eval", help="evaluate a formula on a model")
-    p.add_argument("model")
-    p.add_argument("formula", help="formula file or inline text")
+    p = sub.add_parser("eval", parents=[evaluating],
+                       help="evaluate a formula on a model")
     p.add_argument("--state", help="state label to report")
-    p.add_argument("--all-states", action="store_true", dest="all_states")
     p.add_argument("--dollars", action="store_true",
                    help="display values rescaled by 10 to two decimals")
-    add_common(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("synthesize", help="extract an optimal memoriless strategy")
-    p.add_argument("model")
-    p.add_argument("formula")
+    p = sub.add_parser("synthesize", parents=[evaluating],
+                       help="extract an optimal memoriless strategy")
     p.add_argument("--out", help="strategy file to write")
     p.add_argument("--state", help="state label to report")
-    p.add_argument("--all-states", action="store_true", dest="all_states")
-    add_common(p)
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo playouts under fixed strategies")
-    p.add_argument("model")
-    p.add_argument("formula")
+    p = sub.add_parser("simulate", parents=[evaluating],
+                       help="Monte-Carlo playouts under fixed strategies")
     p.add_argument("--strategy", help="strategy file (fingerprint-checked)")
     p.add_argument("--synthesize", action="store_true",
                    help="synthesise the strategy instead of loading one")
@@ -277,10 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-depth", type=int, default=200, dest="max_depth")
-    add_common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("crosscheck",
+    p = sub.add_parser("crosscheck", parents=[shared],
                        help="random minimax = maximin = evaluation checks")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -288,27 +245,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-min-sites", type=int, default=2, dest="max_min_sites")
     p.add_argument("--max-max-sites", type=int, default=2, dest="max_max_sites")
     p.add_argument("--dump", help="directory for counterexample dumps")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("example", help="emit built-in models and tables")
+    p = sub.add_parser("example", parents=[shared],
+                       help="emit built-in models and tables")
     p.add_argument("name", choices=("futures", "vardi"))
     p.add_argument("--table",
                    help="futures table to print: optimal, yield, onemonth, "
                         "probability, or all")
     p.add_argument("--out", help="directory to write model/formula files")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_example)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)

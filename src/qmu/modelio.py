@@ -12,15 +12,15 @@ pretty-prints a file.
 
 The loader flattens each transition's rows into edge arrays and builds it
 with :func:`~qmu.core.transition_from_edges`; it makes no per-edge
-tuples.  A file is malformed if a section is not a JSON object, a row not
-an object, an edge not a ``[target, probability]`` pair, a target not a JSON
-integer, a probability, weight or expectation entry not a finite JSON number
-(``true`` and ``"0.5"`` are not), an expectation entry outside [0, 1] (the
-message names the expectation and the first such state), a predicate entry
-not a JSON boolean, or a state label or set member not a string; one that
-parses but breaks an invariant of :func:`~qmu.core.validate` fails
-validation.  Both raise :class:`ModelFileError`, and so does a file
-nested too deeply for the decoder.
+tuples.  A file is malformed if it lacks ``states``, a section is not an
+object, a row not an object, an edge not a ``[target, probability]`` pair,
+a target not a JSON integer, a probability, weight or expectation entry not
+a finite JSON number (``true`` and ``"0.5"`` are not), a number too large
+for its array, an expectation entry outside [0, 1] (the message names the
+expectation and the first such state), a predicate entry not a boolean, or
+a state label or set member not a string; one that parses but breaks an
+invariant of :func:`~qmu.core.validate` fails validation.  Both raise
+:class:`ModelFileError`, and so does a file :func:`read_json` cannot decode.
 
 Decoding and encoding run with the cyclic garbage collector paused
 (:func:`_collector_paused`).  Both allocate one list per edge and one dict
@@ -107,6 +107,19 @@ def _require(values, kinds: set, where: str, noun: str, kind: str) -> list:
     return values
 
 
+def _array(values, kinds: set, where: str, noun: str, kind: str) -> np.ndarray:
+    """``values``, checked by :func:`_require`, as an int64 array if they
+    must be integers, float64 otherwise; an integer too large for it is out
+    of range."""
+    _require(values, kinds, where, noun, kind)
+    dtype = np.int64 if kinds == {int} else np.float64
+    try:
+        return np.fromiter(values, dtype=dtype, count=len(values))
+    except OverflowError:
+        raise ModelFileError(
+            f"malformed model file: {where}: {noun} out of range") from None
+
+
 def _lists(data: dict, key: str, kinds: set, noun: str, kind: str, build) -> dict:
     """Section ``key``, every entry checked by :func:`_require` and built
     by ``build(where, values)``."""
@@ -146,16 +159,13 @@ def _transition_from_rows(name: str, rows) -> Transition:
         raise ModelFileError(f"malformed model file: transition {name!r}: "
                              "edges must be [target, probability] pairs")
     flat = list(chain.from_iterable(edges))
-    targets, probs = flat[0::2], flat[1::2]
-    _require(targets, {int}, where, "edge targets", "integers")
-    _require(probs, {int, float}, where, "probabilities", "numbers")
-    _require(weights, {int, float}, where, "payoff weights", "numbers")
+    targets = _array(flat[0::2], {int}, where, "edge targets", "integers")
+    probs = _array(flat[1::2], {int, float}, where, "probabilities", "numbers")
+    weights = _array(weights, {int, float}, where, "payoff weights", "numbers")
     try:
         return transition_from_edges(
             np.fromiter(map(len, tos), dtype=np.int64, count=len(tos)),
-            np.fromiter(targets, dtype=np.int64, count=len(targets)),
-            np.fromiter(probs, dtype=np.float64, count=len(probs)),
-            np.fromiter(weights, dtype=np.float64, count=len(weights)))
+            targets, probs, weights)
     except ModelError as exc:
         raise ModelFileError(
             f"malformed model file: transition {name!r}: {exc}") from exc
@@ -166,6 +176,8 @@ def model_from_dict(data: dict) -> Model:
         raise ModelFileError("model file must be a JSON object")
     if data.get("schema") != MODEL_SCHEMA:
         raise ModelFileError(f"unsupported model schema {data.get('schema')!r}")
+    if "states" not in data:
+        raise ModelFileError("malformed model file: missing key 'states'")
     try:
         space = StateSpace(tuple(_require(data["states"], {str}, "states",
                                           "labels", "strings")))
@@ -181,7 +193,7 @@ def model_from_dict(data: dict) -> Model:
             predicates=_lists(data, "predicates", {bool}, "entries", "true or false",
                               lambda where, arr: predicate(arr, space.size)),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelFileError):
             raise
         raise ModelFileError(f"malformed model file: {exc}") from exc
@@ -193,31 +205,37 @@ def model_from_dict(data: dict) -> Model:
     return model
 
 
-def save_model(path, model: Model) -> None:
-    """Write ``model`` to ``path`` as one compact JSON line.
-
-    The whole text is encoded before the file is opened, so an error while
-    building or encoding it leaves an existing file as it was.
-    """
-    with _collector_paused():
-        text = json.dumps(model_to_dict(model), separators=(",", ":"))
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
-def _decode(path):
-    """The JSON tree in the file at ``path``."""
+def read_json(path, error: type[ValueError]):
+    """The JSON tree in the file at ``path``.  A file that does not decode
+    raises ``error`` with a message that names ``path``."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ModelFileError(f"{path}: invalid JSON: {exc}") from exc
+            raise error(f"{path}: invalid JSON: {exc}") from exc
         except RecursionError as exc:
-            raise ModelFileError(f"{path}: invalid JSON: nested too deeply") from exc
+            raise error(f"{path}: invalid JSON: nested too deeply") from exc
+
+
+def write_json(path, document) -> None:
+    """Write ``document`` to ``path`` as one compact JSON line.
+
+    The whole text is encoded before the file is opened, so an error while
+    encoding it leaves an existing file as it was.
+    """
+    text = json.dumps(document, separators=(",", ":"))
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def save_model(path, model: Model) -> None:
+    """Write ``model`` to ``path`` with :func:`write_json`."""
+    with _collector_paused():
+        write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> Model:
     # the tree is a temporary, freed before the collector is back on, so
     # the first pass after the block does not scan it
     with _collector_paused():
-        return model_from_dict(_decode(path))
+        return model_from_dict(read_json(path, ModelFileError))

@@ -10,7 +10,6 @@ cover adversarial.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .evaluator import (
     evaluate_with_strategies,
 )
 from .formula import MaxJ, MinJ, Node, choice_sites, fingerprint
+from .modelio import read_json, write_json
 
 STRATEGY_SCHEMA = "qmu-strategy/1"
 
@@ -167,17 +167,9 @@ def strategy_from_dict(data: dict, phi: Node) -> MemorilessStrategy:
 
 
 def save_strategy(path, strategy: MemorilessStrategy, phi: Node) -> None:
-    """Write ``strategy`` to ``path`` as one compact JSON line, encoded
-    before the file is opened, so an error leaves an existing file as it was."""
-    text = json.dumps(strategy_to_dict(strategy, phi), separators=(",", ":"))
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    """Write ``strategy`` to ``path`` with :func:`~qmu.modelio.write_json`."""
+    write_json(path, strategy_to_dict(strategy, phi))
 
 
 def load_strategy(path, phi: Node) -> MemorilessStrategy:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError as exc:
-            raise StrategyError(f"{path}: invalid JSON: nested too deeply") from exc
-    return strategy_from_dict(data, phi)
+    return strategy_from_dict(read_json(path, StrategyError), phi)

@@ -1,10 +1,13 @@
 """Command-line behaviour: outputs, determinism and exit codes."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from qmu.cli import main
+from qmu.game import EstimateResult
+from qmu.oracle import CheckFailure
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +27,36 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (["eval"], "error: qmu eval: the following arguments are required: "
+                   "model, formula\n"),
+        (["crosscheck", "--count", "x"],
+         "error: qmu crosscheck: argument --count: invalid int value: 'x'\n"),
+    ], ids=["missing-arguments", "bad-int"])
+    def test_usage_error_exits_one_with_one_line(self, capsys, argv, message):
+        # argparse alone exits 2, the code for non-convergence, after a usage
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == message
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qmu eval")
+
+    def test_all_states_flag_is_gone(self, capsys, vardi_files):
+        code, _, err = run(capsys, ["eval", vardi_files["model"],
+                                    vardi_files["formula"], "--all-states"])
+        assert code == 1
+        assert err == "error: qmu: unrecognized arguments: --all-states\n"
+
+
 class TestEval:
     def test_eval_prints_values(self, capsys, vardi_files):
         code, out, _ = run(capsys, ["eval", vardi_files["model"],
-                                    vardi_files["formula"], "--all-states"])
+                                    vardi_files["formula"]])
         assert code == 0
         assert "A 0.500000" in out and "B 0.500000" in out
 
@@ -335,6 +364,27 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err == "error: max site 0 predicate is not a list of true/false\n"
 
+    def test_strategy_file_not_json_exits_one(self, capsys, vardi_files,
+                                              tmp_path):
+        strategy = tmp_path / "s.json"
+        strategy.write_text("{ not json")
+        code, out, err = run(capsys, ["simulate", vardi_files["model"],
+                                      vardi_files["formula"],
+                                      "--strategy", str(strategy),
+                                      "--state", "A", "--paths", "10"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {strategy}: invalid JSON: Expecting ")
+        assert len(err.splitlines()) == 1
+
+    def test_json_keys_are_the_estimate_fields(self, capsys, vardi_files):
+        code, out, _ = run(capsys, ["simulate", vardi_files["model"],
+                                    vardi_files["formula"], "--synthesize",
+                                    "--state", "A", "--paths", "20", "--json"])
+        assert code == 0
+        assert sorted(json.loads(out)) == sorted(
+            EstimateResult._fields + ("state", "paths", "seed", "max_depth",
+                                      "truncated_fraction"))
+
     def test_forced_truncation_reported(self, capsys, vardi_files):
         code, out, _ = run(capsys, ["simulate", vardi_files["model"],
                                     "mu X . <k> X", "--synthesize",
@@ -384,6 +434,30 @@ class TestCrosscheck:
                           "dump_paths": ["dump/instance_2.json"]}],
         }
 
+    def test_json_failures_are_check_failures(self, capsys):
+        # a tolerance this coarse stops the evaluation far from the oracle
+        code, out, _ = run(capsys, ["crosscheck", "--count", "5", "--seed", "1",
+                                    "--tol", "0.5", "--json"])
+        assert code == 3
+        failures = json.loads(out)["failures"]
+        assert failures
+        for failure in failures:
+            assert set(failure) == {f.name for f in fields(CheckFailure)}
+
+    def test_text_failures_and_dump_paths(self, capsys, monkeypatch):
+        from qmu import cli
+        from qmu.oracle import CrosscheckReport
+        failure = CheckFailure(2, "minimax gap", ("dump/instance_2.json",
+                                                  "dump/instance_2.txt"))
+        monkeypatch.setattr(cli, "crosscheck",
+                            lambda *args, **kwargs: CrosscheckReport(3, (failure,)))
+        code, out, _ = run(capsys, ["crosscheck", "--count", "3"])
+        assert code == 3
+        assert out == ("checked 3 instances, 1 failures\n"
+                       "FAIL minimax gap\n"
+                       "  dumped dump/instance_2.json\n"
+                       "  dumped dump/instance_2.txt\n")
+
     def test_count_zero(self, capsys):
         code, out, _ = run(capsys, ["crosscheck", "--count", "0", "--seed", "1"])
         assert code == 0
@@ -414,6 +488,18 @@ class TestExample:
         assert cells[0] == "optimal expected sale"
         values = [float(x) for x in cells[1:]]
         assert values == pytest.approx(
+            [4.16, 4.30, 4.55, 4.88, 5.24, 5.52, 6.00, 7.00, 8.00, 9.00, 9.50],
+            abs=0.011)
+
+    def test_futures_table_json(self, capsys):
+        code, out, _ = run(capsys, ["example", "futures", "--table", "optimal",
+                                    "--json"])
+        assert code == 0
+        (row,) = json.loads(out)
+        # the keys keep their order of construction
+        assert list(row) == ["table", "label", "values"]
+        assert row["label"] == "optimal expected sale"
+        assert row["values"] == pytest.approx(
             [4.16, 4.30, 4.55, 4.88, 5.24, 5.52, 6.00, 7.00, 8.00, 9.00, 9.50],
             abs=0.011)
 

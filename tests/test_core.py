@@ -148,6 +148,32 @@ class TestValidate:
         model = Model(space, Valuation(expectations={"A": np.array([0.5])}))
         assert any(d.rule == "expectation-length" for d in validate(model))
 
+    def test_predicate_and_transition_length(self):
+        model = Model(StateSpace(("a", "b")), Valuation(
+            predicates={"g": np.array([True])},
+            transitions={"k": transition([[(0, 1.0)]])}))
+        assert [(d.rule, d.symbol, d.message) for d in validate(model)] == [
+            ("predicate-length", "g", "1 entries, expected 2"),
+            ("transition-length", "k", "1 rows, expected 2"),
+        ]
+
+    @pytest.mark.parametrize("labels, message", [
+        ((), "state space must be non-empty"),
+        (("a", "b", "a"), "state labels must be unique"),
+    ], ids=["empty", "duplicate"])
+    def test_state_space_labels(self, labels, message):
+        with pytest.raises(ModelError, match=message):
+            StateSpace(labels)
+
+    @pytest.mark.parametrize("build, kind", [(expectation, "expectation"),
+                                             (predicate, "predicate")])
+    @pytest.mark.parametrize("values, shape", [(0.5, "()"),
+                                               ([[0.5], [0.5]], r"\(2, 1\)")])
+    def test_vectors_only(self, build, kind, values, shape):
+        with pytest.raises(ModelError, match=f"{kind} must be a vector, "
+                                             f"got shape {shape}"):
+            build(values)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_expectation_rejects_non_finite_in_memory(self, bad):
         with pytest.raises(ModelError, match=r"\[0, 1\]"):

@@ -13,7 +13,7 @@ from qmu.evaluator import (
 from qmu.formula import (
     Fix, MaxJ, MinJ, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
 )
-from qmu.oracle import random_instance
+from qmu.oracle import InstanceBounds, random_instance
 from qmu.strategy import MemorilessStrategy, synthesize
 from generators import random_probabilistic_body
 from specialize_reference import specialize, specialized_model
@@ -309,6 +309,34 @@ class TestStrategySemantics:
         nu_values = evaluate_with_strategies(
             Nu("X", Var("X")), two_state, history, history, depth=0)
         assert np.array_equal(nu_values, np.ones(2))
+
+    def test_unfolding_against_an_open_side_on_contracting_instances(self):
+        # Every re-entry crosses a modality of mass at most 1/4, so cutting
+        # the unfolding at depth d moves a value by at most 4^-d (the bound
+        # is reached: a one-state nu loop that never pays unfolds to 4^-d).
+        # The history-flagged max side reads the tables of the memoriless
+        # reference, and min stays open on both sides of the comparison.
+        depth = 3
+        bounds = InstanceBounds(max_continue_mass=0.25)
+        kinds = set()
+        for trial in range(40):
+            inst = random_instance([91, trial], bounds)
+            mins, maxs = choice_sites(inst.phi)
+            n = inst.model.space.size
+            rng = np.random.default_rng(trial)
+            tables = tuple(rng.random(n) < 0.5 for _ in range(maxs))
+            history = PathStrategy(
+                decide=lambda site, path, s, tables=tables: bool(tables[site][s]))
+            assert not history.memoriless
+            got = evaluate_with_strategies(inst.phi, inst.model, None, history,
+                                           depth=depth)
+            reference = evaluate_with_strategies(
+                inst.phi, inst.model, None, PathStrategy.from_choices(tables))
+            assert np.abs(got - reference).max() <= 0.25 ** depth + 10 * TOL
+            kinds |= {"min site"} if mins else set()
+            kinds |= {"conditional"} if " if " in f" {inst.text}" else set()
+            kinds |= {"binder"} if inst.text.startswith(("mu", "nu")) else set()
+        assert kinds == {"min site", "conditional", "binder"}
 
     def test_history_strategies_need_a_depth(self, two_state):
         history = PathStrategy(decide=lambda site, path, s: True)

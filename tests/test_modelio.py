@@ -370,7 +370,19 @@ class TestMalformed:
 
     def test_target_beyond_int64(self, data):
         data["transitions"]["k"][0]["to"][0][0] = 10 ** 30
-        self.rejected(data, "malformed model file")
+        self.rejected(data, "^malformed model file: transition 'k': "
+                            "edge targets out of range$")
+
+    def test_missing_states_named(self, data):
+        # the KeyError's bare "'states'" used to be the whole message
+        del data["states"]
+        self.rejected(data, "^malformed model file: missing key 'states'$")
+
+    def test_weight_beyond_float(self, data):
+        # numpy's OverflowError used to be the whole message
+        data["transitions"]["k"][0]["payoff_weight"] = 10 ** 400
+        self.rejected(data, "^malformed model file: transition 'k': "
+                            "payoff weights out of range$")
 
     def test_target_out_of_range_fails_validation(self, data):
         data["transitions"]["k"][0]["to"][0][0] = 5

@@ -225,6 +225,18 @@ class TestVerify:
         verify_strategy(game, model, strategy)
         assert len(calls) == 1
 
+    @pytest.mark.xfail(strict=True, reason="tie rule; ROADMAP direction 13")
+    def test_synthesized_strategy_is_optimal_on_a_tie(self):
+        # mu X . a0 \/ (<t0> X \/ <t1> X) on 2 states: synthesize returns
+        # the brute-force value [0.3369, 0.4473].  At s0, <t0> X is a
+        # self-loop that ties with <t1> X; ties break left, so the strategy
+        # loops at s0 forever, which mu values at 0
+        inst = random_instance([11, 166])
+        cfg = EvalConfig()
+        strategy, _ = synthesize(inst.phi, inst.model, cfg)
+        assert verify_strategy(inst.phi, inst.model, strategy,
+                               cfg) <= 10 * cfg.tolerance
+
     def test_not_converged_raises(self, vardi):
         model, phi = vardi
         strategy = MemorilessStrategy(
