@@ -171,12 +171,12 @@ def cmd_example(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         model_path = os.path.join(args.out, f"{args.name}.model.json")
         save_model(model_path, model)
-        print(f"wrote {model_path}")
+        print(f"wrote {model_path}", file=sys.stderr)
         for label, text in formula_texts.items():
             formula_path = os.path.join(args.out, f"{args.name}.{label}.formula.txt")
             with open(formula_path, "w") as fh:
                 fh.write(text + "\n")
-            print(f"wrote {formula_path}")
+            print(f"wrote {formula_path}", file=sys.stderr)
     if args.table:
         if args.name != "futures":
             raise _InputError("tables are only defined for the futures example")

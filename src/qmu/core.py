@@ -396,12 +396,10 @@ def pre_expectation_all(t: Transition, post: np.ndarray) -> np.ndarray:
 
 
 def pre_support(t: Transition, post: np.ndarray) -> np.ndarray:
-    """1.0 where the weight is positive or some positive edge enters the
-    support of ``post``, else 0.0: the support of a product."""
-    idx, pr, (sources, targets, probs) = t._slots
-    hit = ((post.take(idx) * pr) > 0.0).any(axis=0)
-    hit[sources[(post[targets] > 0.0) & (probs > 0.0)]] = True
-    return (hit | (t.weights > 0.0)).astype(np.float64)
+    """The support of a product: 1.0 where :func:`pre_expectation_all` is
+    positive, else 0.0.  On valid rows that is where the weight is positive
+    or some edge enters the support of ``post``."""
+    return (pre_expectation_all(t, post) > 0.0).astype(np.float64)
 
 
 def halt_payoff(t: Transition, s: int) -> float:

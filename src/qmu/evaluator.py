@@ -164,17 +164,11 @@ class PathStrategy:
         return PathStrategy(decide=lambda site, path, s: left, memoriless=True)
 
 
-def _pointwise(node: Node, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The adversarial junction rule: max at a max site, min at a min site."""
-    if isinstance(node, MaxJ):
-        return np.maximum(left, right)
-    return np.minimum(left, right)
-
-
 class _Masked:
     """Junction rule taking the left 'junct where a site's mask holds.
 
-    A side whose masks are ``None`` stays adversarial.
+    A side whose masks are ``None`` stays adversarial: max at a max site,
+    min at a min site.
     """
 
     def __init__(self, min_masks, max_masks):
@@ -182,10 +176,15 @@ class _Masked:
         self.max_masks = max_masks
 
     def __call__(self, node, left, right):
-        masks = self.max_masks if isinstance(node, MaxJ) else self.min_masks
-        if masks is None:
-            return _pointwise(node, left, right)
-        return np.where(masks[node.site], left, right)
+        is_max = isinstance(node, MaxJ)
+        masks = self.max_masks if is_max else self.min_masks
+        if masks is not None:
+            return np.where(masks[node.site], left, right)
+        return np.maximum(left, right) if is_max else np.minimum(left, right)
+
+
+#: The adversarial junction rule.
+_pointwise = _Masked(None, None)
 
 
 #: Plan step kinds.  A step is a tuple whose first item is its kind; loops
@@ -237,8 +236,8 @@ class _Plan:
     as many vectors at once as a tree walk would.
 
     The formula is one :func:`~qmu.formula.check_entry` accepted, so every
-    name it looks up is bound.  ``forced`` holds the ids of the ``fix(x)``
-    binders iterated under the divergence detector.
+    name it looks up is bound and sized to the model.  ``forced`` holds the
+    ids of the ``fix(x)`` binders iterated under the divergence detector.
     """
 
     def __init__(self, phi: Node, model: Model, forced: frozenset[int]):
@@ -338,132 +337,125 @@ class _Plan:
         self.registers.append(value)
         return len(self.registers) - 1
 
-    def decide(self, choose) -> dict[_Loop, np.ndarray]:
-        """The support pass: the deciding loops whose binder is exactly 0
-        somewhere, with those states.
-
-        The steps run on 0/1 vectors, products by :func:`~qmu.core.pre_support`,
-        each loop from its seed's support until nothing changes.  Under a
-        closed binder with a ``bottom``, a ``nu`` first iterates down from 1
-        on those states, which read only each other, the rest held at 0;
-        then, those frozen, it iterates the rest up from 0, as a ``mu``.
+    def execute(self, regs: list, product, choose, enter, test) -> None:
+        """Run the steps on ``regs``: ``product(t, post)`` at a modality,
+        ``choose(node, left, right)`` at a junction.  A loop starts from the
+        seed that ``enter(loop, outer)`` returns with its frame, ``outer``
+        being the frame around it or ``None``; after each pass over its body,
+        ``test(loop, frame, body, old)`` returns the new iterate and whether
+        to pass again.  A result is dropped once its one reader has read it.
         """
-        if not any(step[0] == _ENTER and step[1].decides for step in self.steps):
-            return {}
-        regs = [None if r is None else (r > 0.0).astype(np.float64)
-                for r in self.registers]
-        # per running loop: its closed bottom states, if the transient rule
-        # holds, and whether a nu is still solving them
-        frames: list[list] = []
-        zeros: dict[_Loop, np.ndarray] = {}
+        steps = self.steps
+        frames: list = []
         pc = 0
-        while pc < len(self.steps):
-            step = self.steps[pc]
+        while pc < len(steps):
+            step = steps[pc]
             kind = step[0]
             if kind == _PRODUCT:
-                regs[step[1]] = pre_support(step[2], regs[step[3]])
-            elif kind == _JUNCTION:
-                regs[step[1]] = choose(step[2], regs[step[3]], regs[step[4]])
-            elif kind == _COND:
-                regs[step[1]] = np.where(step[2], regs[step[3]], regs[step[4]])
+                regs[step[1]] = product(step[2], regs[step[3]])
             elif kind == _ENTER:
                 loop = step[1]
-                # only a closed binder's loop runs outside every other loop
-                bottom = frames[-1][0] if frames else loop.bottom
-                # no fix(1) runs under a bottom, so a seed of 1 is a nu's
-                first = bottom is not None and loop.seed == 1.0
-                frames.append([bottom, first])
-                regs[loop.register] = (bottom.astype(np.float64) if first else
-                                       np.full(self.n, float(loop.seed > 0.0)))
-            else:
+                regs[loop.register], frame = enter(loop, frames[-1] if frames else None)
+                frames.append(frame)
+            elif kind == _TEST:
                 loop = step[1]
-                bottom, first = frames[-1]
-                new = np.where(bottom, regs[loop.body], 0.0) if first else regs[loop.body]
-                same = np.array_equal(new, regs[loop.register])
-                if first or not same:
-                    # once the bottom states stop, the rest iterate upward
-                    frames[-1][1] = first and not same
-                    regs[loop.register] = new
+                regs[loop.register], again = test(loop, frames[-1], regs[loop.body],
+                                                  regs[loop.register])
+                if loop.drop_body:
+                    regs[loop.body] = None
+                if again:
                     pc -= loop.length
                     continue
                 frames.pop()
-                if loop.decides and not new.all():
-                    zeros[loop] = new == 0.0
+            else:
+                regs[step[1]] = (choose(step[2], regs[step[3]], regs[step[4]])
+                                 if kind == _JUNCTION else
+                                 np.where(step[2], regs[step[3]], regs[step[4]]))
+                if step[5] is not None:
+                    regs[step[5]] = None
             pc += 1
+
+    def decide(self, choose) -> dict[_Loop, np.ndarray]:
+        """The support pass: the deciding loops whose binder is exactly 0
+        somewhere, with those states.  The steps run on 0/1 vectors, products
+        by :func:`~qmu.core.pre_support`, each loop from its seed's support
+        until nothing changes.  Under a closed binder with a ``bottom``, a
+        ``nu`` first iterates down from 1 on those states, which read only
+        each other, the rest held at 0; then, those frozen, it iterates the
+        rest up from 0, as a ``mu``."""
+        if not any(step[0] == _ENTER and step[1].decides for step in self.steps):
+            return {}
+        zeros: dict[_Loop, np.ndarray] = {}
+
+        # a frame: the closed bottom states, if the transient rule holds,
+        # and whether a nu is still solving them
+        def enter(loop, outer):
+            # only a closed binder's loop runs outside every other loop
+            bottom = loop.bottom if outer is None else outer[0]
+            # no fix(1) runs under a bottom, so a seed of 1 is a nu's
+            first = bottom is not None and loop.seed == 1.0
+            return (bottom.astype(np.float64) if first else
+                    np.full(self.n, float(loop.seed > 0.0))), [bottom, first]
+
+        def test(loop, frame, body, old):
+            bottom, first = frame
+            new = np.where(bottom, body, 0.0) if first else body
+            same = np.array_equal(new, old)
+            if first or not same:
+                # once the bottom states stop, the rest iterate upward
+                frame[1] = first and not same
+                return new, True
+            if loop.decides and not new.all():
+                zeros[loop] = new == 0.0
+            return new, False
+
+        self.execute([None if r is None else (r > 0.0).astype(np.float64)
+                      for r in self.registers], pre_support, choose, enter, test)
         return zeros
 
     def run(self, cfg: EvalConfig, choose,
             zeros: dict[_Loop, np.ndarray]) -> EvalReport:
-        """Execute the steps with junction rule ``choose``.
-
-        ``choose(node, left, right)`` resolves each min/max node from its
-        operand expectations.  A loop in ``zeros`` is seeded with 0 at the
-        states its mask holds and reset to 0 there after every step.
-        """
+        """The value pass: Kleene iteration with junction rule ``choose``.
+        A loop in ``zeros`` is seeded with 0 at the states its mask holds and
+        reset to 0 there after every step."""
         tol = cfg.tolerance
-        regs = list(self.registers)
-        steps = self.steps
-        # per running loop: its iteration count, its residual window for a
-        # forced fix(x), and the states the support pass fixed at 0
-        frames: list[list] = []
         stats: dict[str, FixpointStats] = {}
-        pc = 0
-        end = len(steps)
-        while pc < end:
-            step = steps[pc]
-            kind = step[0]
-            if kind == _PRODUCT:
-                regs[step[1]] = pre_expectation_all(step[2], regs[step[3]])
-            elif kind == _JUNCTION:
-                regs[step[1]] = choose(step[2], regs[step[3]], regs[step[4]])
-                if step[5] is not None:
-                    regs[step[5]] = None
-            elif kind == _COND:
-                regs[step[1]] = np.where(step[2], regs[step[3]], regs[step[4]])
-                if step[5] is not None:
-                    regs[step[5]] = None
-            elif kind == _ENTER:
-                loop = step[1]
-                decided = zeros.get(loop)
-                regs[loop.register] = (np.full(self.n, loop.seed) if decided is None
-                                       else np.where(decided, 0.0, loop.seed))
-                frames.append([0, deque(maxlen=_DIVERGENCE_WINDOW + 1)
-                               if loop.forced else None, decided])
-            else:
-                loop = step[1]
-                frame = frames[-1]
-                iterations, window, decided = frame
-                new = np.clip(regs[loop.body], 0.0, 1.0)
-                if loop.drop_body:
-                    regs[loop.body] = None
-                if decided is not None:
-                    new[decided] = 0.0
-                # a NaN step stops the loop at once
-                residual = float(np.abs(new - regs[loop.register]).max())
-                regs[loop.register] = new
-                frame[0] = iterations = iterations + 1
-                if residual > tol:
-                    if window is not None:
-                        window.append(residual)
-                        if (len(window) == _DIVERGENCE_WINDOW + 1
-                                and all(b >= a for a, b in
-                                        zip(window, list(window)[1:]))):
-                            raise DivergenceError(
-                                f"fix({loop.seed}) iteration for {loop.var!r} "
-                                "shows non-decreasing residual over "
-                                f"{_DIVERGENCE_WINDOW} iterates")
-                    if iterations < cfg.max_iterations:
-                        pc -= loop.length
-                        continue
-                frames.pop()
-                prev = stats.get(loop.var) or FixpointStats(loop.var, 0, 0.0,
-                                                             True, 0, 0)
-                stats[loop.var] = FixpointStats(
-                    loop.var, iterations, residual,
-                    residual <= tol and prev.converged, prev.solves + 1,
-                    prev.total_iterations + iterations,
-                    0 if decided is None else int(np.count_nonzero(decided)))
-            pc += 1
+
+        # a frame: the iteration count, the residual window of a forced
+        # fix(x), and the states the support pass fixed at 0
+        def enter(loop, outer):
+            decided = zeros.get(loop)
+            window = deque(maxlen=_DIVERGENCE_WINDOW + 1) if loop.forced else None
+            return (np.full(self.n, loop.seed) if decided is None
+                    else np.where(decided, 0.0, loop.seed)), [0, window, decided]
+
+        def test(loop, frame, body, old):
+            iterations, window, decided = frame
+            new = np.clip(body, 0.0, 1.0)
+            if decided is not None:
+                new[decided] = 0.0
+            # a NaN step stops the loop at once
+            residual = float(np.abs(new - old).max())
+            frame[0] = iterations = iterations + 1
+            if residual > tol:
+                if window is not None:
+                    window.append(residual)
+                    if (len(window) == _DIVERGENCE_WINDOW + 1
+                            and all(b >= a for a, b in zip(window, list(window)[1:]))):
+                        raise DivergenceError(
+                            f"fix({loop.seed}) iteration for {loop.var!r} shows "
+                            f"non-decreasing residual over {_DIVERGENCE_WINDOW} iterates")
+                if iterations < cfg.max_iterations:
+                    return new, True
+            prev = stats.get(loop.var) or FixpointStats(loop.var, 0, 0.0, True, 0, 0)
+            stats[loop.var] = FixpointStats(
+                loop.var, iterations, residual, residual <= tol and prev.converged,
+                prev.solves + 1, prev.total_iterations + iterations,
+                0 if decided is None else int(np.count_nonzero(decided)))
+            return new, False
+
+        regs = list(self.registers)
+        self.execute(regs, pre_expectation_all, choose, enter, test)
         result = np.clip(regs[self.out], 0.0, 1.0)
         result.setflags(write=False)
         fixpoints = {var: stats[var] for var in self.binders}
@@ -472,11 +464,12 @@ class _Plan:
 
 
 def _run(phi: Node, model: Model, cfg: EvalConfig | None, fix_policy: str,
-         choose=_pointwise, support=None) -> EvalReport:
-    """Compile and run ``phi``; the support pass takes ``support or choose``."""
-    forced = check_entry(phi, model.valuation, fix_policy)
+         choose=_pointwise) -> EvalReport:
+    """Compile ``phi``, then run the support pass and the value pass with
+    the one junction rule ``choose``."""
+    forced = check_entry(phi, model, fix_policy)
     plan = _Plan(phi, model, forced)
-    return plan.run(cfg or EvalConfig(), choose, plan.decide(support or choose))
+    return plan.run(cfg or EvalConfig(), choose, plan.decide(choose))
 
 
 def evaluate(phi: Node, model: Model, cfg: EvalConfig | None = None) -> EvalReport:
@@ -502,16 +495,17 @@ def converged_walk(phi: Node, model: Model, cfg: EvalConfig | None,
 
     ``on_junction(node, left, right)`` is called at each min/max node every
     time it is evaluated (once per iterate of the binders whose variables
-    occur free in it), with the operand expectations seen there.  The last
-    call at a site carries the operands of the final iteration of every
-    enclosing binder, i.e. those in the converged environment up to
-    iteration tolerance.
+    occur free in it), with the operand expectations seen there: first the
+    support pass's 0/1 vectors, then the value pass's.  The last call at a
+    site carries the operands of the final iteration of every enclosing
+    binder, i.e. those in the converged environment up to iteration
+    tolerance.
     """
     def choose(node, left, right):
         on_junction(node, left, right)
         return _pointwise(node, left, right)
 
-    return _run(phi, model, cfg, "reject", choose, _pointwise)
+    return _run(phi, model, cfg, "reject", choose)
 
 
 def evaluate_with_strategies(
@@ -546,15 +540,13 @@ def evaluate_with_strategies(
         if not report.converged:
             raise NotConvergedError("strategy evaluation did not converge")
         return report.result.copy()
-    check_entry(phi, model.valuation, "reject")
+    check_entry(phi, model, "reject")
     if depth is None:
         raise TypeError("history-dependent strategies require an unfolding depth")
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    values = np.empty(n)
-    for s0 in range(n):
-        values[s0] = _unfold(phi, model, s0, sigma_min, sigma_max, depth)
-    return np.clip(values, 0.0, 1.0)
+    return np.clip([_unfold(phi, model, s0, sigma_min, sigma_max, depth)
+                    for s0 in range(n)], 0.0, 1.0)
 
 
 def _unfold(phi: Node, model: Model, s0: int, sigma_min: PathStrategy | None,

@@ -28,7 +28,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 
-from .core import Valuation
+from .core import Model, Valuation
 
 
 class ParseError(ValueError):
@@ -271,35 +271,53 @@ def choice_sites(node: Node) -> tuple[int, int]:
     return kinds.count(MinJ), kinds.count(MaxJ)
 
 
+#: The symbol a node reads: its kind, the field naming it, its valuation table.
+_SYMBOLS = {Const: ("expectation", "name", "expectations"),
+            Modal: ("transition", "transition", "transitions"),
+            Cond: ("predicate", "predicate", "predicates")}
+
+
 def unbound_symbol(node: Node, valuation: Valuation) -> tuple[str, str] | None:
     """The first ``(kind, name)`` in preorder that ``valuation`` does not
     bind, kind being "expectation", "transition" or "predicate"; else None."""
     for n in subformulae(node):
-        if isinstance(n, Const) and n.name not in valuation.expectations:
-            return "expectation", n.name
-        if isinstance(n, Modal) and n.transition not in valuation.transitions:
-            return "transition", n.transition
-        if isinstance(n, Cond) and n.predicate not in valuation.predicates:
-            return "predicate", n.predicate
+        if type(n) in _SYMBOLS:
+            kind, name, table = _SYMBOLS[type(n)]
+            if getattr(n, name) not in getattr(valuation, table):
+                return kind, getattr(n, name)
     return None
 
 
-def check_entry(phi: Node, valuation: Valuation, fix_policy: str) -> frozenset[int]:
+def check_entry(phi: Node, model: Model, fix_policy: str) -> frozenset[int]:
     """Raise every entry error before any value is computed, in this order.
 
     A free variable, a set modality, an unbound symbol (the first in
-    preorder), any ``fix(x)`` under ``"reject"`` and a ``fix(x)`` body with
-    min/max choice unless ``"force"``.  Returns the ids of the ``fix(x)``
-    binders with choice in their bodies.
+    preorder), a symbol sized unlike the model or a junction with no choice
+    site (the first in preorder), any ``fix(x)`` under ``"reject"`` and a
+    ``fix(x)`` body with min/max choice unless ``"force"``.  Returns the ids
+    of the ``fix(x)`` binders with choice in their bodies.
     """
     free = free_variables(phi)
     if free:
         raise UnresolvedSymbolError("variable", sorted(free)[0])
     if not is_reduced(phi):
         raise EvaluationError("formula contains set modalities; reduce it first")
-    missing = unbound_symbol(phi, valuation)
+    missing = unbound_symbol(phi, model.valuation)
     if missing is not None:
         raise UnresolvedSymbolError(*missing)
+    n = model.space.size
+    for node in subformulae(phi):
+        if type(node) in (MinJ, MaxJ) and node.site is None:
+            raise EvaluationError("junction has no choice site; "
+                                  "number the sites with assign_sites")
+        if type(node) in _SYMBOLS:
+            kind, name, table = _SYMBOLS[type(node)]
+            value = getattr(model.valuation, table)[getattr(node, name)]
+            size, unit = ((value.n_states, "rows") if kind == "transition"
+                          else (len(value), "entries"))
+            if size != n:
+                raise EvaluationError(f"{kind} {getattr(node, name)!r} has {size} "
+                                      f"{unit}, model has {n} states")
     fixes = [node for node in subformulae(phi) if isinstance(node, Fix)]
     if fixes and fix_policy == "reject":
         raise FixNotSupportedError(

@@ -169,9 +169,6 @@ class _Table:
                 self.first[i] = ids[id(node.then_branch)]
                 self.second[i] = ids[id(node.else_branch)]
             elif isinstance(node, (MinJ, MaxJ)):
-                if node.site is None:
-                    raise GameError("junction has no choice site; "
-                                    "number the sites with assign_sites")
                 self.rule[i] = _BRANCH
                 self.operand[i] = node.site + (mins if isinstance(node, MaxJ) else 0)
                 self.first[i] = ids[id(node.left)]
@@ -206,10 +203,6 @@ class _Table:
         # The transitions' CSR forms, concatenated: transition j's row s is
         # global row j * n + s.
         used = [v.transitions[name] for name in transitions]
-        for name, t in zip(transitions, used):
-            if t.n_states != n:
-                raise GameError(f"transition {name!r} has {t.n_states} rows, "
-                                f"model has {n} states")
         base = np.cumsum([0] + [len(t.probs) for t in used])
         self.starts = np.concatenate(
             [np.empty(0, np.intp)] + [t.indptr[:-1] + b for t, b in zip(used, base)])
@@ -495,7 +488,7 @@ def _check_playable(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     rejects (through the same :func:`~qmu.formula.check_entry`, so with the
     same error), a start state outside the model, or strategy tables that
     are not one per site with one entry per state."""
-    check_entry(phi, model.valuation, "reject")
+    check_entry(phi, model, "reject")
     if not isinstance(s0, Integral) or not 0 <= s0 < model.space.size:
         raise GameError(f"start state {s0} is not in range({model.space.size})")
     mins, maxs = choice_sites(phi)

@@ -131,10 +131,11 @@ def _lists(data: dict, key: str, kinds: set, noun: str, kind: str, build) -> dic
     return built
 
 
-def _expectation(where: str, values: list, size: int):
-    """An expectation whose first entry outside [0, 1], NaN included, is
-    named with its state."""
-    arr = np.asarray(values, dtype=np.float64)
+def _expectation(name: str, values, size: int):
+    """Expectation ``name`` read through :func:`_array`; its first entry
+    outside [0, 1], NaN included, is named with its state."""
+    where = f"expectation {name!r}"
+    arr = _array(values, {int, float}, where, "entries", "numbers")
     bad = np.flatnonzero(~((arr >= 0.0) & (arr <= 1.0)))
     if bad.size:
         s = int(bad[0])
@@ -184,18 +185,15 @@ def model_from_dict(data: dict) -> Model:
         transitions = {name: _transition_from_rows(name, rows)
                        for name, rows in _section(data, "transitions").items()}
         valuation = Valuation(
-            expectations=_lists(data, "expectations", {int, float}, "entries",
-                                "numbers", lambda where, arr: _expectation(
-                                    where, arr, space.size)),
+            expectations={name: _expectation(name, values, space.size) for name, values
+                          in _section(data, "expectations").items()},
             transitions=transitions,
             transition_sets=_lists(data, "transition_sets", {str}, "members",
                                    "strings", lambda where, members: tuple(members)),
             predicates=_lists(data, "predicates", {bool}, "entries", "true or false",
                               lambda where, arr: predicate(arr, space.size)),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ModelFileError):
-            raise
+    except ModelError as exc:
         raise ModelFileError(f"malformed model file: {exc}") from exc
     model = Model(space, valuation)
     problems = validate(model)

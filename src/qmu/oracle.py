@@ -368,7 +368,7 @@ def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteFor
     if bits > MAX_STRATEGY_BITS:
         raise StrategySpaceError(
             f"strategy space has 2^{bits} tuples, budget is 2^{MAX_STRATEGY_BITS}")
-    check_entry(phi, model.valuation, "reject")
+    check_entry(phi, model, "reject")
 
     n_min, n_max = 2 ** (mins * n), 2 ** (maxs * n)
     table = np.empty((n_min * n_max, n))

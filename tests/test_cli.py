@@ -503,6 +503,17 @@ class TestExample:
             [4.16, 4.30, 4.55, 4.88, 5.24, 5.52, 6.00, 7.00, 8.00, 9.00, 9.50],
             abs=0.011)
 
+    def test_files_and_json_table_keep_stdout_json(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["example", "futures", "--out", str(tmp_path),
+                                      "--table", "optimal", "--json"])
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["label"] == "optimal expected sale"
+        assert err.splitlines() == [
+            f"wrote {tmp_path / name}" for name in (
+                "futures.model.json", "futures.game.formula.txt",
+                "futures.atleast6.formula.txt")]
+
     def test_onemonth_table(self, capsys):
         code, out, _ = run(capsys, ["example", "futures", "--table", "onemonth"])
         assert code == 0

@@ -80,6 +80,12 @@ class TestHaltPayoff:
         t = transition([[]], [0.3])
         assert halt_payoff(t, 0) == pytest.approx(0.3, abs=TOL)
 
+    def test_index_out_of_range(self, coin_payoff):
+        _, t = coin_payoff
+        for s in (-1, t.n_states):
+            with pytest.raises(IndexError, match=f"state index {s} out of range"):
+                halt_payoff(t, s)
+
     def test_cached_rows_add_edges_in_order(self):
         # rows of up to 12 edges: numpy's pairwise sum regroups from 8 on
         rng = np.random.default_rng(5)
@@ -164,6 +170,16 @@ class TestValidate:
     def test_state_space_labels(self, labels, message):
         with pytest.raises(ModelError, match=message):
             StateSpace(labels)
+
+    def test_unknown_label(self):
+        with pytest.raises(ModelError, match="unknown state label 'c'"):
+            StateSpace(("a", "b")).index("c")
+
+    @pytest.mark.parametrize("build, kind", [(expectation, "expectation"),
+                                             (predicate, "predicate")])
+    def test_vector_sized_unlike_the_states(self, build, kind):
+        with pytest.raises(ModelError, match=f"{kind} has 1 entries, expected 2"):
+            build([True], 2)
 
     @pytest.mark.parametrize("build, kind", [(expectation, "expectation"),
                                              (predicate, "predicate")])
@@ -312,6 +328,13 @@ class TestSparseStorage:
             Transition([0, 2], [0], [0.5], [0.0])
         with pytest.raises(ModelError):
             Transition([0, 1], [0], [0.5], [0.0, 0.0])
+        with pytest.raises(ModelError, match="transition indptr must be a vector"):
+            Transition([[0, 1]], [0], [0.5], [0.0])
+
+    def test_transitions_compare_by_arrays(self):
+        t = transition([[(0, 0.5)]], [0.25])
+        assert t == transition([[(0, 0.5)]], [0.25]) != transition([[(0, 0.5)]])
+        assert t != 1 and t.__eq__(1) is NotImplemented
 
     def test_directly_built_rows_checked_once_per_state(self):
         # state 0 has two targets out of range, state 1 a zero probability

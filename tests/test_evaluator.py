@@ -95,6 +95,13 @@ class TestFixpoints:
         assert gap <= EvalConfig().tolerance
 
 
+    def test_reports_compare_by_value(self, two_state):
+        phi = reduce(parse("mu X . e \\/ <k> X"), two_state.valuation)
+        report = evaluate(phi, two_state)
+        assert report == evaluate(phi, two_state)
+        assert report != 1 and report.__eq__(1) is NotImplemented
+
+
 class TestJunctionLaws:
     def test_exact_pointwise_min_max(self):
         for trial in range(60):
@@ -343,6 +350,8 @@ class TestStrategySemantics:
         phi = reduce(parse("e \\/ <k> e"), two_state.valuation)
         with pytest.raises(TypeError):
             evaluate_with_strategies(phi, two_state, history, history)
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            evaluate_with_strategies(phi, two_state, history, history, depth=-1)
 
 
 class TestConfig:

@@ -36,6 +36,8 @@ class TestFuturesModel:
         assert futures_index(6, 5, 10) == 6 * 121 + 5 * 11 + 10
         assert model.space.labels[futures_index(6, 5, 10)] == "v6_p5_c10"
         assert model.space.index(futures_label(0, 0, 0)) == 0
+        with pytest.raises(ValueError, match=r"futures state \(11, 0, 0\) out of range"):
+            futures_index(11, 0, 0)
 
     def test_one_month_spot_values(self, futures):
         model, _ = futures

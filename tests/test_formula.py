@@ -88,6 +88,12 @@ class TestParse:
         assert inner.body == Var(inner.var)
         assert phi.body.right == Var(phi.var)
 
+    def test_renaming_skips_a_name_in_use(self):
+        # X_2 is taken, so the inner X becomes X_3
+        phi = parse("mu X . X_2 \\/ (mu X . X)")
+        assert phi.body.left == Const("X_2")
+        assert phi.body.right == Mu("X_3", Var("X_3"))
+
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
             parse("a b")
@@ -164,6 +170,9 @@ class TestReduce:
         # the outermost unknown set is the one reported
         with pytest.raises(ReduceError, match="'outer'"):
             reduce(parse("<outer> [inner] atB"), vardi_valuation)
+        empty = dataclasses.replace(vardi_valuation, transition_sets={"none": ()})
+        with pytest.raises(ReduceError, match="transition set 'none' is empty"):
+            reduce(parse("<none> atB"), empty)
 
     def test_reduce_preserves_set_modality_semantics(self):
         # the expansion must agree with the defining pointwise best-response

@@ -1,6 +1,7 @@
 """Playouts, seeded estimation and exact tree expansion."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ from qmu.core import Model, StateSpace, Valuation, expectation, predicate, trans
 from qmu import game
 from qmu.evaluator import (
     EvaluationError, FixNotSupportedError, PathStrategy, UnresolvedSymbolError,
-    evaluate, evaluate_with_strategies,
+    evaluate, evaluate_fix, evaluate_with_strategies,
 )
 from qmu.formula import (
     Const, MaxJ, Modal, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
 )
 from qmu.examples import VARDI_TEXT
 from qmu.game import GameError, TreeBudgetError, estimate, expand_tree, play
-from qmu.oracle import random_instance
+from qmu.oracle import TinyInstance, brute_minimax, random_instance
+from qmu.strategy import synthesize
 from playout_reference import Colour, GamePath, path_bracket, walk_playout
 
 LEFT = PathStrategy.constant(True)
@@ -361,13 +363,13 @@ class TestBlockEngine:
         assert calls == []
 
     def test_tables_it_cannot_build_are_rejected(self, simple):
-        with pytest.raises(GameError, match="assign_sites"):
+        with pytest.raises(EvaluationError, match="assign_sites"):
             estimate(MaxJ(Const("e"), Const("e")), simple, 0, LEFT, LEFT,
                      n_paths=5, max_depth=3, seed=0)
         short = Model(simple.space, Valuation(
             expectations=simple.valuation.expectations,
             transitions={"k": transition([[(0, 1.0)]])}))
-        with pytest.raises(GameError, match="has 1 rows, model has 2 states"):
+        with pytest.raises(EvaluationError, match="has 1 rows, model has 2 states"):
             estimate(Modal("k", Const("e")), short, 0, LEFT, LEFT, n_paths=5,
                      max_depth=3, seed=0)
 
@@ -546,6 +548,48 @@ TABLES_NOT_FOR_VARDI = [
      r"max strategy table for site 0 has shape \(2, 2\), model has 2 states"),
 ]
 
+#: Vardi models with one symbol sized unlike the model, or a formula with an
+#: unsited junction: (table, name, replacement, formula, message).
+MISFITS_IN_VARDI = [
+    pytest.param("transitions", "k", transition([[(0, 1.0)]]), VARDI_TEXT,
+                 "transition 'k' has 1 rows, model has 2 states", id="short-k"),
+    pytest.param("expectations", "atB", expectation([0.0, 1.0, 0.0]), VARDI_TEXT,
+                 "expectation 'atB' has 3 entries, model has 2 states",
+                 id="long-atB"),
+    pytest.param("expectations", "atB", expectation([1.0]), VARDI_TEXT,
+                 "expectation 'atB' has 1 entries, model has 2 states",
+                 id="short-atB"),
+    pytest.param("predicates", "atA", predicate([True, False, True]),
+                 "mu X . if atA then <k> X \\/ atB else atB",
+                 "predicate 'atA' has 3 entries, model has 2 states",
+                 id="long-atA"),
+    pytest.param(None, None, None,
+                 Mu("X", MaxJ(Modal("k", Const("atB")), Modal("k", Var("X")))),
+                 "junction has no choice site; number the sites with assign_sites",
+                 id="unsited"),
+]
+
+HISTORY = PathStrategy(decide=lambda site, path, s: len(path) % 2 == 0)
+
+#: Every entry point that takes a formula and a model.
+ENTRY_POINTS = [
+    pytest.param(lambda phi, model: evaluate(phi, model), id="evaluate"),
+    pytest.param(lambda phi, model: evaluate_fix(phi, model), id="evaluate_fix"),
+    pytest.param(lambda phi, model: synthesize(phi, model), id="synthesize"),
+    pytest.param(lambda phi, model: evaluate_with_strategies(phi, model, LEFT, RIGHT),
+                 id="memoriless"),
+    pytest.param(lambda phi, model: evaluate_with_strategies(
+        phi, model, HISTORY, HISTORY, depth=3), id="history"),
+    pytest.param(lambda phi, model: play(phi, model, 0, LEFT, RIGHT, 5, rng_for(9)),
+                 id="play"),
+    pytest.param(lambda phi, model: estimate(phi, model, 0, LEFT, RIGHT, n_paths=5,
+                                             max_depth=5, seed=9), id="estimate"),
+    pytest.param(lambda phi, model: expand_tree(phi, model, 0, LEFT, RIGHT, depth=5),
+                 id="expand_tree"),
+    pytest.param(lambda phi, model: brute_minimax(TinyInstance(
+        model, phi, "", "W0", False, "")), id="brute_minimax"),
+]
+
 
 class TestEntryCheck:
     def test_estimate_checks_the_formula_once(self, vardi, monkeypatch):
@@ -578,6 +622,37 @@ class TestEntryCheck:
             entry(phi, simple)
         assert type(raised.value) is type(expected.value) is error
         assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("table, name, value, formula, match", MISFITS_IN_VARDI)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_every_entry_point_rejects_a_misfit_symbol_or_an_unsited_junction(
+            self, vardi, table, name, value, formula, match, entry):
+        model, _ = vardi
+        if table is not None:
+            symbols = {**getattr(model.valuation, table), name: value}
+            model = Model(model.space, replace(model.valuation, **{table: symbols}))
+        phi = (reduce(parse(formula), model.valuation) if isinstance(formula, str)
+               else formula)
+        with pytest.raises(EvaluationError, match=match):
+            entry(phi, model)
+
+    @pytest.mark.parametrize("entry, match", [
+        (lambda phi, model: play(phi, model, 0, LEFT, RIGHT, 0, rng_for(9)),
+         "max_depth must be at least 1"),
+        (lambda phi, model: estimate(phi, model, 0, LEFT, RIGHT, n_paths=5,
+                                     max_depth=0, seed=9),
+         "max_depth must be at least 1"),
+        (lambda phi, model: estimate(phi, model, 0, LEFT, RIGHT, n_paths=0,
+                                     max_depth=5, seed=9),
+         "n_paths must be at least 1"),
+        (lambda phi, model: expand_tree(phi, model, 0, LEFT, RIGHT, depth=-1),
+         "depth must be non-negative"),
+    ], ids=["play-max_depth", "estimate-max_depth", "estimate-n_paths",
+            "expand_tree-depth"])
+    def test_arguments_out_of_range_are_rejected(self, vardi, entry, match):
+        model, phi = vardi
+        with pytest.raises(GameError, match=match):
+            entry(phi, model)
 
     @pytest.mark.parametrize("tables, match", TABLES_NOT_FOR_VARDI)
     def test_tables_must_fit_the_formula_and_model(self, vardi, tables, match,

@@ -384,6 +384,16 @@ class TestMalformed:
         self.rejected(data, "^malformed model file: transition 'k': "
                             "payoff weights out of range$")
 
+    def test_expectation_beyond_float(self, data):
+        # "int too large to convert to float" used to be the whole message
+        data["expectations"]["atB"][1] = 10 ** 400
+        self.rejected(data, "^malformed model file: expectation 'atB': "
+                            "entries out of range$")
+
+    def test_file_not_an_object(self, data):
+        with pytest.raises(ModelFileError, match="^model file must be a JSON object$"):
+            model_from_dict([data])
+
     def test_target_out_of_range_fails_validation(self, data):
         data["transitions"]["k"][0]["to"][0][0] = 5
         self.rejected(data, r"model fails validation: \[successor-range\]")

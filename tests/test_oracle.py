@@ -219,6 +219,7 @@ class TestRandomInstance:
         ("max_min_sites", -1), ("max_max_sites", -1), ("max_binders", -1),
         ("max_strategy_bits", -1), ("max_continue_mass", -0.5),
         ("max_continue_mass", 1.5), ("max_continue_mass", float("nan")),
+        ("max_states", 0), ("max_strategy_bits", 21),
     ])
     def test_rejects_bounds_that_check_nothing(self, field, value):
         with pytest.raises(ValueError, match=field):

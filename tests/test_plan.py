@@ -118,7 +118,7 @@ class RecursiveWalker:
 
 
 def walk(phi, model, cfg=None, fix_policy="reject", choose=_pointwise):
-    forced = check_entry(phi, model.valuation, fix_policy)
+    forced = check_entry(phi, model, fix_policy)
     plan = _Plan(phi, model, forced)
     decided = plan.decide(choose)
     # binder registers are allocated in preorder

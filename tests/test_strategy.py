@@ -317,3 +317,21 @@ class TestStrategyFiles:
         loaded = load_strategy(path, phi)
         assert loaded.min_choices is None
         assert np.array_equal(loaded.max_choices[0], partial.max_choices[0])
+        with pytest.raises(StrategyError, match="both sides are needed"):
+            loaded.path_strategies()
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d["max_choices"].update(x=d["max_choices"].pop("0")),
+         "^malformed max choice map$"),
+        (lambda d: d["max_choices"].update({"1": d["max_choices"].pop("0")}),
+         r"^max choice map sites are not 0\.\.0$"),
+        (lambda d: d.update(schema="qmu-strategy/99"),
+         "^unsupported strategy schema 'qmu-strategy/99'$"),
+    ], ids=["key-not-an-integer", "sites-not-0-to-k", "schema"])
+    def test_malformed_document_rejected(self, vardi, edit, match):
+        model, phi = vardi
+        strategy, _ = synthesize(phi, model)
+        data = qmu.strategy.strategy_to_dict(strategy, phi)
+        edit(data)
+        with pytest.raises(StrategyError, match=match):
+            qmu.strategy.strategy_from_dict(data, phi)
