@@ -47,12 +47,15 @@ class _Parser(argparse.ArgumentParser):
 def _inputs(args):
     """The model, the reduced formula and the configuration of an evaluating
     command.  The formula argument is a file when one exists, inline text
-    otherwise."""
+    otherwise, and a file is read as UTF-8."""
     model = load_model(args.model)
     text = args.formula
     if os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
+        with open(text, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise _InputError(f"{fh.name}: formula is not UTF-8: {exc}") from None
     phi = parse(text, known_symbols=set(model.valuation.expectations))
     return (model, reduce(phi, model.valuation),
             EvalConfig(tolerance=args.tol, max_iterations=args.max_iters))
@@ -174,7 +177,7 @@ def cmd_example(args) -> int:
         print(f"wrote {model_path}", file=sys.stderr)
         for label, text in formula_texts.items():
             formula_path = os.path.join(args.out, f"{args.name}.{label}.formula.txt")
-            with open(formula_path, "w") as fh:
+            with open(formula_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
             print(f"wrote {formula_path}", file=sys.stderr)
     if args.table:

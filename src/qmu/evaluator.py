@@ -35,9 +35,9 @@ import numpy as np
 
 from .core import Model, pre_expectation_all, pre_support
 from .formula import (
-    Cond, Const, EvaluationError, Fix, FixNotSupportedError, MaxJ, MinJ, Modal,
-    Mu, NondeterministicFixBodyError, Node, Nu, UnresolvedSymbolError, Var,
-    check_entry, children, choice_sites,
+    Cond, Const, Entry, EvaluationError, Fix, FixNotSupportedError, MaxJ, MinJ,
+    Modal, Mu, NondeterministicFixBodyError, Node, Nu, UnresolvedSymbolError,
+    Var, check_entry, children,
 )
 
 __all__ = [
@@ -463,18 +463,17 @@ class _Plan:
                           converged=all(st.converged for st in fixpoints.values()))
 
 
-def _run(phi: Node, model: Model, cfg: EvalConfig | None, fix_policy: str,
+def _run(phi: Node, model: Model, cfg: EvalConfig | None, entry: Entry,
          choose=_pointwise) -> EvalReport:
-    """Compile ``phi``, then run the support pass and the value pass with
-    the one junction rule ``choose``."""
-    forced = check_entry(phi, model, fix_policy)
-    plan = _Plan(phi, model, forced)
+    """Compile ``phi``, whose :func:`~qmu.formula.check_entry` record is
+    ``entry``, then run both passes with the one junction rule ``choose``."""
+    plan = _Plan(phi, model, entry.forced)
     return plan.run(cfg or EvalConfig(), choose, plan.decide(choose))
 
 
 def evaluate(phi: Node, model: Model, cfg: EvalConfig | None = None) -> EvalReport:
     """Evaluate a closed, reduced formula without fix(x) binders."""
-    return _run(phi, model, cfg, "reject")
+    return _run(phi, model, cfg, check_entry(phi, model, "reject"))
 
 
 def evaluate_fix(phi: Node, model: Model, cfg: EvalConfig | None = None,
@@ -486,7 +485,7 @@ def evaluate_fix(phi: Node, model: Model, cfg: EvalConfig | None = None,
     rejected unless ``force`` is set, in which case iteration proceeds under
     an oscillation detector that raises :class:`DivergenceError`.
     """
-    return _run(phi, model, cfg, "force" if force else "pure")
+    return _run(phi, model, cfg, check_entry(phi, model, "force" if force else "pure"))
 
 
 def converged_walk(phi: Node, model: Model, cfg: EvalConfig | None,
@@ -505,7 +504,7 @@ def converged_walk(phi: Node, model: Model, cfg: EvalConfig | None,
         on_junction(node, left, right)
         return _pointwise(node, left, right)
 
-    return _run(phi, model, cfg, "reject", choose)
+    return _run(phi, model, cfg, check_entry(phi, model, "reject"), choose)
 
 
 def evaluate_with_strategies(
@@ -526,21 +525,21 @@ def evaluate_with_strategies(
     binder may be re-entered at most ``depth`` times per binding, and a
     truncated ``mu`` (``nu``) contributes 0 (1).
     A memoriless evaluation that hits ``max_iterations`` raises
-    :class:`NotConvergedError`.
+    :class:`NotConvergedError`.  The formula is checked before the tables.
     """
+    entry = check_entry(phi, model, "reject")
     n = model.space.size
-    sides = tuple(zip(("min", "max"), (sigma_min, sigma_max), choice_sites(phi)))
+    sides = tuple(zip(("min", "max"), (sigma_min, sigma_max), (entry.mins, entry.maxs)))
     for side, sigma, sites in sides:
         if sigma is not None:
             sigma.check_tables(side, sites, n, EvaluationError)
     if all(sigma is None or sigma.memoriless for _, sigma, _ in sides):
         masks = [None if sigma is None else sigma.choice_masks(sites, n)
                  for _, sigma, sites in sides]
-        report = _run(phi, model, cfg, "reject", _Masked(*masks))
+        report = _run(phi, model, cfg, entry, _Masked(*masks))
         if not report.converged:
             raise NotConvergedError("strategy evaluation did not converge")
         return report.result.copy()
-    check_entry(phi, model, "reject")
     if depth is None:
         raise TypeError("history-dependent strategies require an unfolding depth")
     if depth < 0:

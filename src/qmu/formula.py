@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import partial
 
@@ -224,11 +224,6 @@ def subformulae(node: Node):
             stack.append(getattr(cur, name))
 
 
-def formula_size(node: Node) -> int:
-    """Number of AST nodes."""
-    return sum(1 for _ in subformulae(node))
-
-
 def free_variables(node: Node) -> set[str]:
     free: set[str] = set()
     bound: dict[str, int] = {}  # how many binders of each name enclose the walk
@@ -247,87 +242,89 @@ def free_variables(node: Node) -> set[str]:
     return free
 
 
-def binder_names(node: Node) -> set[str]:
-    return {n.var for n in subformulae(node) if isinstance(n, _BINDERS)}
-
-
-def is_reduced(node: Node) -> bool:
-    """True when no set modalities remain."""
-    return not any(isinstance(n, (Angelic, Demonic)) for n in subformulae(node))
-
-
-def junction_free(node: Node) -> bool:
-    return not any(isinstance(n, (MinJ, MaxJ, Angelic, Demonic))
-                   for n in subformulae(node))
-
-
-def contains_fix(node: Node) -> bool:
-    return any(isinstance(n, Fix) for n in subformulae(node))
-
-
 def choice_sites(node: Node) -> tuple[int, int]:
     """Counts of demonic (min) and angelic (max) choice nodes."""
     kinds = [type(n) for n in subformulae(node)]
     return kinds.count(MinJ), kinds.count(MaxJ)
 
 
-#: The symbol a node reads: its kind, the field naming it, its valuation table.
-_SYMBOLS = {Const: ("expectation", "name", "expectations"),
-            Modal: ("transition", "transition", "transitions"),
-            Cond: ("predicate", "predicate", "predicates")}
+#: The symbol a node reads: its kind, the field naming it, its valuation
+#: table and the unit of the table's size.
+_SYMBOLS = {Const: ("expectation", "name", "expectations", "entries"),
+            Modal: ("transition", "transition", "transitions", "rows"),
+            Cond: ("predicate", "predicate", "predicates", "entries")}
+
+#: What :func:`check_entry` returns: the ids of the ``fix(x)`` binders with
+#: choice in their bodies, the min and max site counts and the node count.
+Entry = namedtuple("Entry", "forced mins maxs size")
 
 
-def unbound_symbol(node: Node, valuation: Valuation) -> tuple[str, str] | None:
-    """The first ``(kind, name)`` in preorder that ``valuation`` does not
-    bind, kind being "expectation", "transition" or "predicate"; else None."""
-    for n in subformulae(node):
-        if type(n) in _SYMBOLS:
-            kind, name, table = _SYMBOLS[type(n)]
-            if getattr(n, name) not in getattr(valuation, table):
-                return kind, getattr(n, name)
-    return None
-
-
-def check_entry(phi: Node, model: Model, fix_policy: str) -> frozenset[int]:
+def check_entry(phi: Node, model: Model, fix_policy: str) -> Entry:
     """Raise every entry error before any value is computed, in this order.
 
-    A free variable, a set modality, an unbound symbol (the first in
-    preorder), a symbol sized unlike the model or a junction with no choice
-    site (the first in preorder), any ``fix(x)`` under ``"reject"`` and a
-    ``fix(x)`` body with min/max choice unless ``"force"``.  Returns the ids
-    of the ``fix(x)`` binders with choice in their bodies.
+    A free variable (the first by name), a set modality, an unbound symbol
+    (the first in preorder), a symbol sized unlike the model or a junction
+    with no choice site (the first in preorder), any ``fix(x)`` under
+    ``"reject"`` and a ``fix(x)`` body with min/max choice unless
+    ``"force"``.  One preorder walk finds them all.
     """
-    free = free_variables(phi)
-    if free:
-        raise UnresolvedSymbolError("variable", sorted(free)[0])
-    if not is_reduced(phi):
-        raise EvaluationError("formula contains set modalities; reduce it first")
-    missing = unbound_symbol(phi, model.valuation)
-    if missing is not None:
-        raise UnresolvedSymbolError(*missing)
     n = model.space.size
-    for node in subformulae(phi):
-        if type(node) in (MinJ, MaxJ) and node.site is None:
-            raise EvaluationError("junction has no choice site; "
-                                  "number the sites with assign_sites")
-        if type(node) in _SYMBOLS:
-            kind, name, table = _SYMBOLS[type(node)]
-            value = getattr(model.valuation, table)[getattr(node, name)]
-            size, unit = ((value.n_states, "rows") if kind == "transition"
-                          else (len(value), "entries"))
+    kinds: Counter = Counter()  # the nodes of each type
+    bound: dict[str, int] = {}  # how many binders of each name enclose the walk
+    free: set[str] = set()
+    faults: list[list] = [[], []]  # unbound symbols, then misfits, in preorder
+    fixes: list[Fix] = []  # in preorder
+    choices: list[int] = []  # the junctions before each fix binder around the walk
+    forced: set[int] = set()  # the ids of those with a junction in their bodies
+
+    def enter(node: Node) -> None:
+        kind = type(node)
+        kinds[kind] += 1
+        if kind is Var and not bound.get(node.name):
+            free.add(node.name)
+        elif kind in _SYMBOLS:
+            what, field, table, unit = _SYMBOLS[kind]
+            name = getattr(node, field)
+            value = getattr(model.valuation, table).get(name)
+            if value is None:
+                faults[0].append(UnresolvedSymbolError(what, name))
+                return
+            size = value.n_states if kind is Modal else len(value)
             if size != n:
-                raise EvaluationError(f"{kind} {getattr(node, name)!r} has {size} "
-                                      f"{unit}, model has {n} states")
-    fixes = [node for node in subformulae(phi) if isinstance(node, Fix)]
+                faults[1].append(EvaluationError(
+                    f"{what} {name!r} has {size} {unit}, model has {n} states"))
+        elif (kind is MinJ or kind is MaxJ) and node.site is None:
+            faults[1].append(EvaluationError(
+                "junction has no choice site; number the sites with assign_sites"))
+        elif kind in _BINDERS:
+            bound[node.var] = bound.get(node.var, 0) + 1
+            if kind is Fix:
+                fixes.append(node)
+                choices.append(kinds[MinJ] + kinds[MaxJ])
+
+    def leave(node: Node, kids) -> None:
+        if type(node) in _BINDERS:
+            bound[node.var] -= 1
+        if type(node) is Fix and kinds[MinJ] + kinds[MaxJ] > choices.pop():
+            forced.add(id(node))
+
+    rebuild(phi, leave, enter)
+    if free:
+        raise UnresolvedSymbolError("variable", min(free))
+    if kinds[Angelic] or kinds[Demonic]:
+        raise EvaluationError("formula contains set modalities; reduce it first")
+    for found in faults:
+        if found:
+            raise found[0]
     if fixes and fix_policy == "reject":
         raise FixNotSupportedError(
             "formula contains fix(x) binders; only evaluate_fix covers them")
-    forced = [node for node in fixes if not junction_free(node.body)]
-    if forced and fix_policy != "force":
+    first = next((fix for fix in fixes if id(fix) in forced), None)
+    if first is not None and fix_policy != "force":
         raise NondeterministicFixBodyError(
-            f"fix body of {forced[0].var!r} contains min/max choice; "
+            f"fix body of {first.var!r} contains min/max choice; "
             "pass force=True to iterate anyway")
-    return frozenset(map(id, forced))
+    return Entry(frozenset(forced), kinds[MinJ], kinds[MaxJ], kinds.total())
 
 
 def assign_sites(node: Node) -> Node:

@@ -7,8 +7,8 @@ the players' strategies, and a fixpoint binds a fresh colour that re-enters
 its body.  A colour revisited more than ``max_depth`` times truncates the
 play: the recorded value bracket is then the binder's default, 0 for ``mu``
 and 1 for ``nu``, as if the path had continued forever.  A secondary step
-budget of ``max_depth * formula_size`` catches non-colour growth, with the
-uninformative bracket (0, 1).
+budget of ``max_depth`` times the formula's node count catches non-colour
+growth, with the uninformative bracket (0, 1).
 
 Every playout runs on one compiled position table: ``play`` plays one path,
 asking a history-dependent strategy with the path so far, and ``estimate``
@@ -28,8 +28,8 @@ import numpy as np
 from .core import EPS_REPR, Model
 from .evaluator import PathStrategy
 from .formula import (
-    Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
-    check_entry, choice_sites, formula_size, subformulae,
+    Cond, Const, Entry, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
+    check_entry, subformulae,
 )
 
 
@@ -71,22 +71,22 @@ class EstimateResult(NamedTuple):
     max_steps: int
 
 
-def _step_budget(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
-                 sigma_max: PathStrategy, max_depth: int) -> int:
-    """Check the playout arguments and return the playout step budget."""
+def _compile(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
+             sigma_max: PathStrategy, max_depth: int) -> tuple[_Table, int]:
+    """Check the playout arguments; return the position table and the
+    playout step budget."""
     if max_depth < 1:
         raise GameError("max_depth must be at least 1")
-    _check_playable(phi, model, s0, sigma_min, sigma_max)
-    return max_depth * formula_size(phi)
+    entry = _check_playable(phi, model, s0, sigma_min, sigma_max)
+    return _Table(phi, model, entry, sigma_min, sigma_max), max_depth * entry.size
 
 
 def play(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
          sigma_max: PathStrategy, max_depth: int, rng) -> PlayoutResult:
     """One playout: a one-path run of a position table compiled per call.
     Sampling uses only the supplied generator."""
-    step_budget = _step_budget(phi, model, s0, sigma_min, sigma_max, max_depth)
-    low, high, steps, ending = _Table(phi, model, sigma_min, sigma_max).play_block(
-        s0, 1, max_depth, step_budget, rng)
+    table, budget = _compile(phi, model, s0, sigma_min, sigma_max, max_depth)
+    low, high, steps, ending = table.play_block(s0, 1, max_depth, budget, rng)
     how = int(ending[0])
     return PlayoutResult(float(low[0]), float(high[0]), how == _PAYOFF,
                          int(steps[0]), {_MU: "mu", _NU: "nu"}.get(how))
@@ -128,11 +128,12 @@ class _Table:
     :func:`~qmu.formula.parse` makes binder names unique.  A position's
     ``labels`` entry is what a history-dependent strategy sees of it: the
     subformula, or the binder's name at a colour position.  The table is
-    built from :func:`~qmu.formula.subformulae`, without recursion.
+    built from :func:`~qmu.formula.subformulae`, without recursion; the site
+    counts come from ``entry``, ``phi``'s :func:`~qmu.formula.check_entry`.
     """
 
-    def __init__(self, phi: Node, model: Model, sigma_min: PathStrategy,
-                 sigma_max: PathStrategy):
+    def __init__(self, phi: Node, model: Model, entry: Entry,
+                 sigma_min: PathStrategy, sigma_max: PathStrategy):
         v = model.valuation
         n = model.space.size
         ids: dict[int, int] = {}
@@ -151,7 +152,7 @@ class _Table:
         consts: dict[str, int] = {}
         predicates: dict[str, int] = {}
         transitions: dict[str, int] = {}
-        mins, maxs = choice_sites(phi)
+        mins, maxs = entry.mins, entry.maxs
         colour = len(nodes)
         for i, node in enumerate(nodes):
             if isinstance(node, Const):
@@ -346,12 +347,11 @@ def estimate(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     """
     if n_paths < 1:
         raise GameError("n_paths must be at least 1")
-    step_budget = _step_budget(phi, model, s0, sigma_min, sigma_max, max_depth)
+    table, budget = _compile(phi, model, s0, sigma_min, sigma_max, max_depth)
     for side, sigma in (("min", sigma_min), ("max", sigma_max)):
         if not sigma.memoriless:
             raise GameError(f"estimate plays memoriless strategies only; "
                             f"the {side} strategy is history-dependent")
-    table = _Table(phi, model, sigma_min, sigma_max)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     sum_low = sum_high = sum_steps = 0.0
     max_steps = 0
@@ -361,7 +361,7 @@ def estimate(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     count, mean, m2 = 0, 0.0, 0.0
     for first in range(0, n_paths, BLOCK_PATHS):
         low, high, steps, ending = table.play_block(
-            s0, min(BLOCK_PATHS, n_paths - first), max_depth, step_budget, rng)
+            s0, min(BLOCK_PATHS, n_paths - first), max_depth, budget, rng)
         sum_low += low.sum()
         sum_high += high.sum()
         sum_steps += steps.sum()
@@ -483,14 +483,14 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
 
 
 def _check_playable(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
-                    sigma_max: PathStrategy) -> None:
+                    sigma_max: PathStrategy) -> Entry:
     """Reject, before any move, a formula :func:`~qmu.evaluator.evaluate`
-    rejects (through the same :func:`~qmu.formula.check_entry`, so with the
-    same error), a start state outside the model, or strategy tables that
-    are not one per site with one entry per state."""
-    check_entry(phi, model, "reject")
+    rejects (through the same :func:`~qmu.formula.check_entry`, whose record
+    it returns, so with the same error), a start state outside the model,
+    or strategy tables that are not one per site with one entry per state."""
+    entry = check_entry(phi, model, "reject")
     if not isinstance(s0, Integral) or not 0 <= s0 < model.space.size:
         raise GameError(f"start state {s0} is not in range({model.space.size})")
-    mins, maxs = choice_sites(phi)
-    sigma_min.check_tables("min", mins, model.space.size, GameError)
-    sigma_max.check_tables("max", maxs, model.space.size, GameError)
+    sigma_min.check_tables("min", entry.mins, model.space.size, GameError)
+    sigma_max.check_tables("max", entry.maxs, model.space.size, GameError)
+    return entry

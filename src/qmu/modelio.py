@@ -20,7 +20,7 @@ for its array, an expectation entry outside [0, 1] (the message names the
 expectation and the first such state), a predicate entry not a boolean, or
 a state label or set member not a string; one that parses but breaks an
 invariant of :func:`~qmu.core.validate` fails validation.  Both raise
-:class:`ModelFileError`, and so does a file :func:`read_json` cannot decode.
+:class:`ModelFileError`, as does a file :func:`read_json` cannot decode.
 
 Decoding and encoding run with the cyclic garbage collector paused
 (:func:`_collector_paused`).  Both allocate one list per edge and one dict
@@ -204,12 +204,12 @@ def model_from_dict(data: dict) -> Model:
 
 
 def read_json(path, error: type[ValueError]):
-    """The JSON tree in the file at ``path``.  A file that does not decode
-    raises ``error`` with a message that names ``path``."""
-    with open(path) as fh:
+    """The JSON tree in the UTF-8 file at ``path`` (RFC 8259, whatever the
+    locale).  A file that does not decode raises ``error`` naming ``path``."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise error(f"{path}: invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise error(f"{path}: invalid JSON: nested too deeply") from exc
@@ -222,7 +222,7 @@ def write_json(path, document) -> None:
     encoding it leaves an existing file as it was.
     """
     text = json.dumps(document, separators=(",", ":"))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 

@@ -29,8 +29,7 @@ from .core import (
 from .evaluator import EvalConfig, evaluate
 from .formula import (
     Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var, assign_sites,
-    check_entry, choice_sites, parse, pretty_print, rebuild, reduce,
-    subformulae,
+    check_entry, parse, pretty_print, rebuild, reduce, subformulae,
 )
 from .strategy import MemorilessStrategy
 
@@ -358,17 +357,16 @@ def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteFor
     solution of a linear system: the pairs are solved
     :data:`PAIRS_PER_BATCH` at a time by :func:`_solve_pairs`.  Nothing
     iterates, so ``cfg``, kept for callers that pass one, changes nothing.
-    A formula ``evaluate`` rejects raises the same entry error here.
+    A formula ``evaluate`` rejects raises the same entry error here, first.
     """
     phi = inst.phi
     model = inst.model
     n = model.space.size
-    mins, maxs = choice_sites(phi)
+    _, mins, maxs, _ = check_entry(phi, model, "reject")
     bits = (mins + maxs) * n
     if bits > MAX_STRATEGY_BITS:
         raise StrategySpaceError(
             f"strategy space has 2^{bits} tuples, budget is 2^{MAX_STRATEGY_BITS}")
-    check_entry(phi, model, "reject")
 
     n_min, n_max = 2 ** (mins * n), 2 ** (maxs * n)
     table = np.empty((n_min * n_max, n))
@@ -470,6 +468,6 @@ def _dump_instance(dump_dir, index: int, inst: TinyInstance) -> tuple[str, ...]:
     model_path = os.path.join(str(dump_dir), f"counterexample_{index}.model.json")
     formula_path = os.path.join(str(dump_dir), f"counterexample_{index}.formula.txt")
     save_model(model_path, inst.model)
-    with open(formula_path, "w") as fh:
+    with open(formula_path, "w", encoding="utf-8") as fh:
         fh.write(pretty_print(inst.phi) + "\n")
     return (model_path, formula_path)

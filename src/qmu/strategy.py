@@ -10,6 +10,7 @@ cover adversarial.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,22 +74,22 @@ def synthesize(phi: Node, model: Model,
     values are those of the final iteration of every enclosing binder.
     """
     cfg = cfg or EvalConfig()
-    operands: dict = {}
+    operands: dict = {MinJ: {}, MaxJ: {}}  # each kind's sites' operands
 
     def on_junction(node, left, right):
-        operands[type(node), node.site] = (left, right)
+        operands[type(node)][node.site] = (left, right)
 
     report = converged_walk(phi, model, cfg, on_junction)
     if not report.converged:
         raise NotConvergedError(
             "evaluation did not converge; cannot extract a strategy")
-    mins, maxs = choice_sites(phi)
+    # the walk visits every junction, so each kind's sites are 0, 1, ...
+    mins, maxs = ([sites[site] for site in range(len(sites))]
+                  for sites in operands.values())
     tol = cfg.tolerance
     strategy = MemorilessStrategy(
-        min_choices=tuple(left <= right + tol for left, right in
-                          (operands[MinJ, site] for site in range(mins))),
-        max_choices=tuple(left >= right - tol for left, right in
-                          (operands[MaxJ, site] for site in range(maxs))),
+        min_choices=tuple(left <= right + tol for left, right in mins),
+        max_choices=tuple(left >= right - tol for left, right in maxs),
     )
     return strategy, report.result
 
@@ -126,13 +127,14 @@ def _choices_from_json(data, side: str) -> tuple[np.ndarray, ...] | None:
         return None
     if not isinstance(data, dict):
         raise StrategyError(f"malformed {side} choice map")
-    try:
-        sites = sorted(int(k) for k in data)
-    except (TypeError, ValueError):
-        raise StrategyError(f"malformed {side} choice map") from None
-    if sites != list(range(len(sites))):
-        raise StrategyError(f"{side} choice map sites are not 0..{len(sites) - 1}")
-    tables = [data[str(site)] for site in sites]
+    for key in data:  # as str(site) writes it: not "00", "-0" or " 0"
+        if not (isinstance(key, str) and re.fullmatch("0|-?[1-9][0-9]*", key)):
+            raise StrategyError(f"malformed {side} choice map: key {key!r} "
+                                "is not a site number")
+    sites = [str(site) for site in range(len(data))]
+    if data.keys() != set(sites):
+        raise StrategyError(f"{side} choice map sites are not 0..{len(data) - 1}")
+    tables = [data[site] for site in sites]
     for site, table in enumerate(tables):
         if not (isinstance(table, list)
                 and all(isinstance(x, bool) for x in table)):

@@ -9,7 +9,7 @@ pair evaluated alone.  Tests compare the two.
 import numpy as np
 
 from qmu.evaluator import EvalConfig, NotConvergedError, _Masked, _run
-from qmu.formula import choice_sites
+from qmu.formula import check_entry, choice_sites
 from qmu.oracle import (
     MAX_STRATEGY_BITS, BruteForceResult, StrategySpaceError, TinyInstance,
     _tuple_choices,
@@ -30,6 +30,7 @@ def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteFor
     phi = inst.phi
     model = inst.model
     n = model.space.size
+    entry = check_entry(phi, model, "reject")
     mins, maxs = choice_sites(phi)
     bits = (mins + maxs) * n
     if bits > MAX_STRATEGY_BITS:
@@ -39,7 +40,7 @@ def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteFor
     n_min, n_max = 2 ** (mins * n), 2 ** (maxs * n)
     table = np.empty((n_min * n_max, n))
     for pair in range(len(table)):
-        report = _run(phi, model, cfg, "reject", _Masked(
+        report = _run(phi, model, cfg, entry, _Masked(
             _tuple_choices(pair // n_max, mins, n),
             _tuple_choices(pair % n_max, maxs, n)))
         if not report.converged:

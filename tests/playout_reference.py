@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from qmu.core import EPS_REPR, Model, halt_payoff
 from qmu.evaluator import PathStrategy
 from qmu.formula import Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var
-from qmu.game import GameError, PlayoutResult, _step_budget
+from qmu.game import GameError, PlayoutResult, _compile
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def path_bracket(path: GamePath, max_depth: int) -> PlayoutResult:
 def walk_playout(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
                  sigma_max: PathStrategy, max_depth: int, rng) -> GamePath:
     """Play one game, recording the full position sequence."""
-    step_budget = _step_budget(phi, model, s0, sigma_min, sigma_max, max_depth)
+    _, step_budget = _compile(phi, model, s0, sigma_min, sigma_max, max_depth)
     v = model.valuation
     positions: list = []
     view: list = []  # what strategies may inspect: (node-or-binder-name, state)

@@ -133,6 +133,26 @@ class TestEval:
         assert code == 1 and out == ""
         assert err == f"error: {deep}: invalid JSON: nested too deeply\n"
 
+    def test_model_not_utf8_exits_one(self, capsys, vardi_files, tmp_path):
+        # JSON is UTF-8 whatever the locale; the decode error names the file
+        bad = tmp_path / "latin.model.json"
+        with open(vardi_files["model"], "rb") as fh:
+            bad.write_bytes(b"\xff" + fh.read())
+        code, out, err = run(capsys, ["eval", str(bad), vardi_files["formula"]])
+        assert code == 1 and out == ""
+        assert err == (f"error: {bad}: invalid JSON: 'utf-8' codec can't decode "
+                       "byte 0xff in position 0: invalid start byte\n")
+
+    def test_formula_file_not_utf8_exits_one(self, capsys, vardi_files,
+                                             tmp_path):
+        bad = tmp_path / "latin.formula.txt"
+        bad.write_bytes(b"\xffmu X . atB \\/ <k> X")
+        code, out, err = run(capsys, ["eval", vardi_files["model"], str(bad)])
+        assert code == 1 and out == ""
+        assert err == (f"error: {bad}: formula is not UTF-8: 'utf-8' codec "
+                       "can't decode byte 0xff in position 0: invalid start "
+                       "byte\n")
+
     def test_tolerance_flag_consistency(self, capsys, vardi_files):
         _, coarse, _ = run(capsys, ["eval", vardi_files["model"],
                                     vardi_files["formula"], "--state", "A",
@@ -375,6 +395,20 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {strategy}: invalid JSON: Expecting ")
         assert len(err.splitlines()) == 1
+
+    def test_strategy_file_not_utf8_exits_one(self, capsys, vardi_files,
+                                              tmp_path):
+        strategy = tmp_path / "s.json"
+        run(capsys, ["synthesize", vardi_files["model"],
+                     vardi_files["formula"], "--out", str(strategy)])
+        strategy.write_bytes(b"\xff" + strategy.read_bytes())
+        code, out, err = run(capsys, ["simulate", vardi_files["model"],
+                                      vardi_files["formula"],
+                                      "--strategy", str(strategy),
+                                      "--state", "A", "--paths", "10"])
+        assert code == 1 and out == ""
+        assert err == (f"error: {strategy}: invalid JSON: 'utf-8' codec can't "
+                       "decode byte 0xff in position 0: invalid start byte\n")
 
     def test_json_keys_are_the_estimate_fields(self, capsys, vardi_files):
         code, out, _ = run(capsys, ["simulate", vardi_files["model"],

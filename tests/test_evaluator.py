@@ -11,7 +11,8 @@ from qmu.evaluator import (
     evaluate, evaluate_fix, evaluate_with_strategies,
 )
 from qmu.formula import (
-    Fix, MaxJ, MinJ, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
+    Fix, MaxJ, MinJ, Mu, Nu, Var, assign_sites, check_entry, choice_sites, parse,
+    reduce,
 )
 from qmu.oracle import InstanceBounds, random_instance
 from qmu.strategy import MemorilessStrategy, synthesize
@@ -215,7 +216,7 @@ class TestStrategySemantics:
         are those of :func:`evaluate_with_strategies`."""
         n = model.space.size
         sigma_min, sigma_max = strategy.sides()
-        masked = _run(phi, model, None, "reject", _Masked(*(
+        masked = _run(phi, model, None, check_entry(phi, model, "reject"), _Masked(*(
             None if choices is None else np.array(choices, dtype=bool)
             for choices in (strategy.min_choices, strategy.max_choices))))
         values = evaluate_with_strategies(phi, model, sigma_min, sigma_max)

@@ -12,11 +12,11 @@ from qmu.examples import (
     AT_LEAST_6_TEXT, GAME_TEXT, VARDI_TEXT, futures_model, vardi_model,
 )
 from qmu.formula import (
-    Angelic, Cond, Const, Demonic, Fix, MaxJ, MinJ, Modal, Mu, Node, Nu,
-    ParseError, UnboundVariableError, Var, alpha_equal, binder_names, canonical,
-    children, choice_sites, contains_fix, fingerprint, formula_size,
-    free_variables, is_reduced, junction_free, map_children, parse,
-    pretty_print, rebuild, reduce, subformulae, unbound_symbol,
+    Angelic, Cond, Const, Demonic, EvaluationError, Fix, FixNotSupportedError,
+    MaxJ, MinJ, Modal, Mu, Node, NondeterministicFixBodyError, Nu, ParseError,
+    UnboundVariableError, UnresolvedSymbolError, Var, alpha_equal, canonical,
+    check_entry, children, choice_sites, fingerprint, free_variables,
+    map_children, parse, pretty_print, rebuild, reduce, subformulae,
 )
 from generators import random_formula
 
@@ -233,7 +233,7 @@ class TestReduce:
         model = Model(StateSpace(("s0", "s1")), valuation)
         phi = reduce(parse("<K> (mu X . X_2 \\/ <t0> X)"), valuation)
         assert free_variables(phi) == set()
-        assert "X_2" not in binder_names(phi)
+        assert "X_2" not in {n.var for n in subformulae(phi) if isinstance(n, Mu)}
         again = reduce(parse(pretty_print(phi)), valuation)
         assert alpha_equal(again, phi)
         assert np.array_equal(evaluate(again, model).result,
@@ -344,42 +344,63 @@ class TestAnalyses:
         assert free_variables(Mu("X", Mu("X", Var("X")))) == set()
 
     def test_unbound_symbol_first_in_preorder(self):
-        valuation = vardi_model()[0].valuation
-        assert unbound_symbol(parse("mu X . <k> atB \\/ <k> X"), valuation) is None
+        model = vardi_model()[0]
+        phi = reduce(parse("mu X . <k> atB \\/ <k> X"), model.valuation)
+        assert check_entry(phi, model, "reject") == (frozenset(), 0, 1, 6)
         phi = Cond("nope", Const("nothere"), Modal("j", Const("atB")))
-        assert unbound_symbol(phi, valuation) == ("predicate", "nope")
-        assert unbound_symbol(phi.else_branch, valuation) == ("transition", "j")
-        assert unbound_symbol(phi.then_branch, valuation) == ("expectation", "nothere")
+        for node, kind, name in ((phi, "predicate", "nope"),
+                                 (phi.else_branch, "transition", "j"),
+                                 (phi.then_branch, "expectation", "nothere")):
+            with pytest.raises(UnresolvedSymbolError) as raised:
+                check_entry(node, model, "reject")
+            assert (raised.value.kind, raised.value.name) == (kind, name)
 
     def test_deep_modal_chain_without_recursion(self):
         phi = Const("atB")
         for _ in range(5000):
             phi = Modal("k", phi)
-        assert formula_size(phi) == 5001
+        model = vardi_model()[0]
+        assert check_entry(phi, model, "reject") == (frozenset(), 0, 0, 5001)
         assert free_variables(phi) == set()
-        assert binder_names(phi) == set()
-        assert is_reduced(phi) and junction_free(phi)
-        assert not contains_fix(phi)
         assert choice_sites(phi) == (0, 0)
-        valuation = vardi_model()[0].valuation
-        assert unbound_symbol(phi, valuation) is None
-        assert unbound_symbol(Modal("j", phi), valuation) == ("transition", "j")
-        assert unbound_symbol(Modal("k", Const("c")), valuation) == ("expectation", "c")
+        with pytest.raises(UnresolvedSymbolError,
+                           match="^unresolved transition symbol 'j'$"):
+            check_entry(Modal("j", phi), model, "reject")
+        with pytest.raises(UnresolvedSymbolError,
+                           match="^unresolved expectation symbol 'c'$"):
+            check_entry(Modal("k", Const("c")), model, "reject")
 
     def test_deep_binder_chain_without_recursion(self):
         depth = 3000
-        phi = MinJ(Var("X0"), MaxJ(Var("Y"), Angelic("K", Var(f"X{depth - 1}")),
-                                   site=0), site=0)
-        for i in range(depth):
-            kind = (Mu, Nu, lambda var, body: Fix(0.5, var, body))[i % 3]
-            phi = kind(f"X{i}", phi)
-        assert formula_size(phi) == depth + 6
+        model = vardi_model()[0]
+
+        def chain(left, wrap):
+            phi = MinJ(Var("X0"), MaxJ(left, wrap(Var(f"X{depth - 1}")), site=0),
+                       site=0)
+            fixes = []
+            for i in range(depth):
+                phi = (Mu(f"X{i}", phi), Nu(f"X{i}", phi),
+                       Fix(0.5, f"X{i}", phi))[i % 3]
+                fixes += [phi] if i % 3 == 2 else []
+            return phi, fixes
+
+        phi, _ = chain(Var("Y"), lambda body: Angelic("K", body))
         assert free_variables(phi) == {"Y"}
-        assert binder_names(phi) == {f"X{i}" for i in range(depth)}
-        assert not is_reduced(phi) and not junction_free(phi)
-        assert contains_fix(phi)
+        with pytest.raises(UnresolvedSymbolError,
+                           match="^unresolved variable symbol 'Y'$"):
+            check_entry(phi, model, "force")
+        phi, _ = chain(Const("atB"), lambda body: Angelic("K", body))
+        with pytest.raises(EvaluationError, match="set modalities"):
+            check_entry(phi, model, "force")
+        phi, fixes = chain(Const("atB"), lambda body: Modal("k", body))
         assert choice_sites(phi) == (1, 1)
-        assert unbound_symbol(phi, vardi_model()[0].valuation) is None
+        with pytest.raises(FixNotSupportedError):
+            check_entry(phi, model, "reject")
+        # the outermost fix(x) binder is the first in preorder
+        with pytest.raises(NondeterministicFixBodyError, match=f"'X{depth - 1}'"):
+            check_entry(phi, model, "pure")
+        assert check_entry(phi, model, "force") == (
+            frozenset(map(id, fixes)), 1, 1, depth + 6)
 
 
 DEPTH = 10_000
@@ -404,9 +425,9 @@ class TestDepth:
         assert sys.getrecursionlimit() < DEPTH
         valuation = vardi_model()[0].valuation
         phi = reduce(parse(DEEP_TEXTS[name]), valuation)
-        assert formula_size(phi) > DEPTH
+        assert check_entry(phi, vardi_model()[0], "reject").size > DEPTH
         binders = [n for n in subformulae(phi) if isinstance(n, (Mu, Nu))]
-        assert len(binder_names(phi)) == len(binders)
+        assert len({n.var for n in binders}) == len(binders)
         again = reduce(parse(pretty_print(phi)), valuation)
         assert alpha_equal(again, phi)
         assert fingerprint(again) == fingerprint(phi)

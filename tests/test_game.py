@@ -9,11 +9,13 @@ import pytest
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate, transition
 from qmu import game
 from qmu.evaluator import (
-    EvaluationError, FixNotSupportedError, PathStrategy, UnresolvedSymbolError,
-    evaluate, evaluate_fix, evaluate_with_strategies,
+    EvaluationError, FixNotSupportedError, NondeterministicFixBodyError,
+    PathStrategy, UnresolvedSymbolError, evaluate, evaluate_fix,
+    evaluate_with_strategies,
 )
 from qmu.formula import (
-    Const, MaxJ, Modal, Mu, Nu, Var, assign_sites, choice_sites, parse, reduce,
+    Angelic, Cond, Const, Fix, MaxJ, MinJ, Modal, Mu, Nu, Var, assign_sites,
+    check_entry, choice_sites, parse, reduce,
 )
 from qmu.examples import VARDI_TEXT
 from qmu.game import GameError, TreeBudgetError, estimate, expand_tree, play
@@ -313,7 +315,7 @@ class TestBlockEngine:
                                           [(0, 1.0)], [(0, 1.0)]])}))
         phi = Modal("k", Const("e"))
         draws = [0.5, 0.99999999999995, 0.2]
-        table = game._Table(phi, model, LEFT, LEFT)
+        table = game._Table(phi, model, check_entry(phi, model, "reject"), LEFT, LEFT)
         low, high, steps, _ = table.play_block(0, 3, 3, 6, Draws(draws))
         for i, u in enumerate(draws):
             direct = play(phi, model, 0, LEFT, LEFT, 3, rng=Draws([u]))
@@ -591,17 +593,118 @@ ENTRY_POINTS = [
 ]
 
 
+#: A formula's entry faults in the order ``check_entry`` reports them, each
+#: as (subformula, error class, message); a junction with no site ranks
+#: with a missized symbol, the first in preorder winning.
+ENTRY_FAULTS = [
+    (Var("Z"), UnresolvedSymbolError, "unresolved variable symbol 'Z'"),
+    (Angelic("k", Const("atB")), EvaluationError,
+     "formula contains set modalities; reduce it first"),
+    (Const("nothere"), UnresolvedSymbolError, "unresolved expectation symbol 'nothere'"),
+    (Const("short"), EvaluationError,
+     "expectation 'short' has 1 entries, model has 2 states"),
+    (MaxJ(Const("atB"), Const("atB")), EvaluationError,
+     "junction has no choice site; number the sites with assign_sites"),
+    (Fix(0.5, "F", MinJ(Var("F"), Const("atB"), 0)), FixNotSupportedError,
+     "formula contains fix(x) binders; only evaluate_fix covers them"),
+]
+
+
+def counting_walks(monkeypatch) -> list:
+    """Wrap ``formula.subformulae`` and ``formula.rebuild`` in every qmu
+    module that holds them; return the list each call appends to."""
+    import qmu.formula
+    calls: list = []
+    modules = [module for name, module in sys.modules.items()
+               if name == "qmu" or name.startswith("qmu.")]
+    for name in ("subformulae", "rebuild"):
+        original = getattr(qmu.formula, name)
+
+        def counted(*args, _f=original, **kwargs):
+            calls.append(_f)
+            return _f(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestEntryCheck:
+    @pytest.mark.parametrize("entry, walks", [
+        (lambda phi, model, fix, inst: check_entry(phi, model, "reject"), 1),
+        (lambda phi, model, fix, inst: check_entry(fix, model, "pure"), 1),
+        (lambda phi, model, fix, inst: evaluate(phi, model), 1),
+        (lambda phi, model, fix, inst: synthesize(phi, model), 1),
+        (lambda phi, model, fix, inst: evaluate_with_strategies(phi, model, LEFT,
+                                                                RIGHT), 1),
+        (lambda phi, model, fix, inst: estimate(phi, model, 0, LEFT, RIGHT,
+                                                n_paths=50, max_depth=20,
+                                                seed=4), 2),
+        (lambda phi, model, fix, inst: play(phi, model, 0, LEFT, RIGHT, 20,
+                                            rng_for(4)), 2),
+        (lambda phi, model, fix, inst: brute_minimax(inst), 3),
+    ], ids=["check_entry", "check_entry-fix", "evaluate", "synthesize",
+            "memoriless", "estimate", "play", "brute_minimax"])
+    def test_formula_walks_per_call(self, vardi, monkeypatch, entry, walks):
+        # one walk checks the formula and counts its sites and nodes; the
+        # plan's compile runs on its own stack and is not counted, the game
+        # compiles its position table in one more, and the brute force
+        # counts its binders and folds the formula
+        model, phi = vardi
+        fix = reduce(parse("fix(0.5) X . <k> X"), model.valuation)
+        inst = random_instance([0, 0])
+        calls = counting_walks(monkeypatch)
+        entry(phi, model, fix, inst)
+        assert len(calls) == walks
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("first", range(len(ENTRY_FAULTS)),
+                             ids=["free-variable", "set-modality", "unbound-symbol",
+                                  "size", "site", "fix"])
+    def test_every_entry_point_reports_the_first_fault_in_order(
+            self, vardi, entry, first):
+        model, _ = vardi
+        model = Model(model.space, replace(model.valuation, expectations={
+            **model.valuation.expectations, "short": expectation([0.5])}))
+        phi = ENTRY_FAULTS[-1][0]
+        for part, _, _ in reversed(ENTRY_FAULTS[first:-1]):
+            phi = Cond("atA", part, phi)
+        _, error, message = ENTRY_FAULTS[first]
+        # evaluate_fix admits a fix(x) binder whose body has no choice
+        if entry is ENTRY_POINTS[1].values[0] and error is FixNotSupportedError:
+            error = NondeterministicFixBodyError
+            message = ("fix body of 'F' contains min/max choice; "
+                       "pass force=True to iterate anyway")
+        with pytest.raises(error) as raised:
+            entry(phi, model)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_formula_errors_come_before_table_and_budget_errors(self, vardi):
+        model, _ = vardi
+        phi = reduce(parse("mu X . <k> nope \\/ <k> X"), model.valuation)
+        no_tables = PathStrategy.from_choices([])
+        history = PathStrategy(decide=lambda site, path, s: True)
+        for sigma_min, depth in ((None, None), (history, 4)):
+            with pytest.raises(UnresolvedSymbolError, match="'nope'"):
+                evaluate_with_strategies(phi, model, sigma_min, no_tables,
+                                         depth=depth)
+        # 12 max sites over 2 states: 2^24 strategy tuples, over the budget
+        wide = reduce(parse("atB \\/ " * 12 + "nope"), model.valuation)
+        with pytest.raises(UnresolvedSymbolError, match="'nope'"):
+            brute_minimax(TinyInstance(model, wide, "", "W0", False, ""))
+
     def test_estimate_checks_the_formula_once(self, vardi, monkeypatch):
         model, phi = vardi
-        calls = {"_check_playable": 0, "formula_size": 0}
+        calls = {"_check_playable": 0, "check_entry": 0}
         for name in calls:
             def counted(*args, _name=name, _f=getattr(game, name)):
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(game, name, counted)
         estimate(phi, model, 0, LEFT, RIGHT, n_paths=50, max_depth=20, seed=4)
-        assert calls == {"_check_playable": 1, "formula_size": 1}
+        assert calls == {"_check_playable": 1, "check_entry": 1}
 
     @pytest.mark.parametrize("text, error", [
         ("<k> e", EvaluationError), ("fix(0.5) X . X", FixNotSupportedError),

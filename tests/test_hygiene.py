@@ -193,6 +193,66 @@ def test_the_recursion_guard_sees_direct_mutual_and_callback_cycles():
         "direct", "ping", "pong", "outer.go", "Parser.formula", "Parser.atom"}
 
 
+def opens_without_encoding(source: str) -> list[int]:
+    """Lines that open a file in text mode without naming its encoding.
+
+    A call of ``open`` or of an attribute named ``open`` (``io.open``, a
+    path's ``open``) counts unless it passes ``encoding=`` or a constant
+    mode holding ``b``; the mode is the second positional argument of a
+    bare ``open`` or ``io.open`` and the first of a method.  Such a file is
+    read or written in the locale's encoding, which JSON does not allow
+    (RFC 8259 asks for UTF-8).
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open" or (
+                isinstance(func, ast.Attribute) and func.attr == "open"
+                and isinstance(func.value, ast.Name) and func.value.id == "io"):
+            position = 1
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            position = 0
+        else:
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+        mode = node.args[position] if len(node.args) > position else (
+            modes[0] if modes else None)
+        binary = (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                  and "b" in mode.value)
+        named = (any(kw.arg == "encoding" for kw in node.keywords)
+                 or len(node.args) > position + 2)
+        if not (binary or named):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_text_file_names_its_encoding(path):
+    assert opens_without_encoding(path.read_text()) == []
+
+
+def test_the_encoding_guard_sees_every_spelling():
+    source = ("import io\n"
+              "def f(path, p, mode):\n"
+              "    open(path)\n"
+              "    open(path, 'w')\n"
+              "    open(path, mode='r')\n"
+              "    io.open(path)\n"
+              "    p.open()\n"
+              "    p.open('w')\n"
+              "    open(path, mode)\n"
+              "    open(path, encoding='utf-8')\n"
+              "    open(path, 'w', encoding='utf-8')\n"
+              "    open(path, 'rb')\n"
+              "    open(path, mode='wb')\n"
+              "    io.open(path, 'r', -1, 'utf-8')\n"
+              "    p.open('rb')\n"
+              "    p.open(encoding='utf-8')\n")
+    assert opens_without_encoding(source) == [3, 4, 5, 6, 7, 8, 9]
+
+
 def json_dump_calls(source: str) -> list[int]:
     """Lines that call ``json.dump``, through any alias of the module or
     of the function.

@@ -118,7 +118,7 @@ class RecursiveWalker:
 
 
 def walk(phi, model, cfg=None, fix_policy="reject", choose=_pointwise):
-    forced = check_entry(phi, model, fix_policy)
+    forced = check_entry(phi, model, fix_policy).forced
     plan = _Plan(phi, model, forced)
     decided = plan.decide(choose)
     # binder registers are allocated in preorder
@@ -293,7 +293,8 @@ class TestMatchesTheRecursiveWalk:
             for _ in range(5):
                 choose = _Masked(rng.random((mins, n)) < 0.5,
                                  rng.random((maxs, n)) < 0.5)
-                assert_same(_run(phi, model, None, "reject", choose),
+                assert_same(_run(phi, model, None,
+                                 check_entry(phi, model, "reject"), choose),
                             walk(phi, model, choose=choose),
                             hoisted_binders(phi))
 
@@ -306,7 +307,8 @@ class TestMatchesTheRecursiveWalk:
         phi = reduce(parse("nu Y . mu X . zero /\\ <k> Y"), model.valuation)
         for left in ([True, True], [False, False], [True, False]):
             choose = _Masked(np.array([left]), None)
-            assert_same(_run(phi, model, None, "reject", choose),
+            assert_same(_run(phi, model, None, check_entry(phi, model, "reject"),
+                             choose),
                         walk(phi, model, choose=choose), hoisted_binders(phi))
 
     def test_shadowed_names_resolve_to_the_nearest_binder(self, vardi):

@@ -322,12 +322,19 @@ class TestStrategyFiles:
 
     @pytest.mark.parametrize("edit, match", [
         (lambda d: d["max_choices"].update(x=d["max_choices"].pop("0")),
-         "^malformed max choice map$"),
+         "^malformed max choice map: key 'x' is not a site number$"),
+        (lambda d: d["max_choices"].update({"00": d["max_choices"].pop("0")}),
+         "^malformed max choice map: key '00' is not a site number$"),
+        (lambda d: d["max_choices"].update({"-0": d["max_choices"].pop("0")}),
+         "^malformed max choice map: key '-0' is not a site number$"),
+        (lambda d: d["max_choices"].update({" 0": d["max_choices"].pop("0")}),
+         "^malformed max choice map: key ' 0' is not a site number$"),
         (lambda d: d["max_choices"].update({"1": d["max_choices"].pop("0")}),
          r"^max choice map sites are not 0\.\.0$"),
         (lambda d: d.update(schema="qmu-strategy/99"),
          "^unsupported strategy schema 'qmu-strategy/99'$"),
-    ], ids=["key-not-an-integer", "sites-not-0-to-k", "schema"])
+    ], ids=["key-not-an-integer", "key-00", "key-minus-0", "key-space-0",
+            "sites-not-0-to-k", "schema"])
     def test_malformed_document_rejected(self, vardi, edit, match):
         model, phi = vardi
         strategy, _ = synthesize(phi, model)

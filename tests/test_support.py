@@ -64,7 +64,7 @@ def pool_instance(seed):
 
 def decisions(phi, model, fix_policy="reject"):
     """Each deciding binder's node with the states the pass fixed at 0."""
-    plan = _Plan(phi, model, check_entry(phi, model, fix_policy))
+    plan = _Plan(phi, model, check_entry(phi, model, fix_policy).forced)
     binders = {node.var: node for node in subformulae(phi)
                if isinstance(node, (Mu, Nu, Fix))}
     return [(binders[loop.var], states)
