@@ -1,7 +1,8 @@
 """Quantitative mu-calculus over finite probabilistic transition systems.
 
 Evaluates formulae denotationally by nested fixed-point iteration,
-synthesises memoriless optimal strategies, simulates the equivalent
+synthesises memoriless strategies (ties go left, which can be suboptimal;
+``verify_strategy``'s residual is the check), simulates the equivalent
 turn-based gambling game, and cross-checks the two interpretations against
 brute-force strategy enumeration at desk scale.
 """

@@ -116,12 +116,10 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     model, phi, cfg = _inputs(args)
-    if args.strategy:
-        strategy = load_strategy(args.strategy, phi)
-    elif args.synthesize:
+    if args.synthesize:
         strategy, _ = synthesize(phi, model, cfg)
     else:
-        raise _InputError("pass --strategy FILE or --synthesize")
+        strategy = load_strategy(args.strategy, phi)
     sigma_min, sigma_max = strategy.path_strategies()
     s0 = model.space.index(args.state)
     result = estimate(phi, model, s0, sigma_min, sigma_max,
@@ -224,16 +222,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synthesize", parents=[evaluating],
-                       help="extract an optimal memoriless strategy")
+                       help="extract a memoriless strategy (ties go left, "
+                            "which can be suboptimal: check the residual)")
     p.add_argument("--out", help="strategy file to write")
     p.add_argument("--state", help="state label to report")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("simulate", parents=[evaluating],
                        help="Monte-Carlo playouts under fixed strategies")
-    p.add_argument("--strategy", help="strategy file (fingerprint-checked)")
-    p.add_argument("--synthesize", action="store_true",
-                   help="synthesise the strategy instead of loading one")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--strategy", help="strategy file (fingerprint-checked)")
+    source.add_argument("--synthesize", action="store_true",
+                        help="synthesise the strategy instead of loading one")
     p.add_argument("--state", required=True, help="initial state label")
     p.add_argument("--paths", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)

@@ -43,8 +43,9 @@ from .formula import (
 __all__ = [
     "DivergenceError", "EvalConfig", "EvalReport", "EvaluationError",
     "FixNotSupportedError", "FixpointStats", "NondeterministicFixBodyError",
-    "NotConvergedError", "PathStrategy", "UnresolvedSymbolError",
-    "converged_walk", "evaluate", "evaluate_fix", "evaluate_with_strategies",
+    "NotConvergedError", "PathStrategy", "StrategyError",
+    "UnresolvedSymbolError", "converged_walk", "evaluate", "evaluate_fix",
+    "evaluate_with_strategies",
 ]
 
 
@@ -54,6 +55,10 @@ class DivergenceError(EvaluationError):
 
 class NotConvergedError(EvaluationError):
     """An operation that needs a converged value did not get one."""
+
+
+class StrategyError(ValueError):
+    """A strategy does not fit the formula or model it is applied to."""
 
 
 #: Window length for the forced-fix oscillation detector: iteration aborts
@@ -118,7 +123,7 @@ class PathStrategy:
     name only, so strategies cannot distinguish the underlying colours.
     ``memoriless`` promises the rule ignores the path argument entirely.
     ``tables`` holds the per-site, per-state choices of a strategy made by
-    :meth:`from_choices`, for :meth:`check_tables`.
+    :meth:`from_choices`, which :meth:`choice_masks` checks.
     """
 
     decide: Callable[[int, Sequence, int], bool]
@@ -135,29 +140,28 @@ class PathStrategy:
             tables=tables,
         )
 
-    def check_tables(self, side: str, n_sites: int, n_states: int,
-                     error: type) -> None:
-        """Raise ``error`` unless there is one table per site and every
-        table is a vector with one entry per state."""
-        if self.tables is not None and len(self.tables) != n_sites:
-            raise error(f"{side} strategy has {len(self.tables)} site tables, "
-                        f"formula has {n_sites} {side} sites")
-        for site, table in enumerate(self.tables or ()):
+    def choice_masks(self, side: str, n_sites: int, n_states: int) -> np.ndarray | None:
+        """Raise :class:`StrategyError` unless there is one table per site
+        and every table is a vector with one entry per state; return the
+        ``side`` player's ``(n_sites, n_states)`` boolean masks, from its
+        :attr:`tables` or else ``decide(site, (), s)``, or ``None`` for a
+        history-dependent strategy."""
+        tables = self.tables
+        if tables is not None and len(tables) != n_sites:
+            raise StrategyError(f"{side} strategy has {len(tables)} site tables, "
+                                f"formula has {n_sites} {side} sites")
+        for site, table in enumerate(tables or ()):
             shape = np.shape(table)
             if shape != (n_states,):
                 size = f"{shape[0]} entries" if len(shape) == 1 else f"shape {shape}"
-                raise error(f"{side} strategy table for site {site} has "
-                            f"{size}, model has {n_states} states")
-
-    def choice_masks(self, n_sites: int, n_states: int) -> np.ndarray:
-        """The choices of a memoriless strategy as an ``(n_sites, n_states)``
-        boolean table: its :attr:`tables`, else ``decide(site, (), s)``."""
-        if self.tables is not None:
-            choices = self.tables
-        else:
-            choices = [[self.decide(site, (), s) for s in range(n_states)]
-                       for site in range(n_sites)]
-        return np.array(choices, dtype=bool).reshape(n_sites, n_states)
+                raise StrategyError(f"{side} strategy table for site {site} has "
+                                    f"{size}, model has {n_states} states")
+        if not self.memoriless:
+            return None
+        if tables is None:
+            tables = [[self.decide(site, (), s) for s in range(n_states)]
+                      for site in range(n_sites)]
+        return np.array(tables, dtype=bool).reshape(n_sites, n_states)
 
     @staticmethod
     def constant(left: bool) -> "PathStrategy":
@@ -525,17 +529,15 @@ def evaluate_with_strategies(
     binder may be re-entered at most ``depth`` times per binding, and a
     truncated ``mu`` (``nu``) contributes 0 (1).
     A memoriless evaluation that hits ``max_iterations`` raises
-    :class:`NotConvergedError`.  The formula is checked before the tables.
+    :class:`NotConvergedError`.  The formula is checked before the tables,
+    and a table that does not fit raises :class:`StrategyError`.
     """
     entry = check_entry(phi, model, "reject")
     n = model.space.size
-    sides = tuple(zip(("min", "max"), (sigma_min, sigma_max), (entry.mins, entry.maxs)))
-    for side, sigma, sites in sides:
-        if sigma is not None:
-            sigma.check_tables(side, sites, n, EvaluationError)
-    if all(sigma is None or sigma.memoriless for _, sigma, _ in sides):
-        masks = [None if sigma is None else sigma.choice_masks(sites, n)
-                 for _, sigma, sites in sides]
+    masks = [None if sigma is None else sigma.choice_masks(side, sites, n)
+             for side, sigma, sites in zip(("min", "max"), (sigma_min, sigma_max),
+                                           (entry.mins, entry.maxs))]
+    if all(sigma is None or sigma.memoriless for sigma in (sigma_min, sigma_max)):
         report = _run(phi, model, cfg, entry, _Masked(*masks))
         if not report.converged:
             raise NotConvergedError("strategy evaluation did not converge")

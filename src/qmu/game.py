@@ -77,8 +77,9 @@ def _compile(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     playout step budget."""
     if max_depth < 1:
         raise GameError("max_depth must be at least 1")
-    entry = _check_playable(phi, model, s0, sigma_min, sigma_max)
-    return _Table(phi, model, entry, sigma_min, sigma_max), max_depth * entry.size
+    entry, masks = _check_playable(phi, model, s0, sigma_min, sigma_max)
+    return (_Table(phi, model, entry, (sigma_min, sigma_max), masks),
+            max_depth * entry.size)
 
 
 def play(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
@@ -129,11 +130,12 @@ class _Table:
     ``labels`` entry is what a history-dependent strategy sees of it: the
     subformula, or the binder's name at a colour position.  The table is
     built from :func:`~qmu.formula.subformulae`, without recursion; the site
-    counts come from ``entry``, ``phi``'s :func:`~qmu.formula.check_entry`.
+    counts come from ``entry``, ``phi``'s :func:`~qmu.formula.check_entry`,
+    and the memoriless sides' rows from their ``masks``.
     """
 
-    def __init__(self, phi: Node, model: Model, entry: Entry,
-                 sigma_min: PathStrategy, sigma_max: PathStrategy):
+    def __init__(self, phi: Node, model: Model, entry: Entry, sigmas: tuple,
+                 masks: tuple):
         v = model.valuation
         n = model.space.size
         ids: dict[int, int] = {}
@@ -193,12 +195,12 @@ class _Table:
         self.n_states = n
         self.values = np.array([v.expectations[name] for name in consts],
                                dtype=np.float64).reshape(len(consts), n)
-        sides = ((0, mins, sigma_min), (mins, maxs, sigma_max))
-        self.asks = {base + site: (site, sigma) for base, sites, sigma in sides
-                     if not sigma.memoriless for site in range(sites)}
+        sides = tuple(zip((0, mins), (mins, maxs), sigmas, masks))
+        self.asks = {base + site: (site, sigma) for base, sites, sigma, mask in sides
+                     if mask is None for site in range(sites)}
         self.choices = np.concatenate(
-            [sigma.choice_masks(sites, n) if sigma.memoriless
-             else np.zeros((sites, n), bool) for _, sites, sigma in sides]
+            [np.zeros((sites, n), bool) if mask is None else mask
+             for _, sites, _, mask in sides]
             + [np.asarray(v.predicates[name], dtype=bool).reshape(1, n)
                for name in predicates])
         # The transitions' CSR forms, concatenated: transition j's row s is
@@ -404,10 +406,10 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
     """
     if depth < 0:
         raise GameError("depth must be non-negative")
-    _check_playable(phi, model, s0, sigma_min, sigma_max)
+    _, masks = _check_playable(phi, model, s0, sigma_min, sigma_max)
     v = model.valuation
     binders: dict[int, Node] = {}
-    memo = {} if sigma_min.memoriless and sigma_max.memoriless else None
+    memo = {} if all(mask is not None for mask in masks) else None
     view: list = []
     values: list[float] = []
     visits = 0
@@ -483,14 +485,14 @@ def expand_tree(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
 
 
 def _check_playable(phi: Node, model: Model, s0: int, sigma_min: PathStrategy,
-                    sigma_max: PathStrategy) -> Entry:
+                    sigma_max: PathStrategy) -> tuple[Entry, tuple]:
     """Reject, before any move, a formula :func:`~qmu.evaluator.evaluate`
-    rejects (through the same :func:`~qmu.formula.check_entry`, whose record
-    it returns, so with the same error), a start state outside the model,
-    or strategy tables that are not one per site with one entry per state."""
+    rejects (through the same :func:`~qmu.formula.check_entry`, so with the
+    same error), a start state outside the model, or strategy tables that
+    do not fit; return the entry record and both sides' choice masks."""
     entry = check_entry(phi, model, "reject")
-    if not isinstance(s0, Integral) or not 0 <= s0 < model.space.size:
-        raise GameError(f"start state {s0} is not in range({model.space.size})")
-    sigma_min.check_tables("min", entry.mins, model.space.size, GameError)
-    sigma_max.check_tables("max", entry.maxs, model.space.size, GameError)
-    return entry
+    n = model.space.size
+    if not isinstance(s0, Integral) or not 0 <= s0 < n:
+        raise GameError(f"start state {s0} is not in range({n})")
+    return entry, (sigma_min.choice_masks("min", entry.mins, n),
+                   sigma_max.choice_masks("max", entry.maxs, n))

@@ -17,17 +17,13 @@ import numpy as np
 
 from .core import Model, predicate
 from .evaluator import (
-    EvalConfig, NotConvergedError, PathStrategy, converged_walk, evaluate,
-    evaluate_with_strategies,
+    EvalConfig, NotConvergedError, PathStrategy, StrategyError, converged_walk,
+    evaluate, evaluate_with_strategies,
 )
-from .formula import MaxJ, MinJ, Node, choice_sites, fingerprint
+from .formula import MaxJ, MinJ, Node, fingerprint
 from .modelio import read_json, write_json
 
 STRATEGY_SCHEMA = "qmu-strategy/1"
-
-
-class StrategyError(ValueError):
-    """A strategy does not fit the formula or model it is applied to."""
 
 
 class FingerprintMismatchError(StrategyError):
@@ -45,13 +41,6 @@ class MemorilessStrategy:
     min_choices: tuple[np.ndarray, ...] | None = None
     max_choices: tuple[np.ndarray, ...] | None = None
 
-    def check_shape(self, phi: Node, n_states: int) -> None:
-        """Site counts must match ``phi`` and predicate lengths ``n_states``."""
-        for side, sigma, sites in zip(("min", "max"), self.sides(),
-                                      choice_sites(phi)):
-            if sigma is not None:
-                sigma.check_tables(side, sites, n_states, StrategyError)
-
     def sides(self) -> tuple[PathStrategy | None, PathStrategy | None]:
         """Both sides as path strategies, ``None`` for a side left open."""
         return tuple(None if choices is None else PathStrategy.from_choices(choices)
@@ -66,12 +55,15 @@ class MemorilessStrategy:
 
 def synthesize(phi: Node, model: Model,
                cfg: EvalConfig | None = None) -> tuple[MemorilessStrategy, np.ndarray]:
-    """Extract an optimal memoriless strategy and the formula's value.
+    """Extract a memoriless strategy and the formula's value.
 
     The formula is evaluated once; at every max site the predicate holds
     where the left operand's value is at least the right's minus the
     iteration tolerance (dually for min sites); ties go left.  Operand
     values are those of the final iteration of every enclosing binder.
+    The strategy can be suboptimal where the operands tie: the left one
+    may loop back into its binder and never pay.  :func:`verify_strategy`'s
+    residual is the check.
     """
     cfg = cfg or EvalConfig()
     operands: dict = {MinJ: {}, MaxJ: {}}  # each kind's sites' operands
@@ -100,17 +92,17 @@ def verify_strategy(phi: Node, model: Model, strategy: MemorilessStrategy,
     """Sup-norm gap between the value under the strategy, a side it leaves
     open staying adversarial, and the game value.
 
-    For a synthesised strategy this stays within a small multiple of the
-    iteration tolerance; a visibly positive residual means the strategy is
+    A residual within a small multiple of the iteration tolerance means
+    the strategy forfeits nothing; a visibly positive one means it is
     suboptimal somewhere.  ``base`` is the game value when the caller has
     it already (the value :func:`synthesize` returns under the same
-    ``cfg``); otherwise the formula is evaluated here.
+    ``cfg``); otherwise the formula is evaluated here, after the strategy
+    evaluation, which checks the formula and then the strategy's tables.
     """
     cfg = cfg or EvalConfig()
-    strategy.check_shape(phi, model.space.size)
+    fixed = evaluate_with_strategies(phi, model, *strategy.sides(), cfg)
     if base is None:
         base = evaluate(phi, model, cfg).result
-    fixed = evaluate_with_strategies(phi, model, *strategy.sides(), cfg)
     return float(np.max(np.abs(fixed - base)))
 
 

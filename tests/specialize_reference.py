@@ -10,7 +10,7 @@ compare the two.
 import numpy as np
 
 from qmu.core import Model, Valuation, predicate
-from qmu.formula import Cond, MaxJ, MinJ, Node, map_children
+from qmu.formula import Cond, MaxJ, MinJ, Node, choice_sites, map_children
 
 
 def specialize(phi: Node, strategy, n_states: int) -> tuple[Node, dict[str, np.ndarray]]:
@@ -21,7 +21,9 @@ def specialize(phi: Node, strategy, n_states: int) -> tuple[Node, dict[str, np.n
     predicates.  A side the strategy leaves ``None`` keeps its junctions,
     to be resolved adversarially by evaluation.
     """
-    strategy.check_shape(phi, n_states)
+    for side, sigma, sites in zip(("min", "max"), strategy.sides(), choice_sites(phi)):
+        if sigma is not None:
+            sigma.choice_masks(side, sites, n_states)
     extension: dict[str, np.ndarray] = {}
     sides = {MinJ: (strategy.min_choices, "_min"),
              MaxJ: (strategy.max_choices, "_max")}

@@ -272,6 +272,17 @@ class TestSimulate:
                                     vardi_files["formula"], "--state", "A"])
         assert code == 1 and "--strategy" in err
 
+    def test_takes_one_strategy_source(self, capsys, vardi_files, tmp_path):
+        strategy = tmp_path / "s.json"
+        run(capsys, ["synthesize", vardi_files["model"],
+                     vardi_files["formula"], "--out", str(strategy)])
+        code, out, err = run(capsys, ["simulate", vardi_files["model"],
+                                      vardi_files["formula"], "--state", "A",
+                                      "--strategy", str(strategy), "--synthesize"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "--synthesize: not allowed with argument --strategy" in err
+
     def test_unbound_predicate_exits_one(self, capsys, vardi_files, tmp_path):
         from qmu.formula import parse, reduce
         from qmu.modelio import load_model

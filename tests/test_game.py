@@ -1,5 +1,6 @@
 """Playouts, seeded estimation and exact tree expansion."""
 
+import re
 import sys
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from qmu.core import Model, StateSpace, Valuation, expectation, predicate, trans
 from qmu import game
 from qmu.evaluator import (
     EvaluationError, FixNotSupportedError, NondeterministicFixBodyError,
-    PathStrategy, UnresolvedSymbolError, evaluate, evaluate_fix,
+    PathStrategy, StrategyError, UnresolvedSymbolError, evaluate, evaluate_fix,
     evaluate_with_strategies,
 )
 from qmu.formula import (
@@ -20,7 +21,7 @@ from qmu.formula import (
 from qmu.examples import VARDI_TEXT
 from qmu.game import GameError, TreeBudgetError, estimate, expand_tree, play
 from qmu.oracle import TinyInstance, brute_minimax, random_instance
-from qmu.strategy import synthesize
+from qmu.strategy import MemorilessStrategy, synthesize, verify_strategy
 from playout_reference import Colour, GamePath, path_bracket, walk_playout
 
 LEFT = PathStrategy.constant(True)
@@ -315,7 +316,7 @@ class TestBlockEngine:
                                           [(0, 1.0)], [(0, 1.0)]])}))
         phi = Modal("k", Const("e"))
         draws = [0.5, 0.99999999999995, 0.2]
-        table = game._Table(phi, model, check_entry(phi, model, "reject"), LEFT, LEFT)
+        table, _ = game._compile(phi, model, 0, LEFT, LEFT, 3)
         low, high, steps, _ = table.play_block(0, 3, 3, 6, Draws(draws))
         for i, u in enumerate(draws):
             direct = play(phi, model, 0, LEFT, LEFT, 3, rng=Draws([u]))
@@ -573,6 +574,12 @@ MISFITS_IN_VARDI = [
 
 HISTORY = PathStrategy(decide=lambda site, path, s: len(path) % 2 == 0)
 
+
+def vardi_strategy(model) -> MemorilessStrategy:
+    """A memoriless max strategy for the vardi game: left at ``atA``."""
+    return MemorilessStrategy(max_choices=(model.valuation.predicates["atA"],))
+
+
 #: Every entry point that takes a formula and a model.
 ENTRY_POINTS = [
     pytest.param(lambda phi, model: evaluate(phi, model), id="evaluate"),
@@ -644,13 +651,19 @@ class TestEntryCheck:
         (lambda phi, model, fix, inst: play(phi, model, 0, LEFT, RIGHT, 20,
                                             rng_for(4)), 2),
         (lambda phi, model, fix, inst: brute_minimax(inst), 3),
+        (lambda phi, model, fix, inst: verify_strategy(
+            phi, model, vardi_strategy(model)), 2),
+        (lambda phi, model, fix, inst: verify_strategy(
+            phi, model, vardi_strategy(model), base=np.zeros(2)), 1),
     ], ids=["check_entry", "check_entry-fix", "evaluate", "synthesize",
-            "memoriless", "estimate", "play", "brute_minimax"])
+            "memoriless", "estimate", "play", "brute_minimax", "verify_strategy",
+            "verify_strategy-base"])
     def test_formula_walks_per_call(self, vardi, monkeypatch, entry, walks):
         # one walk checks the formula and counts its sites and nodes; the
         # plan's compile runs on its own stack and is not counted, the game
-        # compiles its position table in one more, and the brute force
-        # counts its binders and folds the formula
+        # compiles its position table in one more, the brute force counts
+        # its binders and folds the formula, and verify_strategy runs one
+        # strategy evaluation, plus one evaluation without ``base``
         model, phi = vardi
         fix = reduce(parse("fix(0.5) X . <k> X"), model.valuation)
         inst = random_instance([0, 0])
@@ -760,6 +773,8 @@ class TestEntryCheck:
     @pytest.mark.parametrize("tables, match", TABLES_NOT_FOR_VARDI)
     def test_tables_must_fit_the_formula_and_model(self, vardi, tables, match,
                                                    monkeypatch):
+        # every entry point raises the one StrategyError, before any product
+        # or move
         import qmu.evaluator
         model, phi = vardi
         sigma_max = PathStrategy.from_choices(tables)
@@ -767,16 +782,36 @@ class TestEntryCheck:
         monkeypatch.setattr(qmu.evaluator, "pre_expectation_all",
                             lambda t, post: products.append(1))
         history = PathStrategy(decide=lambda site, path, s: True)
-        for sigma_min, depth in ((None, None), (history, 4)):
-            with pytest.raises(EvaluationError, match=match):
-                evaluate_with_strategies(phi, model, sigma_min, sigma_max,
-                                         depth=depth)
+        rng = rng_for(9)
+        state = rng.bit_generator.state
+        calls = [
+            *(lambda sigma_min=sigma_min, depth=depth: evaluate_with_strategies(
+                phi, model, sigma_min, sigma_max, depth=depth)
+              for sigma_min, depth in ((None, None), (LEFT, None), (history, 4))),
+            lambda: play(phi, model, 0, LEFT, sigma_max, 5, rng),
+            lambda: estimate(phi, model, 0, LEFT, sigma_max, n_paths=5,
+                             max_depth=5, seed=9),
+            lambda: expand_tree(phi, model, 0, LEFT, sigma_max, depth=5),
+            lambda: verify_strategy(phi, model, MemorilessStrategy(
+                max_choices=tuple(np.asarray(t, dtype=bool) for t in tables))),
+        ]
+        for call in calls:
+            with pytest.raises(StrategyError) as raised:
+                call()
+            assert type(raised.value) is StrategyError
+            assert re.fullmatch(match, str(raised.value))
         assert products == []
-        with pytest.raises(GameError, match=match):
-            estimate(phi, model, 0, LEFT, sigma_max, n_paths=5, max_depth=5,
-                     seed=9)
-        with pytest.raises(GameError, match=match):
-            expand_tree(phi, model, 0, LEFT, sigma_max, depth=5)
+        assert rng.bit_generator.state == state
+
+    def test_verify_strategy_reports_a_formula_error_before_a_misfit_table(
+            self, vardi):
+        model, _ = vardi
+        phi = reduce(parse("mu X . <k> nope \\/ <k> X"), model.valuation)
+        misfit = MemorilessStrategy(max_choices=(np.array([True]),) * 2)
+        with pytest.raises(UnresolvedSymbolError, match="'nope'"):
+            verify_strategy(phi, model, misfit)
+        with pytest.raises(UnresolvedSymbolError, match="'nope'"):
+            verify_strategy(phi, model, misfit, base=np.zeros(2))
 
     @pytest.mark.parametrize("text, s0, error, match", NOT_PLAYABLE_IN_VARDI)
     def test_unbound_symbol_or_bad_start_raises_before_any_move(

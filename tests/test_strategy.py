@@ -111,23 +111,29 @@ class TestSpecialize:
         with pytest.raises(StrategyError):
             specialize(phi, bad, model.space.size)
 
-    def test_check_shape_counts_sites_and_entries(self, vardi):
+    def test_choice_masks_count_sites_and_entries(self, vardi):
         model, phi = vardi
         n = model.space.size
-        MemorilessStrategy(max_choices=(np.array([True, False]),)).check_shape(phi, n)
+
+        def max_masks(strategy):
+            return strategy.sides()[1].choice_masks("max", 1, n)
+
+        fits = MemorilessStrategy(max_choices=(np.array([True, False]),))
+        assert np.array_equal(max_masks(fits), [[True, False]])
+        verify_strategy(phi, model, fits)
         short = MemorilessStrategy(max_choices=(np.array([True]),))
         with pytest.raises(StrategyError, match="entries"):
-            short.check_shape(phi, n)
+            max_masks(short)
         with pytest.raises(StrategyError, match="entries"):
             verify_strategy(phi, model, short)
         square = MemorilessStrategy(max_choices=(np.ones((2, 2), bool),))
         with pytest.raises(StrategyError, match=r"shape \(2, 2\), model has 2"):
-            square.check_shape(phi, n)
+            max_masks(square)
         with pytest.raises(StrategyError, match=r"shape \(2, 2\), model has 2"):
             verify_strategy(phi, model, square)
         two_sites = MemorilessStrategy(max_choices=(np.array([True, False]),) * 2)
         with pytest.raises(StrategyError, match="sites"):
-            two_sites.check_shape(phi, n)
+            max_masks(two_sites)
         with pytest.raises(StrategyError, match="sites"):
             specialize(phi, two_sites, n)
         with pytest.raises(StrategyError, match="sites"):
