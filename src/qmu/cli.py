@@ -16,11 +16,14 @@ import sys
 from dataclasses import asdict
 
 from . import examples
-from .evaluator import EvalConfig, NotConvergedError, evaluate_fix
-from .formula import parse, reduce
-from .game import estimate
-from .modelio import load_model, save_model
-from .oracle import InstanceBounds, crosscheck
+from .core import ModelError
+from .evaluator import (
+    EvalConfig, EvaluationError, NotConvergedError, StrategyError, evaluate_fix,
+)
+from .formula import ParseError, ReduceError, parse, reduce
+from .game import GameError, estimate
+from .modelio import ModelFileError, load_model, save_model
+from .oracle import InstanceBounds, StrategySpaceError, crosscheck
 from .strategy import load_strategy, save_strategy, synthesize, verify_strategy
 
 EXIT_OK = 0
@@ -32,8 +35,21 @@ class _InputError(Exception):
     """Arguments that do not fit together."""
 
 
-#: Every qmu error is a ValueError; OSError covers unreadable files.
-_INPUT_ERRORS = (_InputError, ValueError, OSError)
+#: qmu's named error classes, which report bad inputs, and OSError for
+#: unreadable files.  Any other exception, a bare ValueError included, is a
+#: fault of the program and escapes :func:`main`.
+_INPUT_ERRORS = (_InputError, ModelError, ModelFileError, ParseError,
+                 ReduceError, EvaluationError, StrategyError, StrategySpaceError,
+                 GameError, OSError)
+
+
+def _from_arguments(make, **values):
+    """``make(**values)``, built from command-line values, whose
+    ``ValueError`` is an input error."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,7 +74,8 @@ def _inputs(args):
                 raise _InputError(f"{fh.name}: formula is not UTF-8: {exc}") from None
     phi = parse(text, known_symbols=set(model.valuation.expectations))
     return (model, reduce(phi, model.valuation),
-            EvalConfig(tolerance=args.tol, max_iterations=args.max_iters))
+            _from_arguments(EvalConfig, tolerance=args.tol,
+                            max_iterations=args.max_iters))
 
 
 def _emit(args, payload, lines, sort_keys=True) -> None:
@@ -115,6 +132,9 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    for flag, value in (("--paths", args.paths), ("--max-depth", args.max_depth)):
+        if value < 1:
+            raise _InputError(f"{flag} must be at least 1, got {value}")
     model, phi, cfg = _inputs(args)
     if args.synthesize:
         strategy, _ = synthesize(phi, model, cfg)
@@ -144,15 +164,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    bounds = InstanceBounds(max_states=args.max_states,
-                            max_min_sites=args.max_min_sites,
-                            max_max_sites=args.max_max_sites)
+    if args.count < 0:
+        raise _InputError(f"--count cannot be negative, got {args.count}")
+    bounds = _from_arguments(InstanceBounds, max_states=args.max_states,
+                             max_min_sites=args.max_min_sites,
+                             max_max_sites=args.max_max_sites)
     report = crosscheck(args.count, args.seed, bounds,
-                        EvalConfig(tolerance=args.tol),
+                        _from_arguments(EvalConfig, tolerance=args.tol),
                         dump_dir=args.dump)
     _emit(args, {
         "checked": report.checked,
         "failures": [asdict(failure) for failure in report.failures],
+        "instances": [asdict(record) for record in report.instances],
     }, [f"checked {report.checked} instances, {len(report.failures)} failures",
         *(line for failure in report.failures
           for line in (f"FAIL {failure.message}",
@@ -181,7 +204,8 @@ def cmd_example(args) -> int:
     if args.table:
         if args.name != "futures":
             raise _InputError("tables are only defined for the futures example")
-        tables = examples.case_study_tables(EvalConfig(tolerance=args.tol), model)
+        tables = examples.case_study_tables(
+            _from_arguments(EvalConfig, tolerance=args.tol), model)
         names = list(tables) if args.table == "all" else [args.table]
         for name in names:
             if name not in tables:

@@ -235,9 +235,10 @@ class Transition:
                 while low[s] == index[s] and comp[s] < 0:
                     comp[stack.pop()] = s  # a component is named by its root
         comp = np.array(comp)
-        leaving = comp[src[comp[src] != comp[dst]]]
-        leaking = comp[_row_mass(self) < 1.0 - EPS_REPR]
-        recurrent = ~np.isin(comp, np.concatenate((leaving, leaking)))
+        escapes = np.zeros(n, dtype=bool)  # by root: a component left or leaking
+        escapes[comp[src[comp[src] != comp[dst]]]] = True
+        escapes[comp[_row_mass(self) < 1.0 - EPS_REPR]] = True
+        recurrent = ~escapes[comp]
         recurrent.setflags(write=False)
         return recurrent
 

@@ -180,7 +180,7 @@ class _Masked:
         self.max_masks = max_masks
 
     def __call__(self, node, left, right):
-        is_max = isinstance(node, MaxJ)
+        is_max = type(node) is MaxJ
         masks = self.max_masks if is_max else self.min_masks
         if masks is not None:
             return np.where(masks[node.site], left, right)
@@ -435,11 +435,12 @@ class _Plan:
 
         def test(loop, frame, body, old):
             iterations, window, decided = frame
-            new = np.clip(body, 0.0, 1.0)
+            new = body.clip(0.0, 1.0)
             if decided is not None:
                 new[decided] = 0.0
             # a NaN step stops the loop at once
-            residual = float(np.abs(new - old).max())
+            step = new - old
+            residual = float(np.abs(step, out=step).max())
             frame[0] = iterations = iterations + 1
             if residual > tol:
                 if window is not None:

@@ -163,7 +163,7 @@ def _child_fields(node: Node) -> tuple[str, ...]:
 
 
 def children(node: Node) -> tuple[Node, ...]:
-    return tuple(getattr(node, name) for name in _child_fields(node))
+    return tuple([getattr(node, name) for name in _child_fields(node)])
 
 
 def _with(node: Node, kids, **changes) -> Node:
@@ -369,29 +369,32 @@ _Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text`` and a final ``EOF``.  Only whitespace spans
+    lines, so a token's column counts from the last newline before it."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:  # finditer skipped a character no token matches
+            break
+        pos = m.end()
         kind = m.lastgroup
+        if kind == "WS":
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, pos) + 1
+            continue
         lexeme = m.group()
         if kind == "IDENT" and lexeme in _KEYWORDS:
             kind = lexeme.upper()
         elif kind == "PUNCT":
             kind = lexeme
-        if kind != "WS":
-            tokens.append(_Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
+        tokens.append(_Token(kind, lexeme, line, start - line_start + 1))
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line,
+                         pos - line_start + 1)
+    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
     return tokens
 
 

@@ -5,9 +5,10 @@ and takes the pointwise min-of-max and max-of-min over every (min tuple,
 max tuple) pair.  With both strategies fixed the game is a Markov reward
 chain, so each pair's value is the least (``mu``) or greatest (``nu``)
 solution of a small linear system.  One fold turns the formula into an
-affine form for a slice of pairs, and each binder is solved directly,
-after a graph pass that gives 0 (``mu``) or 1 (``nu``) to the rows from
-which no mass can leak; an alternating nest is two nested solves.
+affine form for a slice of pairs, and each binder is solved directly; when
+some row of the slice does not leak mass, a graph pass first gives 0
+(``mu``) or 1 (``nu``) to the rows from which no mass can leak.  An
+alternating nest is two nested solves.
 Nothing here iterates or shares the evaluator's plan, so the check of the
 brute-force values against the direct evaluation, which takes pointwise
 min and max at the junctions by Kleene iteration, is a check of the
@@ -224,12 +225,12 @@ def _tuple_choices(index, n_sites: int, n_states: int) -> np.ndarray:
     (site, state) order, from the bits of ``index``, most significant
     first, so tuples are enumerated in lexicographic order with False before
     True.  ``index`` may be an array of shape ``(B,)``; the result has shape
-    ``(n_sites, n_states)`` or ``(n_sites, B, n_states)``.
+    ``(n_sites, n_states)`` or, the batch last, ``(n_sites, n_states, B)``.
     """
     index = np.asarray(index, dtype=np.int64)
-    shifts = np.arange(n_sites * n_states - 1, -1, -1)
-    bits = ((index[..., None] >> shifts) & 1).astype(bool)
-    return np.moveaxis(bits.reshape(*index.shape, n_sites, n_states), -2, 0)
+    shifts = np.arange(n_sites * n_states - 1, -1, -1).reshape(
+        n_sites, n_states, *(1,) * index.ndim)
+    return ((index >> shifts) & 1) == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +248,7 @@ def _dense(t: Transition) -> np.ndarray:
     """The successor probabilities of ``t`` as an ``(n, n)`` matrix."""
     n = t.n_states
     matrix = np.zeros((n, n))
-    matrix[np.repeat(np.arange(n), np.diff(t.indptr)), t.indices] = t.probs
+    matrix[t._sources, t.indices] = t.probs
     return matrix
 
 
@@ -255,56 +256,65 @@ def _solve_binder(form: np.ndarray, cols: np.ndarray, outer: np.ndarray,
                   greatest: bool) -> np.ndarray:
     """The least (greatest) solution of ``x = A x + rest``, as an affine form.
 
-    ``A`` is ``form``'s coefficient of the binder's own variable, in columns
-    ``cols``, and ``rest`` its columns ``outer``: the constant and the
-    coefficients of the variables of the binders around this one, the only
-    other columns that can be nonzero.  A row whose sum in ``A`` falls
-    below ``1 - EPS_REPR``, the rule :func:`~qmu.core.validate` uses for
-    total rows, leaks mass.  The rows that cannot reach a leaking row along
-    ``A``'s support are closed: their value is 0 under ``mu`` and 1 under
-    ``nu`` (the Prob0/Prob1 step of PRISM).  On the other rows ``I - A`` is
-    nonsingular, and one solve gives the value as an affine form in the
-    outer variables.
+    ``form`` has shape ``(n, columns, B)``, the batch last.  ``A`` is its
+    coefficient of the binder's own variable, in columns ``cols``, and
+    ``rest`` its columns ``outer``: the constant and the coefficients of the
+    variables of the binders around this one, the only other columns that
+    can be nonzero.  A row whose sum in ``A`` falls below ``1 - EPS_REPR``,
+    the rule :func:`~qmu.core.validate` uses for total rows, leaks mass.
+    When every row of the batch leaks, ``I - A`` is nonsingular and one
+    solve gives the value.  Otherwise a graph pass runs first: the rows that
+    cannot reach a leaking row along ``A``'s support are closed, and their
+    value is 0 under ``mu`` and 1 under ``nu`` (the Prob0/Prob1 step of
+    PRISM); on the other rows ``I - A`` is nonsingular, and one solve gives
+    the value as an affine form in the outer variables.
     """
-    n = form.shape[1]
-    coef = form[..., cols]
-    rest = form[..., outer]
-    support = coef > 0.0
-    reaches = coef.sum(axis=-1) < 1.0 - EPS_REPR  # leaking, then reaching one
-    for _ in range(n - 1):  # a path to a leaking row takes at most n - 1 steps
-        reaches = reaches | (support & reaches[..., None, :]).any(axis=-1)
-    closed = ~reaches
-    rest[closed] = 0.0
-    if greatest:
-        rest[closed, 0] = 1.0
-    eye = np.eye(n)
-    system = np.where(closed[..., None], eye, eye - coef)
+    n = len(form)
+    coef = form[:, cols]
+    rest = form[:, outer]
+    reaches = coef.sum(axis=1) < 1.0 - EPS_REPR  # leaking, then reaching one
+    eye = np.eye(n)[..., None]
+    if reaches.all():
+        system = eye - coef
+    else:
+        support = coef > 0.0
+        for _ in range(n - 1):  # a path to a leaking row takes at most n - 1 steps
+            reaches = reaches | (support & reaches).any(axis=1)
+        closed = ~reaches
+        np.copyto(rest, 0.0, where=closed[:, None])
+        if greatest:
+            np.copyto(rest[:, 0], 1.0, where=closed)
+        system = np.where(closed[:, None], eye, eye - coef)
     solved = np.zeros(form.shape)
-    solved[..., outer] = np.linalg.solve(system, rest)
+    solved[:, outer] = np.linalg.solve(system.transpose(2, 0, 1),
+                                       rest.transpose(2, 0, 1)).transpose(1, 2, 0)
     return solved
 
 
 def _solve_pairs(phi: Node, model: Model, min_masks: np.ndarray,
-                 max_masks: np.ndarray) -> np.ndarray:
+                 max_masks: np.ndarray, dense: dict | None = None) -> np.ndarray:
     """The values of ``phi`` under a batch of memoriless strategy pairs.
 
-    The masks have shape ``(sites, B, n)``, as :func:`_tuple_choices` gives
+    The masks have shape ``(sites, n, B)``, as :func:`_tuple_choices` gives
     them, true where a pair takes the left 'junct; the result has shape
     ``(B, n)``.  One fold turns each
     subformula into an affine form of the binder variables around it: an
-    array of shape ``(B, n, 1 + n * binders)`` whose column 0 is the
-    constant and whose k-th block of ``n`` columns is the ``(B, n, n)``
+    array of shape ``(n, 1 + n * binders, B)`` whose column 0 is the
+    constant and whose k-th block of ``n`` columns is the ``(n, n, B)``
     coefficient of the k-th binder's variable, binders counted in preorder.
-    A subformula without junctions keeps a batch axis of length one.  The
+    The batch axis comes last, so numpy's inner loops run along it.  A
+    subformula without junctions keeps a batch axis of length one.  The
     value is clipped to [0, 1] once, at the end.  Every pair's row is
     computed on its own, so it does not depend on the batch it is in.
+    ``dense`` holds the transitions' dense matrices, filled on first use,
+    for the caller to share between the batches of one brute force.
     """
     v = model.valuation
     n = model.space.size
     width = 1 + n * sum(isinstance(node, (Mu, Nu)) for node in subformulae(phi))
     blocks = iter(range(1, width, n))
     scope: list[tuple[str, np.ndarray]] = []  # the binders around the node
-    dense: dict[str, np.ndarray] = {}
+    dense = {} if dense is None else dense
 
     def enter(node: Node) -> None:
         if isinstance(node, (Mu, Nu)):
@@ -312,16 +322,17 @@ def _solve_pairs(phi: Node, model: Model, min_masks: np.ndarray,
             scope.append((node.var, np.arange(start, start + n)))
 
     def leave(node: Node, kids) -> np.ndarray:
-        if isinstance(node, Const):
-            form = np.zeros((1, n, width))
-            form[0, :, 0] = v.expectations[node.name]
+        kind = type(node)
+        if kind is Const:
+            form = np.zeros((n, width, 1))
+            form[:, 0, 0] = v.expectations[node.name]
             return form
-        if isinstance(node, Var):
-            form = np.zeros((1, n, width))
-            form[0][:, next(cols for var, cols in reversed(scope)
-                            if var == node.name)] = np.eye(n)
+        if kind is Var:
+            form = np.zeros((n, width, 1))
+            form[:, next(cols for var, cols in reversed(scope)
+                         if var == node.name), 0] = np.eye(n)
             return form
-        if isinstance(node, Modal):
+        if kind is Modal:
             t = v.transitions[node.transition]
             if node.transition not in dense:
                 dense[node.transition] = _dense(t)
@@ -330,21 +341,20 @@ def _solve_pairs(phi: Node, model: Model, min_masks: np.ndarray,
             # evaluator's product adds them
             form = np.zeros(body.shape)
             for j in range(n):
-                form += matrix[:, j, None] * body[..., j, None, :]
-            form[..., 0] += t.weights
+                form += matrix[:, j, None, None] * body[j]
+            form[:, 0] += t.weights[:, None]
             return form
-        if isinstance(node, (MinJ, MaxJ)):
-            masks = min_masks if isinstance(node, MinJ) else max_masks
-            return np.where(masks[node.site][..., None], *kids)
-        if isinstance(node, Cond):
-            return np.where(v.predicates[node.predicate][:, None], *kids)
+        if kind is MinJ or kind is MaxJ:
+            masks = min_masks if kind is MinJ else max_masks
+            return np.where(masks[node.site][:, None], *kids)
+        if kind is Cond:
+            return np.where(v.predicates[node.predicate][:, None, None], *kids)
         _, cols = scope.pop()
         outer = np.concatenate([[0], *(block for _, block in scope)])
-        return _solve_binder(kids[0], cols, outer, isinstance(node, Nu))
+        return _solve_binder(kids[0], cols, outer, kind is Nu)
 
     form = rebuild(phi, leave, enter)
-    return np.clip(np.broadcast_to(form[..., 0], (min_masks.shape[1], n)),
-                   0.0, 1.0)
+    return np.broadcast_to(form[:, 0], (n, min_masks.shape[-1])).T.clip(0.0, 1.0)
 
 
 def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteForceResult:
@@ -370,11 +380,12 @@ def brute_minimax(inst: TinyInstance, cfg: EvalConfig | None = None) -> BruteFor
 
     n_min, n_max = 2 ** (mins * n), 2 ** (maxs * n)
     table = np.empty((n_min * n_max, n))
+    dense: dict[str, np.ndarray] = {}
     for start in range(0, len(table), PAIRS_PER_BATCH):
         pairs = np.arange(start, min(start + PAIRS_PER_BATCH, len(table)))
         table[start:start + len(pairs)] = _solve_pairs(
             phi, model, _tuple_choices(pairs // n_max, mins, n),
-            _tuple_choices(pairs % n_max, maxs, n))
+            _tuple_choices(pairs % n_max, maxs, n), dense)
     table = table.reshape(n_min, n_max, n)
 
     max_first = table.max(axis=1)          # best Max reply per Min tuple
@@ -410,9 +421,25 @@ class CheckFailure:
 
 
 @dataclass(frozen=True)
+class InstanceRecord:
+    """One checked instance: its formula template and size, the strategy
+    pairs brute-forced, ``|minimax - maximin|`` and ``|minimax - evaluate|``
+    (sup norms) and whether the evaluation converged."""
+
+    index: int
+    template: str
+    states: int
+    pairs: int
+    maximin_gap: float
+    evaluate_gap: float
+    converged: bool
+
+
+@dataclass(frozen=True)
 class CrosscheckReport:
     checked: int
     failures: tuple[CheckFailure, ...]
+    instances: tuple[InstanceRecord, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -426,7 +453,8 @@ def crosscheck(count: int, seed: int, bounds: InstanceBounds | None = None,
 
     ``evaluate_fn`` is an injection point for fault testing; it defaults to
     the real evaluator.  An instance whose evaluation does not converge
-    fails with a message saying so, not with a value gap.  On
+    fails with a message saying so, not with a value gap.  The report keeps
+    an :class:`InstanceRecord` of every instance, passing or not.  On
     failure the instance is dumped (model file plus formula text) for replay
     when ``dump_dir`` is given.  ``tolerance`` must be finite and positive:
     a NaN one would pass every instance and a negative one fail every one.
@@ -438,6 +466,7 @@ def crosscheck(count: int, seed: int, bounds: InstanceBounds | None = None,
     evaluate_fn = evaluate_fn or evaluate
     cfg = cfg or EvalConfig()
     failures: list[CheckFailure] = []
+    records: list[InstanceRecord] = []
     for i in range(count):
         inst = random_instance([seed, i], bounds)
         message = None
@@ -445,6 +474,10 @@ def crosscheck(count: int, seed: int, bounds: InstanceBounds | None = None,
         report = evaluate_fn(inst.phi, inst.model, cfg)
         gap_mm = float(np.max(np.abs(result.minimax - result.maximin)))
         gap_de = float(np.max(np.abs(result.minimax - report.result)))
+        records.append(InstanceRecord(
+            i, inst.template, inst.model.space.size,
+            result.table.shape[0] * result.table.shape[1], gap_mm, gap_de,
+            report.converged))
         if not report.converged:
             message = (f"instance {i}: evaluate did not converge within "
                        f"{cfg.max_iterations} iterations")
@@ -456,7 +489,8 @@ def crosscheck(count: int, seed: int, bounds: InstanceBounds | None = None,
             if dump_dir is not None:
                 dump_paths = _dump_instance(dump_dir, i, inst)
             failures.append(CheckFailure(i, message, dump_paths))
-    return CrosscheckReport(checked=count, failures=tuple(failures))
+    return CrosscheckReport(checked=count, failures=tuple(failures),
+                            instances=tuple(records))
 
 
 def _dump_instance(dump_dir, index: int, inst: TinyInstance) -> tuple[str, ...]:

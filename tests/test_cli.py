@@ -1,13 +1,13 @@
 """Command-line behaviour: outputs, determinism and exit codes."""
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
 from qmu.cli import main
 from qmu.game import EstimateResult
-from qmu.oracle import CheckFailure
+from qmu.oracle import CheckFailure, InstanceRecord, crosscheck
 
 
 @pytest.fixture(scope="module")
@@ -463,7 +463,22 @@ class TestCrosscheck:
         code, out, _ = run(capsys, ["crosscheck", "--count", "3", "--seed", "1",
                                     "--json"])
         assert code == 0
-        assert json.loads(out) == {"checked": 3, "failures": []}
+        payload = json.loads(out)
+        assert payload["checked"] == 3 and payload["failures"] == []
+        assert [record["index"] for record in payload["instances"]] == [0, 1, 2]
+
+    def test_json_records_every_passing_instance(self, capsys):
+        code, out, _ = run(capsys, ["crosscheck", "--count", "4", "--seed", "1",
+                                    "--json"])
+        assert code == 0
+        report = crosscheck(4, 1)
+        assert json.loads(out)["instances"] == [asdict(r) for r in report.instances]
+        for record in json.loads(out)["instances"]:
+            assert set(record) == {f.name for f in fields(InstanceRecord)}
+
+    def test_json_output_is_deterministic(self, capsys):
+        argv = ["crosscheck", "--count", "4", "--seed", "2", "--json"]
+        assert run(capsys, argv) == run(capsys, argv)
 
     def test_json_failures(self, capsys, monkeypatch):
         from qmu import cli
@@ -477,6 +492,7 @@ class TestCrosscheck:
             "checked": 3,
             "failures": [{"index": 2, "message": "minimax gap",
                           "dump_paths": ["dump/instance_2.json"]}],
+            "instances": [],
         }
 
     def test_json_failures_are_check_failures(self, capsys):
@@ -516,6 +532,43 @@ class TestCrosscheck:
         code, out, err = run(capsys, ["crosscheck", "--count", "3", *flags])
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+class TestInputErrors:
+    def test_a_program_fault_escapes_main(self, monkeypatch, vardi_files):
+        # a bare ValueError is a bug, not an input error with exit code 1
+        from qmu import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("a fault inside the evaluator")
+
+        monkeypatch.setattr(cli, "evaluate_fix", broken)
+        with pytest.raises(ValueError, match="a fault inside the evaluator"):
+            main(["eval", vardi_files["model"], vardi_files["formula"]])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["crosscheck", "--count", "-1"], "--count cannot be negative, got -1"),
+        (["crosscheck", "--max-states", "5"], "max_states must be between 1 and 4"),
+        (["crosscheck", "--tol", "2"],
+         "tolerance must lie strictly between 0 and 1"),
+    ], ids=["count", "bounds", "tolerance"])
+    def test_bad_arguments_exit_one_with_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--paths", "0"], "--paths must be at least 1, got 0"),
+        (["--max-depth", "0"], "--max-depth must be at least 1, got 0"),
+        (["--max-iters", "0"], "max_iterations must be at least 1"),
+    ], ids=["paths", "max-depth", "max-iters"])
+    def test_bad_simulate_arguments_exit_one(self, capsys, vardi_files, flags,
+                                             message):
+        code, out, err = run(capsys, ["simulate", vardi_files["model"],
+                                      vardi_files["formula"], "--synthesize",
+                                      "--state", "A", *flags])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestExample:

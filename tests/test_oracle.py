@@ -364,6 +364,31 @@ class TestBruteMinimax:
             assert np.abs(result.table[i, j]
                           - _pair_value(big, bits[:8], bits[8:])).max() <= 1e-6
 
+    @pytest.mark.parametrize("text, closed_value", [
+        ("mu X . a0 \\/ <k> X", 0.0), ("nu X . a0 /\\ <k> X", 1.0),
+    ], ids=["mu", "nu"])
+    def test_closed_and_all_leaking_pairs_in_one_batch(self, text, closed_value):
+        # s0 stays put with probability one and s1 leaks, so a pair that
+        # takes <k> X at s0 has a closed row and one that takes a0 there has
+        # only leaking rows, which skip the graph pass when solved alone
+        model = Model(StateSpace(("s0", "s1")), Valuation(
+            expectations={"a0": np.array([0.6, 0.3])},
+            transitions={"k": transition([[(0, 1.0)], [(0, 0.5)]], [0.0, 0.25])}))
+        phi = reduce(parse(text), model.valuation)
+        inst = TinyInstance(model=model, phi=phi, text=text, free_var="W0",
+                            alternating=False, template="")
+        mins, maxs = choice_sites(phi)
+        table = brute_minimax(inst).table
+        assert table.shape == (2 ** (2 * mins), 2 ** (2 * maxs), 2)
+        closed = {(i, j) for i in range(table.shape[0])
+                  for j in range(table.shape[1]) if table[i, j, 0] == closed_value}
+        assert 0 < len(closed) < table.size // 2
+        for i in range(table.shape[0]):
+            for j in range(table.shape[1]):
+                alone = _solve_pairs(phi, model, _tuple_choices([i], mins, 2),
+                                     _tuple_choices([j], maxs, 2))
+                assert np.array_equal(table[i, j], alone[0]), (i, j)
+
     def test_non_convergence_raises(self):
         inst = random_instance([0, 0])
         with pytest.raises(NotConvergedError, match="did not converge"):
@@ -404,6 +429,43 @@ class TestCrosscheck:
     def test_small_run_passes(self):
         report = crosscheck(10, seed=61)
         assert report.ok and report.checked == 10
+
+    def test_every_instance_has_a_record(self):
+        report = crosscheck(12, seed=61)
+        assert report.ok
+        assert [r.index for r in report.instances] == list(range(12))
+
+    def test_record_names_the_template_and_the_states(self):
+        report = crosscheck(12, seed=61)
+        for record in report.instances:
+            inst = random_instance([61, record.index])
+            assert record.template == inst.template
+            assert record.states == inst.model.space.size
+
+    def test_record_counts_the_strategy_pairs(self):
+        report = crosscheck(12, seed=61)
+        for record in report.instances:
+            table = brute_minimax(random_instance([61, record.index])).table
+            assert record.pairs == table.shape[0] * table.shape[1]
+        assert {record.pairs for record in report.instances} != {1}
+
+    def test_record_gaps_are_the_checked_gaps(self):
+        report = crosscheck(12, seed=61)
+        for record in report.instances:
+            inst = random_instance([61, record.index])
+            result = brute_minimax(inst)
+            value = evaluate(inst.phi, inst.model).result
+            assert record.maximin_gap == np.abs(result.minimax
+                                                - result.maximin).max()
+            assert record.evaluate_gap == np.abs(result.minimax - value).max()
+            assert record.maximin_gap <= 1e-6 and record.evaluate_gap <= 1e-6
+
+    def test_record_says_whether_the_evaluation_converged(self):
+        report = crosscheck(5, 0, cfg=EvalConfig(max_iterations=2))
+        failed = {failure.index for failure in report.failures}
+        assert failed
+        assert {r.index for r in report.instances if not r.converged} == failed
+        assert all(r.converged for r in crosscheck(5, 0).instances)
 
     def test_count_zero_passes(self):
         report = crosscheck(0, seed=1)
