@@ -60,6 +60,19 @@ def predicate(values, size: int | None = None) -> np.ndarray:
     return arr
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as a new int64 array.  A value that is not a whole number,
+    NaN and the infinities included, is a :class:`ModelError`, named: the
+    cast would truncate it to some other state or count."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        real = arr.astype(np.float64).reshape(-1)
+        bad = np.flatnonzero(~(np.isfinite(real) & (np.trunc(real) == real)))
+        if bad.size:
+            raise ModelError(f"{what} {real[bad[0]].item()} is not an integer")
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """An ordered finite set of named states, addressed by dense index."""
@@ -96,10 +109,11 @@ class Transition:
     ``weights[s]`` is the expected immediate payoff routed to the absorbing
     payoff outcome.  :func:`transition_from_edges`, which :func:`transition`
     calls, stores only strictly positive probabilities, one edge per target,
-    sorted by target.  The arrays are read-only, and storage grows with the
-    number of edges, not of states squared.  :attr:`_slots` lays the same
-    edges out for :func:`pre_expectation_all`, in at most four cells per
-    edge.
+    sorted by target.  The arrays are read-only copies; an ``indptr`` or
+    ``indices`` entry that is not a whole number is a :class:`ModelError`.
+    Storage grows with the number of edges, not of states squared.
+    :attr:`_slots` lays the same edges out for :func:`pre_expectation_all`,
+    in at most four cells per edge.
     """
 
     indptr: np.ndarray
@@ -110,7 +124,8 @@ class Transition:
     def __post_init__(self):
         for name, dtype in (("indptr", np.int64), ("indices", np.int64),
                             ("probs", np.float64), ("weights", np.float64)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+            arr = (_integers(getattr(self, name), f"transition {name} entry")
+                   if dtype is np.int64 else np.array(getattr(self, name), dtype=dtype))
             if arr.ndim != 1:
                 raise ModelError(f"transition {name} must be a vector")
             arr.setflags(write=False)
@@ -190,11 +205,13 @@ class Transition:
         K = int(np.argmin(np.arange(len(rows_past)) * n + 4 * tail_sizes))
         slot = np.arange(len(src)) - self.indptr[src]
         inside = slot < K
+        outside = ~inside
+        cells = slot[inside], src[inside]
         idx = np.zeros((K, n), dtype=np.intp)
         pr = np.zeros((K, n))
-        idx[slot[inside], src[inside]] = self.indices[inside]
-        pr[slot[inside], src[inside]] = self.probs[inside]
-        tail = (src[~inside], self.indices[~inside], self.probs[~inside])
+        idx[cells] = self.indices[inside]
+        pr[cells] = self.probs[inside]
+        tail = (src[outside], self.indices[outside], self.probs[outside])
         for arr in (idx, pr, *tail):
             arr.setflags(write=False)
         return idx, pr, tail
@@ -255,12 +272,13 @@ def transition_from_edges(counts, targets, probs, weights) -> Transition:
     ``probs``.  Zero-probability edges are dropped, each row's edges are
     sorted by target, and duplicate targets in a row are merged into one
     edge whose probability adds theirs in order of appearance, so the stored
-    form is canonical.  A negative or non-finite probability or a non-finite
-    weight is a :class:`ModelError`; targets outside the state space are
-    left for :func:`validate` to report.
+    form is canonical.  A count or target that is not a whole number, a
+    negative or non-finite probability or a non-finite weight is a
+    :class:`ModelError`; targets outside the state space are left for
+    :func:`validate` to report.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
+    counts = _integers(counts, "edge count")
+    targets = _integers(targets, "edge target")
     probs = np.asarray(probs, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if (counts.ndim != 1 or probs.ndim != 1 or targets.shape != probs.shape

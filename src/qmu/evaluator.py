@@ -37,7 +37,7 @@ from .core import Model, pre_expectation_all, pre_support
 from .formula import (
     Cond, Const, Entry, EvaluationError, Fix, FixNotSupportedError, MaxJ, MinJ,
     Modal, Mu, NondeterministicFixBodyError, Node, Nu, UnresolvedSymbolError,
-    Var, check_entry, children,
+    Var, check_entry, rebuild,
 )
 
 __all__ = [
@@ -237,7 +237,9 @@ class _Plan:
     once, before every loop.  A step's result (a binder's once its loop has
     ended) has one reader, its parent; when both sit in the same loop the
     parent writes its own result over it or drops it, so a loop holds about
-    as many vectors at once as a tree walk would.
+    as many vectors at once as a tree walk would.  The compile is one
+    :func:`~qmu.formula.rebuild` fold: entering a binder opens its scope,
+    register and loop block, and leaving a node returns its operand record.
 
     The formula is one :func:`~qmu.formula.check_entry` accepted, so every
     name it looks up is bound and sized to the model.  ``forced`` holds the
@@ -250,35 +252,28 @@ class _Plan:
         self.registers: list = []
         consts: dict[str, int] = {}
         blocks: list[list] = [[]]  # blocks[d + 1]: the loop body at depth d
-        scope: dict[str, tuple[int, int]] = {}  # name -> (depth, register)
-        # (register, free depths as bits, whether it holds a step's result:
-        # not a constant or a variable, so its parent is its one reader,
-        # depths occurring outside every modality, transitions, kinds)
-        done: list[tuple] = []
+        # name -> the (depth, register) of each binder of it around the walk
+        scope: dict[str, list[tuple[int, int]]] = {}
         binders: list[str] = []
-        todo: list = [(phi, None)]
-        while todo:
-            node, entered = todo.pop()
+
+        def enter(node: Node) -> None:
+            if isinstance(node, (Mu, Nu, Fix)):
+                scope.setdefault(node.var, []).append((len(blocks) - 1,
+                                                       self._register()))
+                blocks.append([])
+
+        # an operand record: (register, free depths as bits, whether it holds
+        # a step's result: not a constant or a variable, so its parent is its
+        # one reader, depths occurring outside every modality, transitions,
+        # kinds)
+        def leave(node: Node, operands) -> tuple:
             if isinstance(node, Var):
-                depth, register = scope[node.name]
-                done.append((register, 1 << depth, False, 1 << depth, _NONE, 0))
-                continue
+                depth, register = scope[node.name][-1]
+                return (register, 1 << depth, False, 1 << depth, _NONE, 0)
             if isinstance(node, Const):
                 if node.name not in consts:
                     consts[node.name] = self._register(v.expectations[node.name])
-                done.append((consts[node.name], 0, False, 0, _NONE, 0))
-                continue
-            kids = children(node)
-            if entered is None:
-                if isinstance(node, (Mu, Nu, Fix)):
-                    entered = (scope.get(node.var), self._register())
-                    scope[node.var] = (len(blocks) - 1, entered[1])
-                    blocks.append([])
-                todo.append((node, entered or ()))
-                todo.extend((child, None) for child in reversed(kids))
-                continue
-            operands = done[len(done) - len(kids):]
-            del done[len(done) - len(kids):]
+                return (consts[node.name], 0, False, 0, _NONE, 0)
             free = unguarded = kinds = 0
             names = _NONE
             for _, bits, _, loose, used, found in operands:
@@ -288,19 +283,14 @@ class _Plan:
                 kinds |= found
             regs = [operand[0] for operand in operands]
             if isinstance(node, (Mu, Nu, Fix)):
-                outer, register = entered
+                depth, register = scope[node.var].pop()
                 body = blocks.pop()
-                depth = len(blocks) - 1
                 own = 1 << depth
                 free &= ~own
                 kinds |= ((_HAS_NU if isinstance(node, Nu) else 0)
                           | (_HAS_FIX if isinstance(node, Fix) else 0)
                           | (_UNGUARDED if unguarded & own else 0))
                 unguarded &= ~own
-                if outer is None:
-                    del scope[node.var]
-                else:
-                    scope[node.var] = outer
                 seed = (0.0 if isinstance(node, Mu) else 1.0
                         if isinstance(node, Nu) else float(node.start))
                 decides = free == 0 and kinds & (_HAS_NU | _HAS_FIX) == _HAS_NU
@@ -331,8 +321,9 @@ class _Plan:
                 else:
                     steps = [(_JUNCTION, register, node, *regs, drop)]
             blocks[free.bit_length()].extend(steps)
-            done.append((register, free, True, unguarded, names, kinds))
-        (self.out, *_), = done
+            return (register, free, True, unguarded, names, kinds)
+
+        self.out = rebuild(phi, leave, enter)[0]
         self.steps = blocks[0]
         # each binder's first solve ends in postorder when nothing is hoisted
         self.binders = tuple(dict.fromkeys(binders))

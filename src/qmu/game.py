@@ -29,7 +29,7 @@ from .core import EPS_REPR, Model
 from .evaluator import PathStrategy
 from .formula import (
     Cond, Const, Entry, MaxJ, MinJ, Modal, Mu, Node, Nu, Var,
-    check_entry, subformulae,
+    check_entry, rebuild,
 )
 
 
@@ -106,10 +106,11 @@ _PAYOFF, _MU, _NU, _BUDGET = range(4)
 class _Table:
     """A formula and two strategies compiled into a position table.
 
-    Every subformula object is a position (the root is position 0), and
-    every binder has a second one, its colour position, taken right after
-    it binds.  A position has a rule, two successor positions ``first`` and
-    ``second`` and an ``operand``:
+    Every occurrence of a subformula is a position, numbered in postorder,
+    and every binder has a second one, its colour position, right after it,
+    taken once it binds; play starts at :attr:`root`.  A position has a
+    rule, two successor positions ``first`` and ``second`` and an
+    ``operand``:
 
     - ``_BRANCH`` (a junction or a conditional) goes to ``first`` (left,
       then) where row ``operand`` of ``choices`` holds at the state, else to
@@ -129,68 +130,53 @@ class _Table:
     :func:`~qmu.formula.parse` makes binder names unique.  A position's
     ``labels`` entry is what a history-dependent strategy sees of it: the
     subformula, or the binder's name at a colour position.  The table is
-    built from :func:`~qmu.formula.subformulae`, without recursion; the site
-    counts come from ``entry``, ``phi``'s :func:`~qmu.formula.check_entry`,
-    and the memoriless sides' rows from their ``masks``.
+    built in one :func:`~qmu.formula.rebuild` fold, whose ``leave`` appends
+    a node's positions and returns its index; the site counts come from
+    ``entry``, ``phi``'s :func:`~qmu.formula.check_entry`, and the
+    memoriless sides' rows from their ``masks``.
     """
 
     def __init__(self, phi: Node, model: Model, entry: Entry, sigmas: tuple,
                  masks: tuple):
         v = model.valuation
         n = model.space.size
-        ids: dict[int, int] = {}
-        nodes: list[Node] = []
-        for node in subformulae(phi):
-            if id(node) not in ids:
-                ids[id(node)] = len(nodes)
-                nodes.append(node)
-        size = len(nodes) + sum(isinstance(node, (Mu, Nu)) for node in nodes)
-        self.rule = np.empty(size, np.int8)
-        self.first = np.zeros(size, np.intp)
-        self.second = np.zeros(size, np.intp)
-        self.operand = np.zeros(size, np.intp)
-        self.nu = np.zeros(size, bool)
+        positions: list[tuple] = []  # (rule, first, second, operand, nu)
+        self.labels: list = []
         slots: dict[str, int] = {}
         consts: dict[str, int] = {}
         predicates: dict[str, int] = {}
         transitions: dict[str, int] = {}
         mins, maxs = entry.mins, entry.maxs
-        colour = len(nodes)
-        for i, node in enumerate(nodes):
-            if isinstance(node, Const):
-                self.rule[i] = _CONST
-                self.operand[i] = consts.setdefault(node.name, len(consts))
-            elif isinstance(node, Modal):
-                self.rule[i] = _MODAL
-                self.operand[i] = transitions.setdefault(node.transition,
-                                                         len(transitions))
-                self.first[i] = ids[id(node.body)]
-            elif isinstance(node, Cond):
-                self.rule[i] = _BRANCH
-                self.operand[i] = mins + maxs + predicates.setdefault(
-                    node.predicate, len(predicates))
-                self.first[i] = ids[id(node.then_branch)]
-                self.second[i] = ids[id(node.else_branch)]
-            elif isinstance(node, (MinJ, MaxJ)):
-                self.rule[i] = _BRANCH
-                self.operand[i] = node.site + (mins if isinstance(node, MaxJ) else 0)
-                self.first[i] = ids[id(node.left)]
-                self.second[i] = ids[id(node.right)]
-            elif isinstance(node, Var):
-                self.rule[i] = _COLOUR
-                self.operand[i] = slots.setdefault(node.name, len(slots))
-            else:  # Mu or Nu
+
+        def leave(node: Node, kids) -> int:
+            kind = type(node)
+            if kind is Mu or kind is Nu:  # the binder, then its colour position
                 slot = slots.setdefault(node.var, len(slots))
-                self.rule[i] = _BIND
-                self.operand[i] = slot
-                self.first[i] = colour
-                self.second[i] = ids[id(node.body)]
-                self.nu[i] = isinstance(node, Nu)
-                self.rule[colour] = _COLOUR
-                self.operand[colour] = slot
-                colour += 1
-        self.labels = ([node.name if isinstance(node, Var) else node for node in nodes]
-                       + [node.var for node in nodes if isinstance(node, (Mu, Nu))])
+                positions.append((_BIND, len(positions) + 1, kids[0], slot, kind is Nu))
+                positions.append((_COLOUR, 0, 0, slot, False))
+                self.labels += [node, node.var]
+                return len(positions) - 2
+            if kind is Const:
+                rule, operand = _CONST, consts.setdefault(node.name, len(consts))
+            elif kind is Modal:
+                rule, operand = _MODAL, transitions.setdefault(node.transition,
+                                                               len(transitions))
+            elif kind is Cond:
+                rule, operand = _BRANCH, mins + maxs + predicates.setdefault(
+                    node.predicate, len(predicates))
+            elif kind is Var:
+                rule, operand = _COLOUR, slots.setdefault(node.name, len(slots))
+            else:  # MinJ or MaxJ
+                rule, operand = _BRANCH, node.site + (mins if kind is MaxJ else 0)
+            first, second = (*kids, 0, 0)[:2]
+            positions.append((rule, first, second, operand, False))
+            self.labels.append(node.name if kind is Var else node)
+            return len(positions) - 1
+
+        self.root = rebuild(phi, leave)
+        self.rule, self.first, self.second, self.operand, self.nu = (
+            np.array(column, dtype) for column, dtype in zip(
+                zip(*positions), (np.int8, np.intp, np.intp, np.intp, bool)))
         self.n_slots = len(slots)
         self.n_states = n
         self.values = np.array([v.expectations[name] for name in consts],
@@ -231,7 +217,7 @@ class _Table:
         steps = np.zeros(size, np.int64)
         ending = np.zeros(size, np.int8)
         live = np.arange(size)
-        node = np.zeros(size, np.intp)
+        node = np.full(size, self.root, np.intp)
         state = np.full(size, s0, np.intp)
         bound = np.zeros((size, self.n_slots), np.intp)  # binder per slot
         visits = np.zeros((size, self.n_slots), np.int64)  # of its colour

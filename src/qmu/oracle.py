@@ -30,7 +30,7 @@ from .core import (
 from .evaluator import EvalConfig, evaluate
 from .formula import (
     Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var, assign_sites,
-    check_entry, parse, pretty_print, rebuild, reduce, subformulae,
+    check_entry, parse, pretty_print, rebuild, reduce,
 )
 from .strategy import MemorilessStrategy
 
@@ -252,26 +252,26 @@ def _dense(t: Transition) -> np.ndarray:
     return matrix
 
 
-def _solve_binder(form: np.ndarray, cols: np.ndarray, outer: np.ndarray,
-                  greatest: bool) -> np.ndarray:
+def _solve_binder(form: np.ndarray, greatest: bool) -> np.ndarray:
     """The least (greatest) solution of ``x = A x + rest``, as an affine form.
 
-    ``form`` has shape ``(n, columns, B)``, the batch last.  ``A`` is its
-    coefficient of the binder's own variable, in columns ``cols``, and
-    ``rest`` its columns ``outer``: the constant and the coefficients of the
-    variables of the binders around this one, the only other columns that
-    can be nonzero.  A row whose sum in ``A`` falls below ``1 - EPS_REPR``,
-    the rule :func:`~qmu.core.validate` uses for total rows, leaks mass.
-    When every row of the batch leaks, ``I - A`` is nonsingular and one
-    solve gives the value.  Otherwise a graph pass runs first: the rows that
-    cannot reach a leaking row along ``A``'s support are closed, and their
-    value is 0 under ``mu`` and 1 under ``nu`` (the Prob0/Prob1 step of
-    PRISM); on the other rows ``I - A`` is nonsingular, and one solve gives
-    the value as an affine form in the outer variables.
+    ``form`` has shape ``(n, 1 + n * depth, B)``, the batch last, as
+    :func:`_solve_pairs` gives a binder's body.  ``A`` is its coefficient of
+    the binder's own variable, its last ``n`` columns, and ``rest`` the
+    columns before: the constant and the coefficients of the variables of
+    the binders around this one.  A row whose sum in ``A`` falls below
+    ``1 - EPS_REPR``, the rule :func:`~qmu.core.validate` uses for total
+    rows, leaks mass.  When every row of the batch leaks, ``I - A`` is
+    nonsingular and one solve gives the value.  Otherwise a graph pass runs
+    first: the rows that cannot reach a leaking row along ``A``'s support
+    are closed, and their value is 0 under ``mu`` and 1 under ``nu`` (the
+    Prob0/Prob1 step of PRISM); on the other rows ``I - A`` is nonsingular,
+    and one solve gives the value as an affine form in the outer variables,
+    of shape ``(n, 1 + n * (depth - 1), B)``.  ``rest`` is overwritten.
     """
     n = len(form)
-    coef = form[:, cols]
-    rest = form[:, outer]
+    coef = form[:, -n:]
+    rest = form[:, :-n]
     reaches = coef.sum(axis=1) < 1.0 - EPS_REPR  # leaking, then reaching one
     eye = np.eye(n)[..., None]
     if reaches.all():
@@ -285,10 +285,8 @@ def _solve_binder(form: np.ndarray, cols: np.ndarray, outer: np.ndarray,
         if greatest:
             np.copyto(rest[:, 0], 1.0, where=closed)
         system = np.where(closed[:, None], eye, eye - coef)
-    solved = np.zeros(form.shape)
-    solved[:, outer] = np.linalg.solve(system.transpose(2, 0, 1),
-                                       rest.transpose(2, 0, 1)).transpose(1, 2, 0)
-    return solved
+    return np.linalg.solve(system.transpose(2, 0, 1),
+                           rest.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def _solve_pairs(phi: Node, model: Model, min_masks: np.ndarray,
@@ -297,11 +295,12 @@ def _solve_pairs(phi: Node, model: Model, min_masks: np.ndarray,
 
     The masks have shape ``(sites, n, B)``, as :func:`_tuple_choices` gives
     them, true where a pair takes the left 'junct; the result has shape
-    ``(B, n)``.  One fold turns each
-    subformula into an affine form of the binder variables around it: an
-    array of shape ``(n, 1 + n * binders, B)`` whose column 0 is the
-    constant and whose k-th block of ``n`` columns is the ``(n, n, B)``
-    coefficient of the k-th binder's variable, binders counted in preorder.
+    ``(B, n)``.  One :func:`~qmu.formula.rebuild` fold turns each
+    subformula into an affine form of the variables of the binders around
+    it: an array of shape ``(n, 1 + n * depth, B)``, for ``depth`` such
+    binders, whose column 0 is the constant and whose k-th block of ``n``
+    columns is the ``(n, n, B)`` coefficient of the k-th binder's variable,
+    outermost first, so the innermost binder's variable is the last block.
     The batch axis comes last, so numpy's inner loops run along it.  A
     subformula without junctions keeps a batch axis of length one.  The
     value is clipped to [0, 1] once, at the end.  Every pair's row is
@@ -311,26 +310,22 @@ def _solve_pairs(phi: Node, model: Model, min_masks: np.ndarray,
     """
     v = model.valuation
     n = model.space.size
-    width = 1 + n * sum(isinstance(node, (Mu, Nu)) for node in subformulae(phi))
-    blocks = iter(range(1, width, n))
-    scope: list[tuple[str, np.ndarray]] = []  # the binders around the node
+    scope: list[str] = []  # the variables of the binders around the node
     dense = {} if dense is None else dense
 
     def enter(node: Node) -> None:
         if isinstance(node, (Mu, Nu)):
-            start = next(blocks)
-            scope.append((node.var, np.arange(start, start + n)))
+            scope.append(node.var)
 
     def leave(node: Node, kids) -> np.ndarray:
         kind = type(node)
-        if kind is Const:
-            form = np.zeros((n, width, 1))
-            form[:, 0, 0] = v.expectations[node.name]
-            return form
-        if kind is Var:
-            form = np.zeros((n, width, 1))
-            form[:, next(cols for var, cols in reversed(scope)
-                         if var == node.name), 0] = np.eye(n)
+        if kind is Const or kind is Var:
+            form = np.zeros((n, 1 + n * len(scope), 1))
+            if kind is Const:
+                form[:, 0, 0] = v.expectations[node.name]
+            else:  # the block of the innermost binder of its name
+                start = 1 + n * (len(scope) - 1 - scope[::-1].index(node.name))
+                form[:, start:start + n, 0] = np.eye(n)
             return form
         if kind is Modal:
             t = v.transitions[node.transition]
@@ -349,9 +344,8 @@ def _solve_pairs(phi: Node, model: Model, min_masks: np.ndarray,
             return np.where(masks[node.site][:, None], *kids)
         if kind is Cond:
             return np.where(v.predicates[node.predicate][:, None, None], *kids)
-        _, cols = scope.pop()
-        outer = np.concatenate([[0], *(block for _, block in scope)])
-        return _solve_binder(kids[0], cols, outer, kind is Nu)
+        scope.pop()
+        return _solve_binder(kids[0], kind is Nu)
 
     form = rebuild(phi, leave, enter)
     return np.broadcast_to(form[:, 0], (n, min_masks.shape[-1])).T.clip(0.0, 1.0)

@@ -192,6 +192,35 @@ class TestBuilderErrors:
         with pytest.raises(ModelError, match="one entry per state"):
             transition_from_edges([1], [0], [0.5], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [0.7, -0.5, float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_integer_targets_rejected(self, bad):
+        # a cast would truncate them to other states, which validate accepts;
+        # the first of two is named
+        message = f"edge target {bad} is not an integer"
+        with pytest.raises(ModelError, match=message):
+            transition([[(bad, 0.5)], [(1.9, 1.0)]])
+        with pytest.raises(ModelError, match=message):
+            transition_from_edges([1, 1], [bad, 1.9], [0.5, 1.0], [0.0, 0.0])
+        with pytest.raises(ModelError, match=f"transition indices entry {bad} "):
+            Transition([0, 1, 2], [bad, 1.9], [0.5, 1.0], [0.0, 0.0])
+
+    def test_non_integer_counts_and_offsets_rejected(self):
+        with pytest.raises(ModelError, match="edge count 1.5 is not an integer"):
+            transition_from_edges([1.5, 0.5], [0, 1], [0.5, 1.0], [0.0, 0.0])
+        with pytest.raises(ModelError, match="transition indptr entry 0.5 "):
+            Transition([0, 0.5, 2], [0, 1], [0.5, 1.0], [0.0, 0.0])
+
+    def test_integral_floats_are_targets(self):
+        rows = [[(1.0, 0.5), (0, 0.25)], [(0.0, 1.0)]]
+        want = transition([[(1, 0.5), (0, 0.25)], [(0, 1.0)]])
+        assert_same_arrays(transition(rows), want)
+        assert_same_arrays(transition_from_edges(
+            np.array([2.0, 1.0]), np.array([1.0, 0.0, 0.0]), [0.5, 0.25, 1.0],
+            [0.0, 0.0]), want)
+        assert_same_arrays(Transition(np.array([0.0, 2.0, 3.0]), [0.0, 1.0, 0.0],
+                                      want.probs, want.weights), want)
+
     def test_empty_transition(self):
         assert_same_arrays(transition([]), reference_transition([]))
         assert_same_arrays(transition([[], []], [0.5, 0.0]),

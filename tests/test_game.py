@@ -20,7 +20,7 @@ from qmu.formula import (
 )
 from qmu.examples import VARDI_TEXT
 from qmu.game import GameError, TreeBudgetError, estimate, expand_tree, play
-from qmu.oracle import TinyInstance, brute_minimax, random_instance
+from qmu.oracle import InstanceBounds, TinyInstance, brute_minimax, random_instance
 from qmu.strategy import MemorilessStrategy, synthesize, verify_strategy
 from playout_reference import Colour, GamePath, path_bracket, walk_playout
 
@@ -133,7 +133,8 @@ class TestPlay:
 
     def test_play_is_the_reference_walk(self, ping_pong):
         # memoriless sides read from tables; a history side decides by its
-        # table, flipped every fourth position, and records what it is asked
+        # table, flipped every fourth position, and records what it is asked.
+        # With both sides memoriless, estimate plays the same path as well.
         def sides(tables, history, calls):
             def recording(table):
                 def decide(site, path, s):
@@ -169,10 +170,21 @@ class TestPlay:
                         assert result == path_bracket(path, depth), (k, seed, depth)
                         assert calls == reference_calls, (k, seed, depth)
                         asked += len(calls)
-                        how = ending(result)
-                        if how == "payoff" and isinstance(path.positions[-2][1], Modal):
-                            how = "halt"
-                        seen.add(how)
+                        if not any(history):
+                            # one path of estimate is play with its generator
+                            est = estimate(phi, model, s0, *sides(tables, history, []),
+                                           n_paths=1, max_depth=depth, seed=seed)
+                            assert (est.mean_low, est.mean_high, est.max_steps,
+                                    est.mean_steps, ending(est)) == (
+                                result.value_low, result.value_high, result.steps,
+                                result.steps, ending(result)), (k, seed, depth)
+                            assert est.n_truncated == (not result.terminated)
+                            how = ending(result)
+                            if how == "payoff" and isinstance(path.positions[-2][1],
+                                                              Modal):
+                                how = "halt"
+                            seen.add(how)
+        # the memoriless cases, which estimate plays too, reach every ending
         assert seen == {"payoff", "halt", "mu", "nu", "budget"}
         assert asked > 1000
 
@@ -262,41 +274,6 @@ def ending(result) -> str:
 
 
 class TestBlockEngine:
-    def test_single_path_is_play_with_the_call_generator(self, simple, ping_pong):
-        cases = [(reduce(parse("mu X . e \\/ <k> X"), simple.valuation), simple,
-                  LEFT, RIGHT), (ping_pong[1], ping_pong[0], LEFT, ping_pong[2])]
-        for trial in range(100):
-            inst = random_instance([4242, trial])
-            mins, maxs = choice_sites(inst.phi)
-            n = inst.model.space.size
-            rng = np.random.default_rng(trial)
-            cases.append((inst.phi, inst.model,
-                          PathStrategy.from_choices([rng.random(n) < 0.5
-                                                     for _ in range(mins)]),
-                          PathStrategy.from_choices([rng.random(n) < 0.5
-                                                     for _ in range(maxs)])))
-        seen = set()
-        for phi, model, sigma_min, sigma_max in cases:
-            for seed in range(3):
-                for depth in (1, 3, 12):
-                    est = estimate(phi, model, 0, sigma_min, sigma_max,
-                                   n_paths=1, max_depth=depth, seed=seed)
-                    direct = play(phi, model, 0, sigma_min, sigma_max, depth,
-                                  rng=estimate_rng(seed))
-                    assert (est.mean_low, est.mean_high, est.max_steps,
-                            est.mean_steps, ending(est)) == (
-                        direct.value_low, direct.value_high, direct.steps,
-                        direct.steps, ending(direct)), (phi, seed, depth)
-                    assert est.n_truncated == (not direct.terminated)
-                    how = ending(direct)
-                    if how == "payoff":
-                        path = walk_playout(phi, model, 0, sigma_min, sigma_max,
-                                            depth, rng=estimate_rng(seed))
-                        if isinstance(path.positions[-2][1], Modal):
-                            how = "halt"
-                    seen.add(how)
-        assert seen == {"payoff", "halt", "mu", "nu", "budget"}
-
     def test_draws_on_a_running_sum_and_in_float_dust(self):
         # u equal to a running sum takes that edge; u above a total within
         # float dust of one keeps the last edge instead of halting
@@ -388,6 +365,30 @@ class TestBlockEngine:
                 assert estimate(inst.phi, inst.model, 0, constant, constant,
                                 200, 5, seed=trial) == estimate(
                     inst.phi, inst.model, 0, *tables, 200, 5, seed=trial)
+
+    def test_a_shared_subtree_plays_as_an_unshared_copy(self, simple):
+        # every occurrence of a subtree gets its own positions, so a body
+        # that two binders share plays as two equal bodies do
+        def loop():
+            return Cond("g", Modal("k", Var("X")), Const("e"))
+
+        body = loop()
+        shared = MaxJ(Mu("X", body), Nu("X", body), site=0)
+        unshared = MaxJ(Mu("X", loop()), Nu("X", loop()), site=0)
+        assert shared == unshared and shared.left.body is shared.right.body
+        endings = set()
+        for sigma_max in (LEFT, RIGHT):
+            for s0 in range(2):
+                for depth in (1, 3, 12):
+                    plays = [play(phi, simple, s0, LEFT, sigma_max, depth,
+                                  rng=estimate_rng(depth)) for phi in (shared, unshared)]
+                    assert plays[0] == plays[1], (sigma_max, s0, depth)
+                    endings.add(ending(plays[0]))
+                    estimates = [estimate(phi, simple, s0, LEFT, sigma_max, n_paths=200,
+                                          max_depth=depth, seed=depth)
+                                 for phi in (shared, unshared)]
+                    assert estimates[0] == estimates[1], (sigma_max, s0, depth)
+        assert endings == {"payoff", "mu", "nu"}
 
 
 class TestExpandTree:
@@ -639,36 +640,39 @@ def counting_walks(monkeypatch) -> list:
 
 class TestEntryCheck:
     @pytest.mark.parametrize("entry, walks", [
-        (lambda phi, model, fix, inst: check_entry(phi, model, "reject"), 1),
-        (lambda phi, model, fix, inst: check_entry(fix, model, "pure"), 1),
-        (lambda phi, model, fix, inst: evaluate(phi, model), 1),
-        (lambda phi, model, fix, inst: synthesize(phi, model), 1),
-        (lambda phi, model, fix, inst: evaluate_with_strategies(phi, model, LEFT,
-                                                                RIGHT), 1),
-        (lambda phi, model, fix, inst: estimate(phi, model, 0, LEFT, RIGHT,
-                                                n_paths=50, max_depth=20,
-                                                seed=4), 2),
-        (lambda phi, model, fix, inst: play(phi, model, 0, LEFT, RIGHT, 20,
-                                            rng_for(4)), 2),
-        (lambda phi, model, fix, inst: brute_minimax(inst), 3),
-        (lambda phi, model, fix, inst: verify_strategy(
-            phi, model, vardi_strategy(model)), 2),
-        (lambda phi, model, fix, inst: verify_strategy(
-            phi, model, vardi_strategy(model), base=np.zeros(2)), 1),
+        (lambda phi, model, fix, insts: check_entry(phi, model, "reject"), 1),
+        (lambda phi, model, fix, insts: check_entry(fix, model, "pure"), 1),
+        (lambda phi, model, fix, insts: evaluate(phi, model), 2),
+        (lambda phi, model, fix, insts: synthesize(phi, model), 2),
+        (lambda phi, model, fix, insts: evaluate_with_strategies(phi, model, LEFT,
+                                                                 RIGHT), 2),
+        (lambda phi, model, fix, insts: estimate(phi, model, 0, LEFT, RIGHT,
+                                                 n_paths=50, max_depth=20,
+                                                 seed=4), 2),
+        (lambda phi, model, fix, insts: play(phi, model, 0, LEFT, RIGHT, 20,
+                                             rng_for(4)), 2),
+        (lambda phi, model, fix, insts: brute_minimax(insts[0]), 2),
+        (lambda phi, model, fix, insts: brute_minimax(insts[1]), 5),
+        (lambda phi, model, fix, insts: verify_strategy(
+            phi, model, vardi_strategy(model)), 4),
+        (lambda phi, model, fix, insts: verify_strategy(
+            phi, model, vardi_strategy(model), base=np.zeros(2)), 2),
     ], ids=["check_entry", "check_entry-fix", "evaluate", "synthesize",
-            "memoriless", "estimate", "play", "brute_minimax", "verify_strategy",
-            "verify_strategy-base"])
+            "memoriless", "estimate", "play", "brute_minimax",
+            "brute_minimax-slices", "verify_strategy", "verify_strategy-base"])
     def test_formula_walks_per_call(self, vardi, monkeypatch, entry, walks):
-        # one walk checks the formula and counts its sites and nodes; the
-        # plan's compile runs on its own stack and is not counted, the game
-        # compiles its position table in one more, the brute force counts
-        # its binders and folds the formula, and verify_strategy runs one
-        # strategy evaluation, plus one evaluation without ``base``
+        # one walk checks the formula and counts its sites and nodes, and
+        # each compile is one fold more: the evaluator's plan, the game's
+        # position table and the brute force's affine forms, once per slice
+        # of PAIRS_PER_BATCH strategy pairs (4,096 pairs make four slices);
+        # verify_strategy runs one strategy evaluation, plus one evaluation
+        # without ``base``
         model, phi = vardi
         fix = reduce(parse("fix(0.5) X . <k> X"), model.valuation)
-        inst = random_instance([0, 0])
+        insts = (random_instance([0, 0]),
+                 random_instance([5, 12], InstanceBounds(max_states=4)))
         calls = counting_walks(monkeypatch)
-        entry(phi, model, fix, inst)
+        entry(phi, model, fix, insts)
         assert len(calls) == walks
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)

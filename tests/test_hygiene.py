@@ -482,6 +482,37 @@ def test_the_scipy_guard_sees_every_spelling():
     assert naming_lines(source, "scipy") == [1, 2, 3, 5, 6]
 
 
+#: The readers of a node's shape, which only ``formula.py`` uses: every
+#: other module folds a formula with ``rebuild`` or reads ``subformulae``.
+SHAPE_READERS = ("children", "map_children", "_child_fields")
+
+
+def shape_reader_lines(source: str) -> list[int]:
+    """Lines that name any of :data:`SHAPE_READERS`, under any spelling."""
+    return sorted({line for word in SHAPE_READERS
+                   for line in naming_lines(source, word)})
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "formula.py"],
+                         ids=lambda path: path.name)
+def test_formulae_are_folded_through_rebuild(path):
+    assert shape_reader_lines(path.read_text()) == []
+
+
+def test_the_shape_reader_guard_sees_every_spelling():
+    source = ("from .formula import children, rebuild\n"
+              "from . import formula\n"
+              "from qmu.formula import _child_fields as fields\n"
+              "def walk(node):\n"
+              "    kids = formula.children(node)\n"
+              "    copy = formula.map_children(node, walk)\n"
+              "    names = qmu.formula._child_fields(node)\n"
+              "    return getattr(formula, 'children')(node), rebuild(node, len)\n"
+              "def count(node):\n"
+              "    return sum(1 for _ in subformulae(node)), fields\n")
+    assert shape_reader_lines(source) == [1, 3, 5, 6, 7, 8]
+
+
 def oracle_imports(source: str) -> list[int]:
     """Lines that import from ``qmu.oracle``, or the module itself, under
     any spelling."""
