@@ -135,6 +135,8 @@ def cmd_simulate(args) -> int:
     for flag, value in (("--paths", args.paths), ("--max-depth", args.max_depth)):
         if value < 1:
             raise _InputError(f"{flag} must be at least 1, got {value}")
+    if args.seed < 0:
+        raise _InputError(f"--seed cannot be negative, got {args.seed}")
     model, phi, cfg = _inputs(args)
     if args.synthesize:
         strategy, _ = synthesize(phi, model, cfg)
@@ -164,8 +166,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    if args.count < 0:
-        raise _InputError(f"--count cannot be negative, got {args.count}")
+    for flag, value in (("--count", args.count), ("--seed", args.seed)):
+        if value < 0:
+            raise _InputError(f"{flag} cannot be negative, got {value}")
     bounds = _from_arguments(InstanceBounds, max_states=args.max_states,
                              max_min_sites=args.max_min_sites,
                              max_max_sites=args.max_max_sites)

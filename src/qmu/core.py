@@ -60,16 +60,32 @@ def predicate(values, size: int | None = None) -> np.ndarray:
     return arr
 
 
+def _fits(value) -> bool:
+    """Whether ``value`` is a whole number that int64 holds, compared exactly."""
+    try:
+        return value == int(value) and -2 ** 63 <= int(value) < 2 ** 63
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _integers(values, what: str) -> np.ndarray:
     """``values`` as a new int64 array.  A value that is not a whole number,
-    NaN and the infinities included, is a :class:`ModelError`, named: the
-    cast would truncate it to some other state or count."""
+    NaN and the infinities included, or that int64 cannot hold is a
+    :class:`ModelError`, named: the cast would turn it into some other state
+    or count.  Python ints beyond uint64 come as an object array."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "biu":
-        real = arr.astype(np.float64).reshape(-1)
-        bad = np.flatnonzero(~(np.isfinite(real) & (np.trunc(real) == real)))
-        if bad.size:
-            raise ModelError(f"{what} {real[bad[0]].item()} is not an integer")
+    flat = arr.reshape(-1)
+    bad = []
+    if arr.dtype.kind == "O":
+        bad = [i for i, value in enumerate(flat) if not _fits(value)]
+    elif arr.dtype.kind == "u":
+        bad = np.flatnonzero(flat >= 2 ** 63)
+    elif arr.dtype.kind not in "bi":
+        real = flat.astype(np.float64)
+        bad = np.flatnonzero(~(np.isfinite(real) & (np.trunc(real) == real)
+                               & (-2.0 ** 63 <= real) & (real < 2.0 ** 63)))
+    if len(bad):
+        raise ModelError(f"{what} {flat[bad[0]]} is not an integer in the int64 range")
     return arr.astype(np.int64)
 
 
@@ -110,7 +126,7 @@ class Transition:
     payoff outcome.  :func:`transition_from_edges`, which :func:`transition`
     calls, stores only strictly positive probabilities, one edge per target,
     sorted by target.  The arrays are read-only copies; an ``indptr`` or
-    ``indices`` entry that is not a whole number is a :class:`ModelError`.
+    ``indices`` entry that is not an int64 whole number is a :class:`ModelError`.
     Storage grows with the number of edges, not of states squared.
     :attr:`_slots` lays the same edges out for :func:`pre_expectation_all`,
     in at most four cells per edge.
@@ -272,7 +288,7 @@ def transition_from_edges(counts, targets, probs, weights) -> Transition:
     ``probs``.  Zero-probability edges are dropped, each row's edges are
     sorted by target, and duplicate targets in a row are merged into one
     edge whose probability adds theirs in order of appearance, so the stored
-    form is canonical.  A count or target that is not a whole number, a
+    form is canonical.  A count or target that is not an int64 whole number, a
     negative or non-finite probability or a non-finite weight is a
     :class:`ModelError`; targets outside the state space are left for
     :func:`validate` to report.

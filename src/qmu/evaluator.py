@@ -27,7 +27,6 @@ default (0 for ``mu``, 1 for ``nu``).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,7 +61,7 @@ class StrategyError(ValueError):
 
 
 #: Window length for the forced-fix oscillation detector: iteration aborts
-#: when the residual has not decreased once across this many iterates.
+#: when this many residuals in a row have not fallen below the one before.
 _DIVERGENCE_WINDOW = 50
 
 
@@ -206,8 +205,8 @@ _NONE: frozenset = frozenset()
 class _Loop:
     """One binder's loop: where its iterate lives and how it stops.
 
-    ``drop_body`` says that the test is the only reader of the body's
-    register.  ``length`` counts the body steps between the loop's
+    ``register`` holds the iterate and ``body`` the register of the body's
+    value.  ``length`` counts the body steps between the loop's
     ``_ENTER`` and ``_TEST``, so the test jumps back by that much.
     ``decides`` marks a closed binder containing a ``nu`` and no ``fix``,
     whose zeros the support pass decides; ``bottom`` holds the closed bottom
@@ -217,7 +216,6 @@ class _Loop:
     var: str
     register: int
     body: int
-    drop_body: bool
     seed: float
     forced: bool
     length: int
@@ -228,18 +226,16 @@ class _Loop:
 class _Plan:
     """A formula compiled, once per evaluation, into a flat list of steps.
 
-    Every subformula gets a register.  Constants are loaded into theirs at
-    compile time and a variable reads its binder's, so only modalities,
-    junctions, conditionals and binders become steps.  A step goes into the
-    loop of the innermost binder whose variable occurs free in it, and
-    before every inner loop it sits in, so a binder's loop runs only the
-    steps that depend on its variable; a step with no free variable runs
-    once, before every loop.  A step's result (a binder's once its loop has
-    ended) has one reader, its parent; when both sit in the same loop the
-    parent writes its own result over it or drops it, so a loop holds about
-    as many vectors at once as a tree walk would.  The compile is one
-    :func:`~qmu.formula.rebuild` fold: entering a binder opens its scope,
-    register and loop block, and leaving a node returns its operand record.
+    Each constant, binder, modality, junction and conditional has a register
+    of its own.  Constants are loaded into theirs at compile time and a
+    variable reads its binder's, so only the other three and binders become
+    steps; a binder's register holds its iterate.  A step goes into the loop
+    of the innermost binder whose variable occurs free in it, and before
+    every inner loop it sits in, so a binder's loop runs only the steps that
+    depend on its variable; a step with no free variable runs once, before
+    every loop.  The compile is one :func:`~qmu.formula.rebuild` fold:
+    entering a binder opens its scope, register and loop block, and leaving
+    a node returns its operand record.
 
     The formula is one :func:`~qmu.formula.check_entry` accepted, so every
     name it looks up is bound and sized to the model.  ``forced`` holds the
@@ -262,21 +258,19 @@ class _Plan:
                                                        self._register()))
                 blocks.append([])
 
-        # an operand record: (register, free depths as bits, whether it holds
-        # a step's result: not a constant or a variable, so its parent is its
-        # one reader, depths occurring outside every modality, transitions,
-        # kinds)
+        # an operand record: (register, free depths as bits, depths occurring
+        # outside every modality, transitions, kinds)
         def leave(node: Node, operands) -> tuple:
             if isinstance(node, Var):
                 depth, register = scope[node.name][-1]
-                return (register, 1 << depth, False, 1 << depth, _NONE, 0)
+                return (register, 1 << depth, 1 << depth, _NONE, 0)
             if isinstance(node, Const):
                 if node.name not in consts:
                     consts[node.name] = self._register(v.expectations[node.name])
-                return (consts[node.name], 0, False, 0, _NONE, 0)
+                return (consts[node.name], 0, 0, _NONE, 0)
             free = unguarded = kinds = 0
             names = _NONE
-            for _, bits, _, loose, used, found in operands:
+            for _, bits, loose, used, found in operands:
                 free |= bits
                 unguarded |= loose
                 names |= used
@@ -297,31 +291,23 @@ class _Plan:
                 bottom = (v.transitions[next(iter(names))]._recurrent
                           if decides and len(names) == 1
                           and not kinds & _UNGUARDED else None)
-                # a body step in this loop has no other reader than the test
-                _, bits, result, *_ = operands[0]
-                loop = _Loop(node.var, register, regs[0],
-                             result and bool(bits >> depth & 1), seed,
+                loop = _Loop(node.var, register, regs[0], seed,
                              id(node) in forced, len(body), decides, bottom)
                 steps = [(_ENTER, loop), *body, (_TEST, loop)]
                 binders.append(node.var)
             else:
-                # operand results computed in this block have no other reader
-                mine = [register for register, bits, result, *_ in operands
-                        if result and bits.bit_length() == free.bit_length()]
-                register = mine[0] if mine else self._register()
-                drop = mine[1] if len(mine) > 1 else None
+                register = self._register()
                 if isinstance(node, Modal):
                     unguarded = 0
                     names |= {node.transition}
                     steps = [(_PRODUCT, register, v.transitions[node.transition],
                               regs[0])]
                 elif isinstance(node, Cond):
-                    steps = [(_COND, register, v.predicates[node.predicate],
-                              *regs, drop)]
+                    steps = [(_COND, register, v.predicates[node.predicate], *regs)]
                 else:
-                    steps = [(_JUNCTION, register, node, *regs, drop)]
+                    steps = [(_JUNCTION, register, node, *regs)]
             blocks[free.bit_length()].extend(steps)
-            return (register, free, True, unguarded, names, kinds)
+            return (register, free, unguarded, names, kinds)
 
         self.out = rebuild(phi, leave, enter)[0]
         self.steps = blocks[0]
@@ -338,7 +324,7 @@ class _Plan:
         seed that ``enter(loop, outer)`` returns with its frame, ``outer``
         being the frame around it or ``None``; after each pass over its body,
         ``test(loop, frame, body, old)`` returns the new iterate and whether
-        to pass again.  A result is dropped once its one reader has read it.
+        to pass again.  A register keeps its last value until the run ends.
         """
         steps = self.steps
         frames: list = []
@@ -356,8 +342,6 @@ class _Plan:
                 loop = step[1]
                 regs[loop.register], again = test(loop, frames[-1], regs[loop.body],
                                                   regs[loop.register])
-                if loop.drop_body:
-                    regs[loop.body] = None
                 if again:
                     pc -= loop.length
                     continue
@@ -366,8 +350,6 @@ class _Plan:
                 regs[step[1]] = (choose(step[2], regs[step[3]], regs[step[4]])
                                  if kind == _JUNCTION else
                                  np.where(step[2], regs[step[3]], regs[step[4]]))
-                if step[5] is not None:
-                    regs[step[5]] = None
             pc += 1
 
     def decide(self, choose) -> dict[_Loop, np.ndarray]:
@@ -416,16 +398,15 @@ class _Plan:
         tol = cfg.tolerance
         stats: dict[str, FixpointStats] = {}
 
-        # a frame: the iteration count, the residual window of a forced
-        # fix(x), and the states the support pass fixed at 0
+        # a frame: the iteration count, a forced fix(x)'s last residual and run
+        # of residuals that did not fall, and the states the pass fixed at 0
         def enter(loop, outer):
             decided = zeros.get(loop)
-            window = deque(maxlen=_DIVERGENCE_WINDOW + 1) if loop.forced else None
             return (np.full(self.n, loop.seed) if decided is None
-                    else np.where(decided, 0.0, loop.seed)), [0, window, decided]
+                    else np.where(decided, 0.0, loop.seed)), [0, np.inf, 0, decided]
 
         def test(loop, frame, body, old):
-            iterations, window, decided = frame
+            iterations, last, run, decided = frame
             new = body.clip(0.0, 1.0)
             if decided is not None:
                 new[decided] = 0.0
@@ -434,10 +415,10 @@ class _Plan:
             residual = float(np.abs(step, out=step).max())
             frame[0] = iterations = iterations + 1
             if residual > tol:
-                if window is not None:
-                    window.append(residual)
-                    if (len(window) == _DIVERGENCE_WINDOW + 1
-                            and all(b >= a for a, b in zip(window, list(window)[1:]))):
+                if loop.forced:
+                    run = run + 1 if residual >= last else 0
+                    frame[1:3] = residual, run
+                    if run == _DIVERGENCE_WINDOW:
                         raise DivergenceError(
                             f"fix({loop.seed}) iteration for {loop.var!r} shows "
                             f"non-decreasing residual over {_DIVERGENCE_WINDOW} iterates")

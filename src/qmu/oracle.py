@@ -29,8 +29,8 @@ from .core import (
 )
 from .evaluator import EvalConfig, evaluate
 from .formula import (
-    Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var, assign_sites,
-    check_entry, parse, pretty_print, rebuild, reduce,
+    Cond, Const, MaxJ, MinJ, Modal, Mu, Node, Nu, Var, check_entry, parse,
+    pretty_print, rebuild, reduce,
 )
 from .strategy import MemorilessStrategy
 
@@ -91,10 +91,9 @@ class TinyInstance:
 
     @cached_property
     def open_body(self) -> Node:
-        """``body_text`` reduced and site-assigned, built on first use."""
-        wrapped = reduce(parse(f"mu {self.free_var} . {self.body_text}"),
-                         self.model.valuation)
-        return assign_sites(wrapped.body)
+        """``body_text`` reduced, its sites in preorder, built on first use."""
+        return reduce(parse(f"mu {self.free_var} . {self.body_text}"),
+                      self.model.valuation).body
 
 
 # Formula templates; {a}/{b} are expectation symbols, {k}/{k2} transitions,

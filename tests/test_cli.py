@@ -548,10 +548,11 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["crosscheck", "--count", "-1"], "--count cannot be negative, got -1"),
+        (["crosscheck", "--seed", "-1"], "--seed cannot be negative, got -1"),
         (["crosscheck", "--max-states", "5"], "max_states must be between 1 and 4"),
         (["crosscheck", "--tol", "2"],
          "tolerance must lie strictly between 0 and 1"),
-    ], ids=["count", "bounds", "tolerance"])
+    ], ids=["count", "seed", "bounds", "tolerance"])
     def test_bad_arguments_exit_one_with_one_line(self, capsys, argv, message):
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
@@ -561,7 +562,8 @@ class TestInputErrors:
         (["--paths", "0"], "--paths must be at least 1, got 0"),
         (["--max-depth", "0"], "--max-depth must be at least 1, got 0"),
         (["--max-iters", "0"], "max_iterations must be at least 1"),
-    ], ids=["paths", "max-depth", "max-iters"])
+        (["--seed", "-1"], "--seed cannot be negative, got -1"),
+    ], ids=["paths", "max-depth", "max-iters", "seed"])
     def test_bad_simulate_arguments_exit_one(self, capsys, vardi_files, flags,
                                              message):
         code, out, err = run(capsys, ["simulate", vardi_files["model"],

@@ -1,6 +1,7 @@
 """Transition, expectation and validation primitives."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -225,6 +226,50 @@ class TestValidate:
         for trial in range(100):
             inst = random_instance([31, trial])
             assert validate(inst.model) == []
+
+
+class TestIntegerRange:
+    """A target, count or offset that int64 cannot hold is named, not wrapped
+    to -2 ** 63 by the cast."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("targets, shown", [
+        ([1e300, 0.0], "1e+300"),
+        ([-1e300, 0.0], "-1e+300"),
+        ([2.0 ** 63, 0.0], "9.223372036854776e+18"),
+        ([2.0 ** 64, 0.0], "1.8446744073709552e+19"),
+        (np.array([2 ** 63, 0], dtype=np.uint64), "9223372036854775808"),
+        ([2 ** 63, 0], "9.223372036854776e+18"),  # int64 and uint64: float64
+        ([2 ** 64, 0], "18446744073709551616"),  # an object array
+        ([-2 ** 63 - 1, 0], "-9223372036854775809"),
+        ([0.5, 2 ** 64], "0.5"),  # a float among Python ints
+        ([10 ** 30, 2 ** 64], str(10 ** 30)),
+    ], ids=["float", "negative-float", "float-2**63", "float-2**64", "uint64",
+            "int-2**63", "int-2**64", "int-below", "object-float", "object-int"])
+    def test_targets_beyond_int64_rejected(self, targets, shown):
+        message = re.escape(f" {shown} is not an integer in the int64 range")
+        rows = [[(targets[0], 0.5)], [(targets[1], 0.5)]]
+        with pytest.raises(ModelError, match="edge target" + message):
+            transition(rows)
+        with pytest.raises(ModelError, match="edge target" + message):
+            transition_from_edges([1, 1], targets, [0.5, 0.5], [0.0, 0.0])
+        with pytest.raises(ModelError, match="transition indices entry" + message):
+            Transition([0, 1, 2], targets, [0.5, 0.5], [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_counts_and_offsets_beyond_int64_rejected(self):
+        with pytest.raises(ModelError, match=re.escape("edge count 9.223372036854776e+18 ")):
+            transition_from_edges([2.0 ** 63, 0], [0], [0.5], [0.0, 0.0])
+        with pytest.raises(ModelError, match="edge count 18446744073709551616 "):
+            transition_from_edges([2 ** 64, 0], [0], [0.5], [0.0, 0.0])
+        with pytest.raises(ModelError, match="transition indptr entry 9223372036854775808 "):
+            Transition(np.array([0, 2 ** 63], dtype=np.uint64), [0], [0.5], [0.0])
+
+    def test_the_int64_bounds_are_kept(self):
+        for targets in ([-2 ** 63, 2 ** 63 - 1], [-2.0 ** 63, 0.0],
+                        np.array([2 ** 63 - 1, 0], dtype=np.uint64)):
+            t = Transition([0, 1, 2], targets, [0.5, 0.5], [0.0, 0.0])
+            assert t.indices.tolist() == [int(x) for x in targets]
 
 
 class TestCanonicalStorage:

@@ -20,8 +20,8 @@ import pytest
 import qmu.evaluator
 from qmu.core import Model, StateSpace, Valuation, expectation, predicate, transition
 from qmu.evaluator import (
-    _ENTER, DivergenceError, EvalConfig, EvalReport, FixpointStats, _Masked, _Plan,
-    _pointwise, _run, evaluate, evaluate_fix,
+    _ENTER, _TEST, DivergenceError, EvalConfig, EvalReport, FixpointStats, _Masked,
+    _Plan, _pointwise, _run, evaluate, evaluate_fix,
 )
 from qmu.examples import case_study_tables
 from qmu.formula import (
@@ -230,6 +230,80 @@ class TestHoisting:
         assert_same(plan, reference, hoisted={"X"})
         assert plan.fixpoints["X"].solves == 1
         assert reference.fixpoints["X"].solves == plan.fixpoints["Y"].iterations
+
+
+class TestRegisters:
+    """Every constant, binder and value step has a register of its own, and
+    a run leaves every register holding a vector."""
+
+    @pytest.mark.parametrize("text", [None, NEST, UNDECIDED_NEST],
+                             ids=["game", "nest", "undecided-nest"])
+    def test_one_register_per_step(self, futures, text):
+        model, game = futures
+        phi = game if text is None else reduce(parse(text), model.valuation)
+        plan = _Plan(phi, model, check_entry(phi, model, "pure").forced)
+        steps = [step for step in plan.steps if step[0] not in (_ENTER, _TEST)]
+        loops = [step[1] for step in plan.steps if step[0] == _ENTER]
+        written = [step[1] for step in steps] + [loop.register for loop in loops]
+        assert len(set(written)) == len(written)
+        nodes = list(subformulae(phi))
+        consts = {node.name for node in nodes if isinstance(node, Const)}
+        assert len(loops) == sum(isinstance(node, (Mu, Nu, Fix)) for node in nodes)
+        assert len(steps) == sum(isinstance(node, (Modal, MaxJ, MinJ, Cond))
+                                 for node in nodes)
+        assert len(plan.registers) == len(consts) + len(loops) + len(steps)
+        assert sum(r is not None for r in plan.registers) == len(consts)
+
+        def test(loop, frame, body, old):
+            frame[0] += 1
+            return body.clip(0.0, 1.0), frame[0] < 3
+
+        regs = list(plan.registers)
+        plan.execute(regs, qmu.evaluator.pre_expectation_all, _pointwise,
+                     lambda loop, outer: (np.full(plan.n, loop.seed), [0]), test)
+        assert all(isinstance(r, np.ndarray) and r.shape == (plan.n,) for r in regs)
+
+
+def _ring(n):
+    """The divergence ring of ``tests/test_evaluator.py`` with ``n`` states:
+    a value wave travels one step per iterate, so the residual stays flat
+    for about ``n`` iterates."""
+    e = np.full(n, 0.5)
+    e[0] = 0.9
+    return Model(StateSpace(tuple(f"r{i}" for i in range(n))), Valuation(
+        expectations={"e": expectation(e)},
+        transitions={"shift": transition([[((i + 1) % n, 1.0)] for i in range(n)])},
+        predicates={"g": predicate([i != 0 for i in range(n)])}))
+
+
+class TestDivergenceDetector:
+    def test_ring_family_matches_the_window(self, products):
+        # the plan counts the residuals in a row that did not fall; the
+        # reference keeps the last 51 in a window.  Rings of 51 states or
+        # more raise, at the same iterate (two products each); shorter
+        # ones converge with the same stats
+        raised = 0
+        for n in range(46, 56):
+            model = _ring(n)
+            for start in (0.5, 0.25, 1.0):
+                phi = reduce(parse(f"fix({start}) X . if g then "
+                                   "(<shift> X \\/ <shift> X) else e"), model.valuation)
+                outcomes = []
+                for run in (lambda: evaluate_fix(phi, model, force=True),
+                            lambda: walk(phi, model, fix_policy="force")):
+                    products[0] = 0
+                    try:
+                        outcomes.append(run())
+                    except DivergenceError:
+                        outcomes.append(products[0])
+                plan, reference = outcomes
+                assert type(plan) is type(reference), (n, start)
+                if isinstance(reference, int):
+                    assert plan == reference == 102, (n, start)
+                    raised += 1
+                else:
+                    assert_same(plan, reference)
+        assert raised == 15
 
 
 class TestMatchesTheRecursiveWalk:
